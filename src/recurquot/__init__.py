@@ -24,6 +24,7 @@ from .errors import (
     RootNotInGroup,
     SchemaError,
     TorsionGroup,
+    VerificationFailed,
     ZeroInput,
     ZeroRecurrence,
     ZeroRoot,

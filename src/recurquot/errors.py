@@ -21,6 +21,14 @@ class ResourceError(RecurquotError):
     """A configured effort or size bound was exceeded."""
 
 
+class VerificationFailed(RecurquotError):
+    """An exact result failed its own re-check (multiply-back or trial division).
+
+    This signals a defect in the library, not in the input; the check
+    is an explicit test, so it also runs under ``python -O``.
+    """
+
+
 class ZeroInput(InputError):
     """An operation that requires a non-zero value received zero."""
 

@@ -10,9 +10,10 @@ Units of the Laurent ring are the monomials q * T^a with q in Q*.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import BasisMismatch, BothZero, ZeroInput
+from .errors import BasisMismatch, BothZero, VerificationFailed, ZeroInput
 from .multiplicative import MultiplicativeBasis
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, from_closed_form
@@ -23,25 +24,6 @@ from .recurrences import LinearRecurrence, from_closed_form
 def _mv_lead(f: dict) -> tuple[tuple[int, ...], Fraction]:
     e = max(f)
     return e, f[e]
-
-
-def _mv_scale(f: dict, c: Fraction) -> dict:
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in f.items()}
-
-
-def _mv_mul(f: dict, g: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(key, Fraction(0)) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
 
 
 def _mv_divide(f: dict, g: dict) -> dict | None:
@@ -72,11 +54,144 @@ def _mv_divide(f: dict, g: dict) -> dict | None:
     return q
 
 
-def _mv_monic(f: dict) -> dict:
-    if not f:
-        return {}
-    _, c = _mv_lead(f)
-    return _mv_scale(f, 1 / c)
+# -- integer polynomials: dict[exponent tuple, int] -----------------------------
+#
+# The gcd works in Z[v_0..v_{k-1}]: both inputs are cleared of
+# denominators, GCDHEU is tried first, and a primitive PRS over the
+# integers takes over when it gives up.  Every answer is exact.
+
+
+def _zz_clear(f: dict) -> dict:
+    """Integer multiple of a Fraction polynomial, primitive with positive lead."""
+    den = math.lcm(*(c.denominator for c in f.values()))
+    return _zz_primitive({e: c.numerator * (den // c.denominator) for e, c in f.items()})
+
+
+def _zz_primitive(f: dict) -> dict:
+    """f divided by its integer content, signed so the lex-leading term is positive."""
+    cont = math.gcd(*f.values())
+    if f[max(f)] < 0:
+        cont = -cont
+    if cont == 1:
+        return f
+    return {e: c // cont for e, c in f.items()}
+
+
+def _degrees(f: dict) -> list[int]:
+    return [max(col) for col in zip(*f)]
+
+
+def _zz_divide(f: dict, g: dict) -> dict | None:
+    """Exact quotient f/g in Z[v_0..v_{k-1}], or None.
+
+    Lex-order division generates the quotient's terms from the top, so
+    a term outside the degree box deg(f) - deg(g) or a leading
+    coefficient that the divisor's does not divide ends it early.
+    """
+    ge = max(g)
+    gc = g[ge]
+    box = [a - b for a, b in zip(_degrees(f), _degrees(g))]
+    if any(b < 0 for b in box):
+        return None
+    q: dict[tuple[int, ...], int] = {}
+    r = dict(f)
+    while r:
+        re = max(r)
+        diff = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 or d > b for d, b in zip(diff, box)):
+            return None
+        c, rest = divmod(r[re], gc)
+        if rest:
+            return None
+        q[diff] = c
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(diff, e2))
+            v = r.get(key, 0) - c * c2
+            if v:
+                r[key] = v
+            else:
+                del r[key]
+    return q
+
+
+def _zz_mul(f: dict, g: dict) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# GCDHEU (Char, Geddes and Gonnet 1989).  Evaluating the main variable
+# at an integer xi maps the gcd problem to one variable fewer; the gcd
+# of the images, read back from its symmetric xi-adic digits and made
+# primitive, is a candidate h.  With xi >= 2 * min(|f|, |g|) + 3 a
+# candidate that divides both inputs is their gcd.  Write gcd(f, g) =
+# h * q: then q(xi) divides the content of the digits, an integer of size
+# at most xi / 2.  By Cauchy's bound every root of a coefficient of f
+# (as a polynomial in v_0) lies below xi / 2 in size, so a q of positive
+# degree in any variable would be non-constant or larger than xi / 2 at
+# xi.  Hence q = +-1, and acceptance by exact trial division is a proof,
+# not a guess.
+_HEU_TRIES = 6
+
+
+def _eval_main(f: dict, xi: int) -> dict:
+    """Substitute v_0 = xi, leaving a polynomial in the remaining variables."""
+    powers = [1]
+    for _ in range(max(e[0] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in f.items():
+        out[e[1:]] = out.get(e[1:], 0) + c * powers[e[0]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(gamma: dict, xi: int) -> dict:
+    """The polynomial in v_0 whose symmetric xi-adic digits spell gamma."""
+    half = xi // 2
+    out: dict[tuple[int, ...], int] = {}
+    for e, n in gamma.items():
+        i = 0
+        while n:
+            d = n % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i,) + e] = d
+            n = (n - d) // xi
+            i += 1
+    return out
+
+
+def _heu_gcd(f: dict, g: dict, k: int) -> dict | None:
+    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by GCDHEU, or None when it gives up."""
+    cont = math.gcd(*f.values(), *g.values())
+    if k == 0:
+        return {(): cont}
+    if cont != 1:
+        f = {e: c // cont for e, c in f.items()}
+        g = {e: c // cont for e, c in g.items()}
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    xi = 2 * norm + 29
+    for _ in range(_HEU_TRIES):
+        ff = _eval_main(f, xi)
+        gg = _eval_main(g, xi)
+        if ff and gg:
+            gamma = _heu_gcd(ff, gg, k - 1)
+            if gamma is None:
+                return None
+            h = _zz_primitive(_interpolate(gamma, xi))
+            if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
+                return {e: c * cont for e, c in h.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+# The fallback: a recursive primitive PRS in v_0.  Contents are gcds in
+# one variable fewer, down to math.gcd of integers, so every remainder
+# is made primitive and coefficient size stays bounded by the gcd's.
 
 
 def _split_main(f: dict) -> dict[int, dict]:
@@ -87,29 +202,20 @@ def _split_main(f: dict) -> dict[int, dict]:
     return out
 
 
-def _join_main(parts: dict[int, dict]) -> dict:
-    out = {}
-    for d, sub in parts.items():
-        for e, c in sub.items():
-            out[(d,) + e] = c
+def _content(parts: dict[int, dict], k: int) -> dict:
+    polys = iter(parts.values())
+    out = next(polys)
+    for p in polys:
+        out = _prs_gcd(out, p, k)
     return out
 
 
-def _list_gcd(polys: list[dict], k: int) -> dict:
-    out = polys[0]
-    for p in polys[1:]:
-        out = _mv_gcd(out, p, k)
-    return out
-
-
-def _primitive(parts: dict[int, dict], k: int) -> dict[int, dict]:
-    if not parts:
-        return {}
-    cont = _list_gcd(list(parts.values()), k)
+def _primitive(parts: dict[int, dict], cont: dict) -> dict[int, dict]:
     out = {}
     for d, c in parts.items():
-        quo = _mv_divide(c, cont)
-        assert quo is not None, "content failed to divide its own polynomial"
+        quo = _zz_divide(c, cont)
+        if quo is None:
+            raise VerificationFailed("content failed to divide its own polynomial")
         out[d] = quo
     return out
 
@@ -119,51 +225,49 @@ def _prem(f_parts: dict[int, dict], g_parts: dict[int, dict]) -> dict[int, dict]
     callers take primitive parts, which absorbs them)."""
     dg = max(g_parts)
     lg = g_parts[dg]
-    r = dict(f_parts)
+    r = f_parts
     while r and max(r) >= dg:
         dr = max(r)
         lr = r[dr]
-        nxt: dict[int, dict] = {d: _mv_mul(c, lg) for d, c in r.items()}
+        nxt = {d: _zz_mul(c, lg) for d, c in r.items()}
         for d, c in g_parts.items():
             key = d + dr - dg
-            prod = _mv_mul(c, lr)
-            cur = nxt.get(key, {})
-            merged = dict(cur)
-            for e, v in prod.items():
-                w = merged.get(e, Fraction(0)) - v
+            merged = nxt.setdefault(key, {})
+            for e, v in _zz_mul(c, lr).items():
+                w = merged.get(e, 0) - v
                 if w:
                     merged[e] = w
                 else:
-                    merged.pop(e, None)
-            nxt[key] = merged
+                    del merged[e]
         r = {d: c for d, c in nxt.items() if c}
     return r
 
 
-def _mv_gcd(f: dict, g: dict, k: int) -> dict:
-    """Gcd in Q[v_0..v_{k-1}], normalized monic in lex order.
-
-    Recursive content/primitive-part reduction with a primitive
-    polynomial remainder sequence in the outermost variable.
-    """
-    if not f:
-        return _mv_monic(g)
-    if not g:
-        return _mv_monic(f)
+def _prs_gcd(f: dict, g: dict, k: int) -> dict:
+    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by a primitive PRS, up to sign."""
     if k == 0:
-        return {(): Fraction(1)}
+        return {(): math.gcd(f[()], g[()])}
     fm = _split_main(f)
     gm = _split_main(g)
-    f_cont = _list_gcd(list(fm.values()), k - 1)
-    g_cont = _list_gcd(list(gm.values()), k - 1)
-    cont = _mv_gcd(f_cont, g_cont, k - 1)
-    fp = _primitive(fm, k - 1)
-    gp = _primitive(gm, k - 1)
+    f_cont = _content(fm, k - 1)
+    g_cont = _content(gm, k - 1)
+    cont = _prs_gcd(f_cont, g_cont, k - 1)
+    fp = _primitive(fm, f_cont)
+    gp = _primitive(gm, g_cont)
     while gp:
         rem = _prem(fp, gp)
-        fp, gp = gp, _primitive(rem, k - 1)
-    result = _join_main({d: _mv_mul(c, cont) for d, c in fp.items()})
-    return _mv_monic(result)
+        fp, gp = gp, (_primitive(rem, _content(rem, k - 1)) if rem else {})
+    return {(d,) + e: c for d, sub in fp.items() for e, c in _zz_mul(sub, cont).items()}
+
+
+def _zz_gcd(f: dict, g: dict, k: int) -> dict:
+    """Gcd of non-zero f, g in Z[v_0..v_{k-1}], primitive with positive lead."""
+    h = _heu_gcd(f, g, k)
+    if h is None:
+        h = _prs_gcd(f, g, k)
+        if _zz_divide(f, h) is None or _zz_divide(g, h) is None:
+            raise VerificationFailed("the PRS gcd does not divide its inputs")
+    return _zz_primitive(h)
 
 
 # -- group-ring elements -------------------------------------------------------
@@ -398,7 +502,8 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
     The T variables are units, so gcds are computed in the polynomial
     ring after clearing negative exponents; no T_i divides either
     cleared input, hence none divides the gcd, which is therefore
-    already in normal position.
+    already in normal position.  Denominators are cleared too, and the
+    gcd is taken over the integers (GCDHEU, then a primitive PRS).
     """
     f._check(g)
     if f.is_zero and g.is_zero:
@@ -409,10 +514,10 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
         return f.unit_normalized()
     fd, _ = _as_mv(f)
     gd, _ = _as_mv(g)
-    k = 1 + f.basis.rank
-    result = _mv_gcd(fd, gd, k)
+    h = _zz_gcd(_zz_clear(fd), _zz_clear(gd), 1 + f.basis.rank)
+    lead = h[max(h)]
     element = GroupRingElement(
-        f.basis, {(e[0], e[1:]): c for e, c in result.items()}
+        f.basis, {(e[0], e[1:]): Fraction(c, lead) for e, c in h.items()}
     )
     return element.unit_normalized()
 

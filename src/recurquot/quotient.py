@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisorZero, TorsionGroup
+from .errors import DivisorZero, TorsionGroup, VerificationFailed
 from .groupring import (
     GroupRingElement,
     from_group_ring,
@@ -101,7 +101,8 @@ def hadamard_quotient(
     if quo is None:
         return None
     result = from_group_ring(quo)
-    assert (result * v) == u
+    if result * v != u:
+        raise VerificationFailed("quotient times divisor does not give back the dividend")
     return result
 
 
@@ -123,7 +124,8 @@ def polynomial_clearance(
     fv = to_group_ring(v, basis)
     gcd = laurent_gcd(fu, fv)
     v_reduced = laurent_divide(fv, gcd)
-    assert v_reduced is not None
+    if v_reduced is None:
+        raise VerificationFailed("the gcd does not divide the divisor")
     v_norm = v_reduced.unit_normalized()
     if not v_norm.is_polynomial:
         witness = _strip_x_content(v_norm)
@@ -139,9 +141,11 @@ def polynomial_clearance(
     clearing = v_norm.x_polynomial().monic()
     p_element = GroupRingElement.from_poly(basis, clearing)
     quotient_element = laurent_divide(fu * p_element, fv)
-    assert quotient_element is not None, "clearance identity failed"
+    if quotient_element is None:
+        raise VerificationFailed("clearance identity failed")
     v_over_p_element = laurent_divide(fv, p_element)
-    assert v_over_p_element is not None, "divisor lost its own factor"
+    if v_over_p_element is None:
+        raise VerificationFailed("divisor lost its own factor")
     quotient = from_group_ring(quotient_element)
     v_over_p = from_group_ring(v_over_p_element)
     return QuotientCertificate(
@@ -167,7 +171,8 @@ def _strip_x_content(element: GroupRingElement) -> GroupRingElement:
     quo = laurent_divide(
         element, GroupRingElement.from_poly(element.basis, content)
     )
-    assert quo is not None
+    if quo is None:
+        raise VerificationFailed("X-content does not divide its own element")
     return quo.unit_normalized()
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +245,38 @@ def test_clearance_identity_property(v_terms, p_coeffs):
             out.clearing_poly(F(n)) * u.evaluate(n) / v.evaluate(n)
             == out.quotient.evaluate(n)
         )
+
+
+# Under -O every assert is gone; the multiply-back check must still run.
+_WRONG_DIVIDE = """
+import sys
+import recurquot.quotient as quotient
+from recurquot.errors import VerificationFailed
+from recurquot.recurrences import from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_divide = quotient.laurent_divide
+# Doubles the true quotient: 2*2^n + 2 for (4^n - 1)/(2^n - 1).
+quotient.laurent_divide = lambda f, g: real_divide(f, g) * 2
+try:
+    quotient.hadamard_quotient(
+        from_closed_form([(4, 1), (1, -1)]), from_closed_form([(2, 1), (1, -1)])
+    )
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("wrong quotient returned unchecked")
+"""
+
+
+def test_wrong_quotient_is_caught_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_DIVIDE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("VerificationFailed:"), result.stdout
