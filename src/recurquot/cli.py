@@ -4,7 +4,8 @@ Every subcommand reads recurrence spec JSON files, runs one library
 operation, and emits a deterministic report (text by default, a
 sorted-key JSON document with --json).  Exit codes: 0 success, 1 a
 negative mathematical verdict (a refusal with a witness, not an
-error), 2 malformed or out-of-domain input, 3 a resource cap.
+error), 2 malformed or out-of-domain input, 3 a resource cap, 4 a failed
+internal check (a library defect, not bad input).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     RecurquotError,
     ResourceError,
     SchemaError,
+    VerificationFailed,
 )
 from .heights import (
     LogSum,
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_spec(path: str):
@@ -489,6 +492,10 @@ def main(argv=None, out=None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=out)
         return EXIT_RESOURCE
+    except VerificationFailed as exc:
+        print(f"internal check failed (a defect in recurquot, not in the input): {exc}",
+              file=out)
+        return EXIT_INTERNAL
     except (ParseError, SchemaError, InputError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT

@@ -3,7 +3,8 @@
 Errors split into two families: input errors (the caller handed us
 something malformed or out of domain) and resource errors (the input is
 fine but exceeds a configured effort bound).  The CLI maps the former to
-exit code 2 and the latter to exit code 3.
+exit code 2 and the latter to exit code 3; ``VerificationFailed``, a failed
+internal check, maps to exit code 4.
 """
 
 from __future__ import annotations

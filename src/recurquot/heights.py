@@ -23,7 +23,7 @@ from .errors import (
 from .factorization import factor_rational
 from .places import Place, place_abs, valuation
 from .polys import UniPoly
-from .recurrences import LinearRecurrence
+from .recurrences import ClearedRecurrence, LinearRecurrence
 
 
 class LogSum:
@@ -337,25 +337,31 @@ def decay_check(
     skipped = []
     best: LogSum | None = None
     best_n: int | None = None
-    for n in range(n_lo, n_hi + 1):
-        value = v.evaluate(n)
-        if value == 0:
+    # V(n) = W(n) / (c * B^n) for the cleared integer sequence W.
+    cleared = ClearedRecurrence(v)
+    clearing = cleared.scale * cleared.base**n_lo
+    if not place.is_archimedean:
+        p = place.prime
+        v_scale, v_base = valuation(cleared.scale, p), valuation(cleared.base, p)
+    for n, w in zip(range(n_lo, n_hi + 1), cleared.walk(n_lo)):
+        denominator, clearing = clearing, clearing * cleared.base
+        if w == 0:
             skipped.append(n)
             continue
         if place.is_archimedean:
-            size = abs(value)
-            if size >= 1:
+            if abs(w) >= denominator:
                 continue
-            ratio = LogSum.log_of(1 / size).scale(Fraction(1, n))
+            ratio = key = LogSum.log_of(Fraction(denominator, abs(w))).scale(Fraction(1, n))
         else:
-            val = valuation(value, place.prime)
+            val = valuation(w, p) - v_scale - n * v_base
             if val <= 0:
                 continue
-            ratio = LogSum({place.prime: Fraction(val, n)})
+            # One prime: ratios compare as rationals.
+            key = Fraction(val, n)
+            ratio = LogSum({p: key})
         samples.append((n, ratio))
-        if best is None or ratio > best:
-            best = ratio
-            best_n = n
+        if best is None or key > best_key:
+            best, best_key, best_n = ratio, key, n
     if best is None:
         best = LogSum.zero()
     return DecayReport(

@@ -6,6 +6,9 @@ optional totient mode that also tries m = phi(V(n)).
 ``obstruction_scan`` certifies the opposite: a prime p and a
 progression of n along which p | V(n) always while p never divides
 U(m), so no pair in that progression can be integral at all.
+
+Both read U and V as cleared integer sequences (``ClearedRecurrence``)
+and work with residues: no cell builds the exact value of U(m).
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .errors import BadPrime, InputError, ZeroInput
-from .factorization import euler_phi, is_probable_prime
-from .heights import SIntegerSpec, is_s_integer
-from .recurrences import LinearRecurrence
+from .errors import BadPrime, InputError, VerificationFailed, ZeroInput
+from .factorization import euler_phi, factor_int, is_probable_prime
+from .heights import SIntegerSpec, _outside_part
+from .places import valuation
+from .recurrences import ClearedRecurrence, LinearRecurrence
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,60 @@ class SearchHit:
     d: int
 
 
-def _stripped_denominator(x: Fraction, s_primes) -> int:
-    """Denominator of x after removing all primes of S."""
-    den = x.denominator
-    for p in s_primes:
-        while den % p == 0:
-            den //= p
-    return den
+def _hit_check(cleared: ClearedRecurrence, primes_b, n: int, value: Fraction, s_primes):
+    """A re-check that d * U(m)/V(n) is an S-integer, apart from the search.
+
+    Only the clearing of U, with the factorization ``primes_b`` of its
+    B, is shared with the search: ``value`` is V(n) evaluated afresh,
+    and ``check(m, d)`` recomputes W_u(m) = c * B^m * U(m) with one
+    ``pow`` per root, not by the stepper, modulo the part of the S-free
+    M = c * B^m * |num V(n)| that d * den V(n) does not already cover.
+    It raises VerificationFailed when W_u(m) is not 0 there.
+    """
+    if value == 0:
+        raise VerificationFailed(f"a hit in row n={n}, where V(n) = 0")
+    rest = cleared.scale * abs(value.numerator)
+    free = _outside_part(rest, [*s_primes, *primes_b])
+    powers = [(p, k, valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
+
+    def check(m: int, d: int) -> None:
+        cover = d * value.denominator
+        need = free // math.gcd(cover, free)
+        for p, k, e in powers:
+            need *= p ** max(0, e + k * m - valuation(cover, p))
+        w = 0
+        for root, coeffs in cleared.terms:
+            poly = 0
+            for c in reversed(coeffs):
+                poly = poly * m + c
+            w += poly * pow(root, m, need)
+        if w % need:
+            raise VerificationFailed(f"hit (m={m}, n={n}, d={d}) failed re-verification")
+
+    return check
+
+
+def _word_digits(p: int) -> int:
+    """The largest k >= 1 with p^k below 2^63, or 1."""
+    return max(1, 63 // p.bit_length())
+
+
+def _capped_valuation(cleared: ClearedRecurrence, m: int, p: int, cap: int) -> int:
+    """min(v_p(W(m)), cap), or 0 when cap <= 0.
+
+    Reads W(m) mod p^k from about a machine word on, doubling k until
+    the residue is non-zero or k reaches cap, so the cost follows the
+    valuation rather than the size of W(m).
+    """
+    k = min(cap, _word_digits(p))
+    while k > 0:
+        residue = next(cleared.walk(m, modulus=p**k))
+        if residue:
+            return valuation(residue, p)
+        if k == cap:
+            return cap
+        k = min(2 * k, cap)
+    return 0
 
 
 def integrality_search(
@@ -85,43 +137,81 @@ def integrality_search(
     most n^exponent.  Totient mode additionally tries the pair
     (phi(V(n)), n) whenever V(n) is a positive integer, even when that
     index exceeds m_max; phi is computed by exact factorization, so a
-    huge V(n) can raise FactorizationLimit.
+    huge V(n) can raise FactorizationLimit.  So can a prime factor above
+    the factoring limit of B, the lcm of U's root denominators.
 
-    Every hit is re-verified through an independent S-membership check
-    before it is returned.
+    With W_u(m) = c * B^m * U(m) cleared to integers and V(n) = num/den
+    in lowest terms, U(m)/V(n) = W_u(m) * den / M for M = c * B^m * |num|,
+    so the reduced denominator is M / gcd(W_u(m) * den, M).  Outside S,
+    M splits into a part coprime to B, which does not depend on m and
+    serves as the row's modulus, and the powers of the primes of B,
+    whose exponents grow with m and are read from capped valuations of
+    W_u(m).  Every hit is re-verified by ``_hit_check`` before it is
+    returned.
     """
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
     s_primes = s_spec.sorted() if s_spec is not None else []
-    u_values = {m: u.evaluate(m) for m in range(1, m_max + 1)}
+    cleared_u = ClearedRecurrence(u)
+    cleared_v = ClearedRecurrence(v)
+    scale_u = cleared_u.scale
+    fixed = isinstance(policy, FixedDenominator)
+    primes_b = factor_int(cleared_u.base, limit)
+    # (p, v_p(B), v_p(c)) for the primes of B outside S.
+    b_part = [(p, k, valuation(scale_u, p)) for p, k in primes_b.items() if p not in s_primes]
+    outside = [*s_primes, *primes_b]
+
+    rows = []  # (n, num, den) with V(n) = num/den != 0 in lowest terms
+    clearing_v = cleared_v.scale
+    for n, w_v in zip(range(1, n_max + 1), cleared_v.walk(1)):
+        clearing_v *= cleared_v.base
+        if w_v:
+            g = math.gcd(w_v, clearing_v)
+            rows.append((n, w_v // g, clearing_v // g))
+    if not rows:
+        return []
+
+    def shifts(num, den):
+        return [valuation(num, p) - valuation(den, p) for p, _, _ in b_part]
+
+    # Per grid m, v_p(W_u(m)) capped at the largest exponent of p in any
+    # row's M: beyond that cap its exact value changes no d_min.
+    top = [max(s) for s in zip(*(shifts(num, den) for _, num, den in rows))]
+    grid_vals = [
+        [_capped_valuation(cleared_u, m, p, c_p + m * k + t) for m in range(1, m_max + 1)]
+        for (p, k, c_p), t in zip(b_part, top)
+    ]
+    vals_by_m = list(zip(*grid_vals)) if b_part else [()] * m_max
+
     hits: set[SearchHit] = set()
-
-    def consider(m: int, n: int, v_value: Fraction):
-        u_value = u_values.get(m)
-        if u_value is None:
-            u_value = u.evaluate(m)
-        ratio = u_value / v_value
-        d_min = _stripped_denominator(ratio, s_primes)
-        if isinstance(policy, FixedDenominator):
-            accepted = policy.d % d_min == 0
-        else:
-            accepted = d_min <= n**policy.exponent
-        if not accepted:
-            return
-        assert is_s_integer(ratio * d_min, SIntegerSpec(s_primes)), (
-            "hit failed re-verification"
-        )
-        hits.add(SearchHit(m, n, d_min))
-
-    for n in range(1, n_max + 1):
-        v_value = v.evaluate(n)
-        if v_value == 0:
-            continue
-        for m in range(1, m_max + 1):
-            consider(m, n, v_value)
-        if totient and v_value.denominator == 1 and v_value >= 1:
-            phi = euler_phi(int(v_value), limit)
-            consider(phi, n, v_value)
+    for n, num, den in rows:
+        check = None  # the row's re-verification, set up on its first hit
+        bound = policy.d if fixed else n**policy.exponent
+        width = bound.bit_length()
+        free = _outside_part(scale_u * num, outside)
+        row_shifts = shifts(num, den)
+        cells = zip(range(1, m_max + 1), cleared_u.walk(1, modulus=free), vals_by_m)
+        if totient and den == 1 and num > 0:
+            phi = euler_phi(num, limit)
+            phi_vals = [_capped_valuation(cleared_u, phi, p, c_p + phi * k + s)
+                        for (p, k, c_p), s in zip(b_part, row_shifts)]
+            cells = chain(cells, [(phi, next(cleared_u.walk(phi, modulus=free)), phi_vals)])
+        for m, residue, vals in cells:
+            d_min = free // math.gcd(residue * den, free)
+            if b_part:
+                for (p, k, c_p), s, t in zip(b_part, row_shifts, vals):
+                    e = c_p + m * k + s - t
+                    if e > 0:
+                        # p^width > bound already rejects, so larger
+                        # powers of p are never built.
+                        d_min *= p ** min(e, width)
+            accepted = bound % d_min == 0 if fixed else d_min <= bound
+            if not accepted:
+                continue
+            if check is None:
+                check = _hit_check(cleared_u, primes_b, n, v.evaluate(n), s_primes)
+            check(m, d_min)
+            hits.add(SearchHit(m, n, d_min))
     return sorted(hits, key=lambda h: (h.n, h.m, h.d))
 
 
@@ -133,10 +223,12 @@ class ObstructionReport:
     """Outcome of a mod-p scan along the progression n = q*k + r.
 
     Certified means: p divides V(n) for every index n >= 1 in the
-    progression while p never divides U(m) for m >= 1; both facts are
-    verified over one full period of the sequences mod p, which is
-    sound because coefficients have period p and unit roots have order
-    dividing p - 1.  Certified implies d * U(m)/V(n) is never an
+    progression while p never divides U(m) for m >= 1.  ``period`` is
+    the certified window p * (p - 1): coefficients repeat mod p and
+    unit roots have order dividing p - 1, so both sequences mod p
+    repeat within it.  The scan itself covers each sequence's true
+    period, which divides the window, so it finds the same first
+    failing index.  Certified implies d * U(m)/V(n) is never an
     integer for indices in the progression when p does not divide d.
     """
 
@@ -153,44 +245,46 @@ class ObstructionReport:
         return "certified" if self.certified else "not-an-obstruction"
 
 
-def _mod_p_terms(rec: LinearRecurrence, p: int) -> tuple[int, list[tuple[int, list[int]]]]:
-    """Reduce a recurrence mod p; returns (clearing constant, terms).
+def _cleared_mod_p(rec: LinearRecurrence, p: int) -> ClearedRecurrence:
+    """Clear a recurrence whose roots and coefficients are p-integral.
 
-    Roots and coefficients must be p-integral (no p in a denominator);
-    the clearing constant is the coefficient-denominator lcm, reported
-    so callers can see the reduction was denominator-free at p.  Roots
-    divisible by p are allowed: those terms vanish mod p at every index
-    >= 1, and the scan never evaluates index 0.
+    Then p divides neither c nor B, so W(k) = c * B^k * V(k) vanishes
+    mod p exactly when V(k) does.  Roots divisible by p are allowed:
+    those terms vanish mod p at every index >= 1, and the scan never
+    reads index 0.
     """
-    clearing = 1
-    reduced = []
     for root, coeff in rec.terms:
         if root.denominator % p == 0:
             raise BadPrime(f"{p} divides the denominator of root {root}")
         for c in coeff.coeffs:
             if c.denominator % p == 0:
                 raise BadPrime(f"{p} divides a coefficient denominator ({c})")
-            clearing = clearing * c.denominator // math.gcd(clearing, c.denominator)
-        root_mod = root.numerator % p * pow(root.denominator % p, -1, p) % p
-        coeff_mod = [
-            c.numerator % p * pow(c.denominator % p, -1, p) % p for c in coeff.coeffs
-        ]
-        reduced.append((root_mod, coeff_mod))
-    return clearing, reduced
+    return ClearedRecurrence(rec)
 
 
-def _evaluate_mod(terms: list[tuple[int, list[int]]], k: int, p: int) -> int:
-    """Value mod p at index k >= 1."""
-    assert k >= 1
-    total = 0
-    for root_mod, coeff_mod in terms:
-        if root_mod == 0:
+def _multiplicative_order(a: int, p: int) -> int:
+    """Order of a unit a mod the prime p."""
+    order = p - 1
+    for q in factor_int(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
+
+
+def _period_mod_p(cleared: ClearedRecurrence, p: int) -> int:
+    """A period of W(k) mod p over k >= 1 that divides p * (p - 1).
+
+    The lcm of the orders of the roots that are units mod p, times p
+    when a coefficient of such a root is non-constant mod p.
+    """
+    period = 1
+    polynomial = False
+    for root, coeffs in cleared.terms:
+        if root % p == 0:
             continue
-        poly = 0
-        for j, c in enumerate(coeff_mod):
-            poly = (poly + c * pow(k % p, j, p)) % p
-        total = (total + poly * pow(root_mod, k, p)) % p
-    return total
+        period = math.lcm(period, _multiplicative_order(root % p, p))
+        polynomial = polynomial or any(c % p for c in coeffs[1:])
+    return period * p if polynomial else period
 
 
 def obstruction_scan(
@@ -201,10 +295,9 @@ def obstruction_scan(
 ) -> ObstructionReport:
     """Certify p | V(n) on a progression while p never divides U(m).
 
-    Indices run over m, n >= 1 (matching the search grid).  The scan
-    window is one period p*(p-1) of both reductions, which suffices:
-    polynomial parts repeat mod p and p-unit roots have multiplicative
-    order dividing p - 1.
+    Indices run over m, n >= 1 (matching the search grid).  Each side
+    is scanned over one true period of its reduction mod p, which
+    suffices because the reduction repeats with that period.
     """
     q, r = progression
     if q < 1 or not 0 <= r < q:
@@ -213,41 +306,28 @@ def obstruction_scan(
         raise BadPrime(f"{p} is not prime")
     if u.is_zero or v.is_zero:
         raise ZeroInput("obstructions need non-zero sequences")
-    clear_u, terms_u = _mod_p_terms(u, p)
-    clear_v, terms_v = _mod_p_terms(v, p)
-    if clear_u % p == 0 or clear_v % p == 0:
-        raise BadPrime(f"{p} divides a clearing constant")
-    period = p * (p - 1)
+    cleared_u = _cleared_mod_p(u, p)
+    cleared_v = _cleared_mod_p(v, p)
+
+    def report(failing_side=None, failing_index=None) -> ObstructionReport:
+        return ObstructionReport(
+            certified=failing_side is None,
+            prime=p,
+            progression=(q, r),
+            period=p * (p - 1),
+            clearing_constants=(cleared_u.scale, cleared_v.scale),
+            failing_side=failing_side,
+            failing_index=failing_index,
+        )
+
     first = r if r >= 1 else q
-    steps = period // math.gcd(q, period)
-    base = ObstructionReport(
-        certified=True,
-        prime=p,
-        progression=(q, r),
-        period=period,
-        clearing_constants=(clear_u, clear_v),
-    )
-    for j in range(steps):
-        n = first + q * j
-        if _evaluate_mod(terms_v, n, p) != 0:
-            return ObstructionReport(
-                certified=False,
-                prime=p,
-                progression=(q, r),
-                period=period,
-                clearing_constants=(clear_u, clear_v),
-                failing_side="divisor",
-                failing_index=n,
-            )
-    for m in range(1, period + 1):
-        if _evaluate_mod(terms_u, m, p) == 0:
-            return ObstructionReport(
-                certified=False,
-                prime=p,
-                progression=(q, r),
-                period=period,
-                clearing_constants=(clear_u, clear_v),
-                failing_side="numerator",
-                failing_index=m,
-            )
-    return base
+    period_v = _period_mod_p(cleared_v, p)
+    steps = period_v // math.gcd(q, period_v)
+    for j, residue in zip(range(steps), cleared_v.walk(first, q, modulus=p)):
+        if residue != 0:
+            return report("divisor", first + q * j)
+    period_u = _period_mod_p(cleared_u, p)
+    for m, residue in zip(range(1, period_u + 1), cleared_u.walk(1, modulus=p)):
+        if residue == 0:
+            return report("numerator", m)
+    return report()

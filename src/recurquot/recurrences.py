@@ -8,6 +8,8 @@ product, and decimation, and every operation here is exact.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,6 +244,66 @@ def from_relation(coeffs, initial, limit: int | None = None) -> LinearRecurrence
         rhs = sum(c * rec.evaluate(n + i) for i, c in enumerate(coeffs))
         assert lhs == rhs
     return rec
+
+
+# -- cleared integer sequences --------------------------------------------------
+
+
+class ClearedRecurrence:
+    """V cleared to the integer sequence W(k) = scale * base^k * V(k).
+
+    ``base`` is the lcm of the root denominators and ``scale`` the lcm
+    of the coefficient denominators, so W(k) = sum(c_i(k) * R_i^k) with
+    integer roots R_i = base * root_i and integer coefficient
+    polynomials c_i = scale * coeff_i, stored in ``terms`` as (R_i,
+    coefficients of c_i, low degree first).  Index scans read V through
+    ``walk`` instead of evaluating Fractions.
+    """
+
+    __slots__ = ("scale", "base", "terms")
+
+    def __init__(self, rec: LinearRecurrence):
+        base = scale = 1
+        for root, coeff in rec.terms:
+            base = math.lcm(base, root.denominator)
+            for c in coeff.coeffs:
+                scale = math.lcm(scale, c.denominator)
+        self.scale = scale
+        self.base = base
+        self.terms = tuple(
+            (int(root * base), tuple(int(c * scale) for c in coeff.coeffs))
+            for root, coeff in rec.terms
+        )
+
+    def walk(self, start: int, step: int = 1, modulus: int | None = None) -> Iterator[int]:
+        """W(start), W(start + step), W(start + 2*step), ... without end.
+
+        Needs start, step >= 0.  The first value costs one ``pow`` per
+        root, every later one a single multiplication per root.  With a
+        modulus each value is the residue in [0, modulus).
+        """
+        if modulus is None:
+            powers = [r**start for r, _ in self.terms]
+            factors = [r**step for r, _ in self.terms]
+        else:
+            powers = [pow(r, start, modulus) for r, _ in self.terms]
+            factors = [pow(r, step, modulus) for r, _ in self.terms]
+        polys = [cs[::-1] for _, cs in self.terms]
+        indices = range(len(polys))
+        k = start
+        while True:
+            total = 0
+            for i in indices:
+                value = 0
+                for c in polys[i]:
+                    value = value * k + c
+                total += value * powers[i]
+                if modulus is None:
+                    powers[i] *= factors[i]
+                else:
+                    powers[i] = powers[i] * factors[i] % modulus
+            yield total if modulus is None else total % modulus
+            k += step
 
 
 # -- zero sets ---------------------------------------------------------------

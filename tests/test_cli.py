@@ -237,3 +237,24 @@ def test_run_via_subprocess():
     )
     assert result.returncode == 0
     assert "log 3" in result.stdout
+
+
+def test_internal_check_failure_exits_4(monkeypatch):
+    from recurquot.recurrences import ClearedRecurrence
+
+    real_walk = ClearedRecurrence.walk
+
+    def wrong_walk(self, start, step=1, modulus=None):
+        # Every residue reads 0, so the search's hit re-check must fail.
+        for value in real_walk(self, start, step, modulus):
+            yield value if modulus is None else 0
+
+    monkeypatch.setattr(ClearedRecurrence, "walk", wrong_walk)
+    code, text = run(
+        "search", DATA / "mersenne3m.json", DATA / "mersenne2.json",
+        "--m-max", 8, "--n-max", 4, "--d-policy", "fixed:1",
+    )
+    assert code == 4
+    assert text.startswith("internal check failed")
+    assert "re-verification" in text
+    assert "Traceback" not in text

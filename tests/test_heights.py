@@ -2,10 +2,15 @@ from fractions import Fraction
 from math import log
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recurquot.errors import HypothesisViolated, PointOnHyperplane, ZeroInput
+from recurquot.errors import (
+    FactorizationLimit,
+    HypothesisViolated,
+    PointOnHyperplane,
+    ZeroInput,
+)
 from recurquot.heights import (
     HyperplaneForm,
     LogSum,
@@ -181,20 +186,30 @@ def test_weil_function_global_identity():
 @settings(max_examples=60)
 @given(st.lists(nonzero_rationals, min_size=2, max_size=3),
        st.lists(nonzero_rationals, min_size=2, max_size=3))
+# L(x) = 21837550951789428983/15872459492709820: the numerator is a prime
+# above the default 2^64 factoring cap.
+@example(xs=[F(21821678492296719163, 15872459492709820), F(1)], coeffs=[F(1), F(1)])
 def test_weil_function_global_identity_property(xs, coeffs):
+    from recurquot.factorization import factor_rational
+
     if len(xs) != len(coeffs):
         return
     form = HyperplaneForm(tuple(coeffs))
     if form(xs) == 0:
         return
-    primes = set()
-    for v in list(xs) + list(coeffs) + [form(xs)]:
-        from recurquot.factorization import factor_rational
-        primes |= set(factor_rational(v).exponents)
-    total = weil_function(form, xs, Place.archimedean())
-    for p in sorted(primes):
-        total = total + weil_function(form, xs, Place.finite(p))
-    assert total == vector_height(xs) + vector_height(form.coefficients)
+    try:
+        primes = set()
+        for v in list(xs) + list(coeffs) + [form(xs)]:
+            primes |= set(factor_rational(v).exponents)
+        total = weil_function(form, xs, Place.archimedean())
+        for p in sorted(primes):
+            total = total + weil_function(form, xs, Place.finite(p))
+        expected = vector_height(xs) + vector_height(form.coefficients)
+    except FactorizationLimit as exc:
+        # The documented refusal: a prime factor above the cap.
+        assert exc.cofactor > exc.limit
+        return
+    assert total == expected
 
 
 def test_s_membership():

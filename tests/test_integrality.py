@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from recurquot.errors import BadPrime, InputError, ZeroInput
+from recurquot.errors import BadPrime, FactorizationLimit, InputError, ZeroInput
+from recurquot.factorization import euler_phi
 from recurquot.heights import SIntegerSpec
 from recurquot.integrality import (
     FixedDenominator,
@@ -59,6 +65,42 @@ def test_search_totient_mode_reaches_past_grid():
     )
     assert SearchHit(30, 5, 1) in hits
     assert all(h.m <= 3 or h.n in (1, 3, 5) for h in hits)
+
+
+def test_totient_search_to_n_60_is_fast():
+    # phi(2^59 - 1) is about 5.8e17: the exact value 3^phi - 1 cannot be
+    # built, but its residue mod 2^n - 1 is one pow.
+    start = time.perf_counter()
+    hits = integrality_search(
+        mersenne(3), mersenne(2), 1, 60, FixedDenominator(1), totient=True
+    )
+    assert time.perf_counter() - start < 2
+    # Euler: 2^n - 1 divides 3^phi(2^n - 1) - 1 when 3 does not divide
+    # 2^n - 1, that is for odd n.  For even n, 3 divides 2^n - 1 but not
+    # 3^phi - 1, and U(1) = 2 is only divisible by V(1) = 1.
+    assert hits == [SearchHit(euler_phi(2**n - 1), n, 1) for n in range(1, 61, 2)]
+
+
+def test_totient_search_with_a_root_denominator_is_fast():
+    # U(m) = (3/2)^m - 1 = (3^m - 2^m) / 2^m: the 2-part of the
+    # denominator is read as a valuation, so 2^phi is never reduced
+    # against.  3^phi == 2^phi == 1 mod 2^n - 1 for odd n.
+    u = from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))])
+    start = time.perf_counter()
+    assert integrality_search(u, mersenne(2), 1, 24, FixedDenominator(1), totient=True) == []
+    hits = integrality_search(
+        u, mersenne(2), 1, 40, FixedDenominator(1), SIntegerSpec([2]), totient=True
+    )
+    assert time.perf_counter() - start < 2
+    assert hits == [SearchHit(euler_phi(2**n - 1), n, 1) for n in range(1, 41, 2)]
+
+
+def test_search_factors_the_root_denominators_within_the_limit():
+    # B = 2^89 - 1 is a prime above the default factoring limit.
+    u = from_closed_form([(F(1, 2**89 - 1), F(1)), (F(1), F(-1))])
+    with pytest.raises(FactorizationLimit):
+        integrality_search(u, mersenne(2), 2, 3, FixedDenominator(1))
+    assert integrality_search(u, mersenne(2), 2, 3, FixedDenominator(1), limit=2**90) == []
 
 
 def test_search_fixed_denominator_divisibility():
@@ -176,3 +218,51 @@ def test_obstruction_clearing_constants():
 def test_obstruction_base2_progressions(p, q, r, certified):
     report = obstruction_scan(geometric(3), mersenne(2), (q, r), p)
     assert report.certified == certified
+
+
+# Under -O every assert is gone; the re-verification of hits must still run.
+_WRONG_STEPPER = """
+import sys
+from fractions import Fraction
+from recurquot.errors import VerificationFailed
+from recurquot.integrality import FixedDenominator, integrality_search
+from recurquot.recurrences import ClearedRecurrence, from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_walk = ClearedRecurrence.walk
+
+
+def wrong_walk(self, start, step=1, modulus=None):
+    # Every residue reads 0, so every cell looks integral.
+    for value in real_walk(self, start, step, modulus):
+        yield value if modulus is None else 0
+
+
+ClearedRecurrence.walk = wrong_walk
+v = from_closed_form([(2, 1), (1, -1)])
+# 3^m - 1; and (3/2)^m - 1 over V(1) = 1, where only the powers of 2,
+# read as valuations, can be wrong.
+for u, n_max in ((from_closed_form([(3, 1), (1, -1)]), 4),
+                 (from_closed_form([(Fraction(3, 2), 1), (1, -1)]), 1)):
+    try:
+        hits = integrality_search(u, v, 8, n_max, FixedDenominator(1))
+    except VerificationFailed as exc:
+        print("VerificationFailed:", exc)
+    else:
+        print("wrong hits returned unchecked:", hits)
+"""
+
+
+def test_wrong_residue_is_caught_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_STEPPER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2, result.stdout
+    assert all(line.startswith("VerificationFailed:") for line in lines), result.stdout

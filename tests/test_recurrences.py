@@ -8,6 +8,7 @@ from recurquot.errors import InputError, IrrationalRoots, ZeroRecurrence, ZeroRo
 from recurquot.places import Place
 from recurquot.polys import UniPoly
 from recurquot.recurrences import (
+    ClearedRecurrence,
     LinearRecurrence,
     constant,
     dominant_split,
@@ -281,3 +282,23 @@ def test_multi_render():
     w = multi_from_closed_form([(F(3), F(1), F(1)), (F(1), F(1), F(-1))])
     text = w.render()
     assert "3^m" in text
+
+
+def test_cleared_recurrence_of():
+    rec = from_closed_form([(F(3, 2), UniPoly((F(1, 3), F(1, 2)))), (F(-1, 4), F(5))])
+    cleared = ClearedRecurrence(rec)
+    assert (cleared.scale, cleared.base) == (6, 4)
+    assert cleared.terms == ((-1, (30,)), (6, (2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_recurrences, st.integers(0, 6), st.integers(0, 4), st.integers(1, 60))
+def test_cleared_walk_matches_evaluate(rec, start, step, modulus):
+    cleared = ClearedRecurrence(rec)
+    exact = cleared.walk(start, step)
+    residues = cleared.walk(start, step, modulus)
+    for j in range(8):
+        k = start + step * j
+        w = next(exact)
+        assert w == cleared.scale * cleared.base**k * rec.evaluate(k)
+        assert next(residues) == w % modulus

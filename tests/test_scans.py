@@ -1,0 +1,173 @@
+"""The index scans against the Fraction oracles in ``scan_oracles``."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scan_oracles import fraction_decay_check, fraction_search, window_obstruction_scan
+
+from recurquot.errors import RecurquotError
+from recurquot.heights import SIntegerSpec, decay_check
+from recurquot.integrality import (
+    FixedDenominator,
+    PolynomialDenominatorBound,
+    integrality_search,
+    obstruction_scan,
+)
+from recurquot.places import Place
+from recurquot.polys import UniPoly
+from recurquot.recurrences import from_closed_form, geometric
+
+F = Fraction
+
+
+def outcome(f, *args):
+    """The result, or the type of the library error raised."""
+    try:
+        return ("ok", f(*args))
+    except RecurquotError as exc:
+        return ("raises", type(exc))
+
+
+def recurrences(roots, coeff_bound=3, max_degree=1, max_terms=3):
+    polys = st.lists(
+        st.fractions(min_value=-coeff_bound, max_value=coeff_bound, max_denominator=3),
+        min_size=1, max_size=max_degree + 1,
+    ).map(UniPoly)
+    return st.lists(
+        st.tuples(st.sampled_from(roots), polys), min_size=1, max_size=max_terms
+    ).map(from_closed_form)
+
+
+# Negative roots, roots with denominators, and roots divisible by small primes.
+ROOTS = [F(1), F(-1), F(2), F(-2), F(3), F(-3), F(5), F(6), F(7), F(10),
+         F(1, 2), F(-3, 2), F(2, 3), F(5, 4)]
+SMALL_ROOTS = [F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(2, 3), F(-3, 2)]
+
+policies = st.one_of(
+    st.sampled_from([1, 2, 6, 12]).map(FixedDenominator),
+    st.integers(0, 2).map(PolynomialDenominatorBound),
+)
+s_specs = st.one_of(st.none(), st.sets(st.sampled_from([2, 3, 5]), max_size=2).map(SIntegerSpec))
+
+
+def mersenne(base):
+    return from_closed_form([(F(base), F(1)), (F(1), F(-1))])
+
+
+# -- integrality_search ------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrences(ROOTS), recurrences(ROOTS), st.integers(1, 8), st.integers(1, 8),
+       policies, s_specs)
+# V(n) = n - 3 vanishes at n = 3; S strips the 2 of the denominator.
+@example(from_closed_form([(F(1), F(6))]),
+         from_closed_form([(F(1), UniPoly((F(-3), F(1))))]), 2, 5,
+         FixedDenominator(2), SIntegerSpec([2]))
+def test_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_spec):
+    assert outcome(integrality_search, u, v, m_max, n_max, policy, s_spec) == outcome(
+        fraction_search, u, v, m_max, n_max, policy, s_spec
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(recurrences(SMALL_ROOTS), recurrences(SMALL_ROOTS), st.integers(1, 4),
+       st.integers(1, 5), policies, s_specs)
+@example(mersenne(3), mersenne(2), 3, 5, FixedDenominator(1), None)
+@example(geometric(F(3, 2)), mersenne(2), 2, 4, PolynomialDenominatorBound(2),
+         SIntegerSpec([2]))
+# W(m) = m - 126 + 2^100 for U(m) = W(m) / 2^m: at phi(127) = 126 the
+# residue mod a word-sized power of 2 is 0 and v_2 = 100 is found by
+# doubling; at m = 64, W(64) = 2^100 - 62 is not divisible by 2^64.
+@example(from_closed_form([(F(1, 2), UniPoly((F(2**100 - 126), F(1))))]),
+         from_closed_form([(F(1), F(127))]), 70, 2, FixedDenominator(2**26),
+         SIntegerSpec([127]))
+# W(m) = m - 64 + 2^70: v_2(W(64)) = 70 exceeds the cap 64, so U(64) = 64.
+@example(from_closed_form([(F(1, 2), UniPoly((F(2**70 - 64), F(1))))]),
+         from_closed_form([(F(1), F(1))]), 70, 1, FixedDenominator(1), None)
+# U(m) = (3^m - 1) / 2^m over V = 4, a power of U's root denominator:
+# phi(4) = 2 lies past the grid, and the 2 in V adds to the cap.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1, 2), F(-1))]),
+         from_closed_form([(F(1), F(4))]), 1, 1, FixedDenominator(2), None)
+@example(from_closed_form([(F(3, 2), F(1)), (F(1, 2), F(-1))]),
+         from_closed_form([(F(1), F(4))]), 6, 1, FixedDenominator(64), None)
+def test_totient_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_spec):
+    args = (u, v, m_max, n_max, policy, s_spec, True)
+    assert outcome(integrality_search, *args) == outcome(fraction_search, *args)
+
+
+# -- obstruction_scan ------------------------------------------------------------------
+
+progressions = st.integers(1, 6).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recurrences(ROOTS, max_degree=2), recurrences(ROOTS, max_degree=2), progressions,
+       st.sampled_from([2, 3, 5, 7, 11, 13, 4]))
+@example(geometric(3), mersenne(2), (3, 0), 7)
+# The 7^m term vanishes mod 7 at every m >= 1.
+@example(from_closed_form([(F(7), F(3)), (F(1), F(1))]), mersenne(2), (3, 0), 7)
+# A coefficient that is non-constant mod 5: the period is 4 * 5.
+@example(from_closed_form([(F(2), UniPoly((F(1), F(1))))]),
+         from_closed_form([(F(2), UniPoly((F(0), F(5))))]), (2, 1), 5)
+def test_obstruction_matches_window_oracle(u, v, progression, p):
+    assert outcome(obstruction_scan, u, v, progression, p) == outcome(
+        window_obstruction_scan, u, v, progression, p
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 31])
+def test_obstruction_certificates_match_window_oracle(p):
+    # U(m) = (k p)^m - 1 is -1 mod p; V(n) = b^n - 1 vanishes mod p exactly
+    # on multiples of ord_p(b).
+    for b in (2, 3, 5):
+        if b % p == 0:
+            continue
+        order = next(k for k in range(1, p) if pow(b, k, p) == 1)
+        for a in (p, 2 * p, 3):
+            for progression in ((order, 0), (order, 1 % order), (2 * order, order)):
+                got = obstruction_scan(mersenne(a), mersenne(b), progression, p)
+                assert got == window_obstruction_scan(mersenne(a), mersenne(b),
+                                                      progression, p)
+                assert got.period == p * (p - 1)
+
+
+# -- decay_check -----------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrences(ROOTS, max_degree=2), st.sampled_from([2, 3, 5, 7]),
+       st.integers(1, 10), st.integers(0, 30))
+# 2^n - 8 vanishes at n = 3 and is divisible by 7 when 3 | n.
+@example(from_closed_form([(F(2), F(1)), (F(1), F(-8))]), 7, 1, 20)
+# (n - 4) * 3^n vanishes at n = 4.
+@example(from_closed_form([(F(3), UniPoly((F(-4), F(1))))]), 3, 1, 12)
+def test_decay_at_p_matches_fraction_oracle(v, p, lo, length):
+    place = Place.finite(p)
+    assert outcome(decay_check, v, place, lo, lo + length) == outcome(
+        fraction_decay_check, v, place, lo, lo + length
+    )
+
+
+# Small roots and short ranges keep the values that log_of factors small.
+@settings(max_examples=100, deadline=None)
+@given(recurrences([F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(3, 2), F(2)],
+                   coeff_bound=2),
+       st.integers(1, 6), st.integers(0, 8))
+# 1 - 8 * (1/2)^n vanishes at n = 3 and has |V(n)| < 1 from n = 4 on.
+@example(from_closed_form([(F(1), F(1)), (F(1, 2), F(-8))]), 1, 11)
+def test_decay_at_infinity_matches_fraction_oracle(v, lo, length):
+    place = Place.archimedean()
+    assert outcome(decay_check, v, place, lo, lo + length) == outcome(
+        fraction_decay_check, v, place, lo, lo + length
+    )
+
+
+def test_decay_skipped_zeros():
+    v = from_closed_form([(F(1), F(1)), (F(1, 2), F(-8))])
+    report = decay_check(v, Place.archimedean(), 1, 12)
+    assert report.skipped_zeros == (3,)
+    assert [n for n, _ in report.samples] == list(range(4, 13))
+    assert report == fraction_decay_check(v, Place.archimedean(), 1, 12)
