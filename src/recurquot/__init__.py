@@ -67,9 +67,7 @@ from .integrality import (
 from .multiplicative import (
     ExponentVector,
     MultiplicativeBasis,
-    RelationLattice,
     compute_basis,
-    relation_lattice,
     torsion_status,
 )
 from .parsing import RecurrenceSpec, parse_polynomial, parse_rational, parse_spec
@@ -94,7 +92,6 @@ from .recurrences import (
     from_closed_form,
     from_relation,
     geometric,
-    lift_to_multi,
     multi_from_closed_form,
     polynomial,
     zero_set,

@@ -18,60 +18,23 @@ from .multiplicative import MultiplicativeBasis
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, from_closed_form
 
-# -- plain multivariate polynomials: dict[exponent tuple, Fraction] -----------
-
-
-def _mv_lead(f: dict) -> tuple[tuple[int, ...], Fraction]:
-    e = max(f)
-    return e, f[e]
-
-
-def _mv_divide(f: dict, g: dict) -> dict | None:
-    """Exact quotient f/g in the polynomial ring, or None.
-
-    Single-divisor division in lex order: if g divides f the remainder
-    process terminates empty, otherwise some leading term fails.
-    """
-    if not f:
-        return {}
-    q: dict[tuple[int, ...], Fraction] = {}
-    r = dict(f)
-    ge, gc = _mv_lead(g)
-    while r:
-        re, rc = _mv_lead(r)
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
-            return None
-        c = rc / gc
-        q[diff] = q.get(diff, Fraction(0)) + c
-        for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(diff, e2))
-            v = r.get(key, Fraction(0)) - c * c2
-            if v:
-                r[key] = v
-            else:
-                r.pop(key, None)
-    return q
-
-
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
 #
-# The gcd works in Z[v_0..v_{k-1}]: both inputs are cleared of
-# denominators, GCDHEU is tried first, and a primitive PRS over the
-# integers takes over when it gives up.  Every answer is exact.
+# Gcd and division work in Z[v_0..v_{k-1}]: inputs are split into a
+# rational constant times a primitive integer polynomial.  The gcd tries
+# GCDHEU first, and a primitive PRS over the integers takes over when it
+# gives up.  Every answer is exact.
 
 
-def _zz_clear(f: dict) -> dict:
-    """Integer multiple of a Fraction polynomial, primitive with positive lead."""
-    den = math.lcm(*(c.denominator for c in f.values()))
-    return _zz_primitive({e: c.numerator * (den // c.denominator) for e, c in f.items()})
+def _zz_content(f: dict) -> int:
+    """Integer content of f, signed like its lex-leading coefficient."""
+    cont = math.gcd(*f.values())
+    return cont if f[max(f)] > 0 else -cont
 
 
 def _zz_primitive(f: dict) -> dict:
     """f divided by its integer content, signed so the lex-leading term is positive."""
-    cont = math.gcd(*f.values())
-    if f[max(f)] < 0:
-        cont = -cont
+    cont = _zz_content(f)
     if cont == 1:
         return f
     return {e: c // cont for e, c in f.items()}
@@ -489,11 +452,20 @@ def from_group_ring(f: GroupRingElement) -> LinearRecurrence:
 # -- Laurent gcd and division --------------------------------------------------------
 
 
-def _as_mv(f: GroupRingElement) -> tuple[dict, tuple[int, ...]]:
-    """Shift T-exponents to be >= 0; return the plain poly and the shift used."""
-    shift = tuple(-m for m in f.min_t_exponents())
-    shifted = f.t_shift(shift)
-    return {(x,) + te: c for (x, te), c in shifted.terms.items()}, shift
+def _zz_clear(f: GroupRingElement) -> tuple[Fraction, dict, tuple[int, ...]]:
+    """Split non-zero f as c * T^low * P with c rational, P in Z[X, T].
+
+    low holds the least T-exponents, so no T_i divides P; P is primitive
+    with a positive lex-leading coefficient, keyed by (x, t_1, .., t_t).
+    """
+    low = f.min_t_exponents()
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    poly = {
+        (x, *(a - b for a, b in zip(te, low))): c.numerator * (den // c.denominator)
+        for (x, te), c in f.terms.items()
+    }
+    cont = _zz_content(poly)
+    return Fraction(cont, den), {e: c // cont for e, c in poly.items()}, low
 
 
 def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
@@ -512,9 +484,7 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
         return g.unit_normalized()
     if g.is_zero:
         return f.unit_normalized()
-    fd, _ = _as_mv(f)
-    gd, _ = _as_mv(g)
-    h = _zz_gcd(_zz_clear(fd), _zz_clear(gd), 1 + f.basis.rank)
+    h = _zz_gcd(_zz_clear(f)[1], _zz_clear(g)[1], 1 + f.basis.rank)
     lead = h[max(h)]
     element = GroupRingElement(
         f.basis, {(e[0], e[1:]): Fraction(c, lead) for e, c in h.items()}
@@ -523,18 +493,26 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
 
 
 def laurent_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement | None:
-    """Exact quotient f/g in the Laurent ring, or None if g does not divide f."""
+    """Exact quotient f/g in the Laurent ring, or None if g does not divide f.
+
+    With f = c_f * T^a * P_f and g = c_g * T^b * P_g as in ``_zz_clear``,
+    g divides f iff P_g divides P_f over Q, which by Gauss's lemma (P_g
+    is primitive) holds iff it does over Z; the quotient is then
+    (c_f / c_g) * T^(a - b) * P_f / P_g.
+    """
     f._check(g)
     if g.is_zero:
         raise ZeroInput("division by the zero element")
     if f.is_zero:
         return GroupRingElement.zero(f.basis)
-    fd, f_shift = _as_mv(f)
-    gd, g_shift = _as_mv(g)
-    quo = _mv_divide(fd, gd)
+    cf, pf, f_low = _zz_clear(f)
+    cg, pg, g_low = _zz_clear(g)
+    quo = _zz_divide(pf, pg)
     if quo is None:
         return None
-    back = tuple(b - a for a, b in zip(f_shift, g_shift))
+    scale = cf / cg
+    shift = tuple(a - b for a, b in zip(f_low, g_low))
     return GroupRingElement(
-        f.basis, {(e[0], tuple(e[1:])): c for e, c in quo.items()}
-    ).t_shift(back)
+        f.basis,
+        {(e[0], tuple(t + s for t, s in zip(e[1:], shift))): scale * c for e, c in quo.items()},
+    )

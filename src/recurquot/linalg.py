@@ -1,4 +1,4 @@
-"""Exact integer lattice algorithms (HNF, kernels, Smith form) and rational solves."""
+"""Exact integer lattice algorithms (HNF, kernels) and rational solves."""
 
 from __future__ import annotations
 
@@ -66,60 +66,6 @@ def left_kernel(rows: list[list[int]]) -> list[list[int]]:
         return []
     canon, _ = row_hnf(kernel_rows)
     return canon
-
-
-def smith_invariants(rows: list[list[int]]) -> list[int]:
-    """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return []
-    n_rows, n_cols = len(a), len(a[0])
-    out = []
-    t = 0
-    while t < n_rows and t < n_cols:
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        dirty = False
-        for i in range(t + 1, n_rows):
-            q = a[i][t] // a[t][t]
-            if q:
-                for j in range(t, n_cols):
-                    a[i][j] -= q * a[t][j]
-            if a[i][t] != 0:
-                dirty = True
-        for j in range(t + 1, n_cols):
-            q = a[t][j] // a[t][t]
-            if q:
-                for i in range(t, n_rows):
-                    a[i][j] -= q * a[i][t]
-            if a[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        bad = None
-        for i in range(t + 1, n_rows):
-            for j in range(t + 1, n_cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(t, n_cols):
-                a[t][j] += a[bad][j]
-            continue
-        out.append(abs(a[t][t]))
-        t += 1
-    return out
 
 
 def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:

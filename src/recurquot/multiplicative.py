@@ -1,11 +1,11 @@
 """Multiplicative structure of finite sets of non-zero rationals.
 
 A non-zero rational is sign * prod(p^e); a finite set of them spans a
-subgroup of Q*.  This module computes the lattice of multiplicative
-relations among the inputs, decides whether the span contains -1
-(torsion), and produces a canonical free basis when it does not.
-All lattice work happens on exponent vectors over the union of primes,
-with the sign tracked as a parity character.
+subgroup of Q*.  This module decides whether the span contains -1
+(torsion) and produces a canonical free basis when it does not,
+factoring each input once.  All lattice work happens on exponent
+vectors over the union of primes, with the sign tracked as a parity
+character.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RootNotInGroup, TorsionGroup, ZeroInput
+from .errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
 from .factorization import factor_rational
 from .linalg import hnf_express, left_kernel, row_hnf
 
@@ -50,49 +50,27 @@ def exponent_table(
     return primes, vectors
 
 
-@dataclass(frozen=True)
-class RelationLattice:
-    """Basis of {z in Z^k : prod(values_i ^ z_i) == 1}, HNF rows."""
+def _torsion_witness(vectors: list[ExponentVector]) -> tuple[int, ...] | None:
+    """Kernel vector of the magnitudes with odd sign parity, else None.
 
-    values: tuple[Fraction, ...]
-    primes: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-
-
-def relation_lattice(values, limit: int | None = None) -> RelationLattice:
-    """All integer relations among the absolute values and signs jointly.
-
-    A row z qualifies iff prod(values_i ^ z_i) == 1 exactly, including
-    sign: magnitude-kernel vectors with odd sign parity are excluded by
-    doubling (2z is then the minimal true relation along z).
+    Parity is linear, so it suffices to scan a kernel basis.
     """
-    vals = tuple(Fraction(v) for v in values)
-    primes, vectors = exponent_table(vals, limit)
-    kernel = left_kernel([list(v.exponents) for v in vectors])
-    sign_bits = [v.sign_bit for v in vectors]
-    adjusted = []
-    for z in kernel:
-        parity = sum(zi * b for zi, b in zip(z, sign_bits)) % 2
-        adjusted.append([2 * zi for zi in z] if parity else list(z))
-    canon, _ = row_hnf(adjusted) if adjusted else ([], [])
-    return RelationLattice(vals, primes, tuple(tuple(r) for r in canon))
-
-
-def torsion_status(values, limit: int | None = None) -> tuple[int, ...] | None:
-    """Witness exponents z with prod(values_i ^ z_i) == -1, else None.
-
-    None means the span is torsion-free.  -1 lies in the span iff some
-    magnitude relation has odd sign parity; parity is linear, so it
-    suffices to scan a kernel basis.
-    """
-    vals = tuple(Fraction(v) for v in values)
-    _, vectors = exponent_table(vals, limit)
     kernel = left_kernel([list(v.exponents) for v in vectors])
     sign_bits = [v.sign_bit for v in vectors]
     for z in kernel:
         if sum(zi * b for zi, b in zip(z, sign_bits)) % 2 == 1:
             return tuple(z)
     return None
+
+
+def torsion_status(values, limit: int | None = None) -> tuple[int, ...] | None:
+    """Witness exponents z with prod(values_i ^ z_i) == -1, else None.
+
+    None means the span is torsion-free: -1 lies in the span iff some
+    magnitude relation has odd sign parity.
+    """
+    _, vectors = exponent_table(tuple(Fraction(v) for v in values), limit)
+    return _torsion_witness(vectors)
 
 
 @dataclass(frozen=True)
@@ -123,8 +101,14 @@ class MultiplicativeBasis:
         return out
 
     def express(self, x, limit: int | None = None) -> tuple[int, ...]:
-        """Exponents of x over the generators; RootNotInGroup if x is outside."""
+        """Exponents of x over the generators; RootNotInGroup if x is outside.
+
+        One of ``values`` is looked up in ``expressions``; only other
+        values are factored.
+        """
         x = Fraction(x)
+        if x in self.values:
+            return self.expressions[self.values.index(x)]
         if x == 0:
             raise ZeroInput("zero is not a group element")
         fact = factor_rational(x, limit)
@@ -144,7 +128,8 @@ class MultiplicativeBasis:
         if sign != fact.sign:
             raise RootNotInGroup(f"{x} differs from the basis span by a sign")
         out = tuple(coeffs)
-        assert self.reconstruct(out) == x
+        if self.reconstruct(out) != x:
+            raise VerificationFailed(f"the exponents found for {x} do not give it back")
         return out
 
     def same_group(self, other: "MultiplicativeBasis") -> bool:
@@ -164,10 +149,10 @@ def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
     transform row that produced it.
     """
     vals = tuple(Fraction(v) for v in values)
-    witness = torsion_status(vals, limit)
+    primes, vectors = exponent_table(vals, limit)
+    witness = _torsion_witness(vectors)
     if witness is not None:
         raise TorsionGroup(vals, witness)
-    primes, vectors = exponent_table(vals, limit)
     h, u = row_hnf([list(v.exponents) for v in vectors])
     sign_bits = [v.sign_bit for v in vectors]
     gen_signs = []
@@ -183,7 +168,8 @@ def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
     expressions = []
     for x, vec in zip(vals, vectors):
         coeffs = hnf_express(h, list(vec.exponents))
-        assert coeffs is not None, "input escaped its own lattice"
+        if coeffs is None:
+            raise VerificationFailed(f"input {x} escaped its own lattice")
         expressions.append(tuple(coeffs))
     basis = MultiplicativeBasis(
         values=vals,
@@ -194,5 +180,6 @@ def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
         expressions=tuple(expressions),
     )
     for x, e in zip(vals, basis.expressions):
-        assert basis.reconstruct(e) == x, "sign bookkeeping broke"
+        if basis.reconstruct(e) != x:
+            raise VerificationFailed(f"sign bookkeeping broke for {x}")
     return basis

@@ -296,8 +296,3 @@ def render_spec(
     ]
     return doc
 
-
-def spec_from_recurrence(
-    rec: LinearRecurrence, name: str | None = None, var: str = "N"
-) -> RecurrenceSpec:
-    return RecurrenceSpec(name, var, tuple(rec.terms), None)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisorZero, TorsionGroup, VerificationFailed
+from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
     GroupRingElement,
     from_group_ring,
@@ -148,6 +148,11 @@ def polynomial_clearance(
         raise VerificationFailed("divisor lost its own factor")
     quotient = from_group_ring(quotient_element)
     v_over_p = from_group_ring(v_over_p_element)
+    p_rec = LinearRecurrence(((Fraction(1), clearing),))
+    if p_rec * u != quotient * v:
+        raise VerificationFailed("P*U differs from the quotient times V")
+    if p_rec * v_over_p != v:
+        raise VerificationFailed("P times V/P does not give back V")
     return QuotientCertificate(
         clearing_poly=clearing,
         quotient=quotient,
@@ -235,6 +240,23 @@ class SectionResult:
     outcome: object
 
 
+def _solver(mode: str):
+    """The solver for a mode name.
+
+    The table is built per call from the module's names, so a wrapper
+    set on them after import (as ``bench/tracing.py`` does) is the one
+    that runs.
+    """
+    solvers = {
+        "hadamard": hadamard_quotient,
+        "clearance": polynomial_clearance,
+        "cross": cross_quotient,
+    }
+    if mode not in solvers:
+        raise InputError(f"unknown mode {mode!r}; expected one of: {', '.join(solvers)}")
+    return solvers[mode]
+
+
 def solve_on_sections(
     u: LinearRecurrence,
     v: LinearRecurrence,
@@ -248,23 +270,15 @@ def solve_on_sections(
     so q = 2 always removes torsion: decimated roots are squares times
     a fixed sign pattern, and the section root groups are positive.
     """
-    solver = {
-        "hadamard": hadamard_quotient,
-        "clearance": polynomial_clearance,
-        "cross": cross_quotient,
-    }[mode]
-    results = []
+    solver = _solver(mode)
     if mode == "cross":
-        offset_sets = [(ru, rv) for ru in range(q) for rv in range(q)]
+        sections = [((ru, rv), ru, rv) for ru in range(q) for rv in range(q)]
     else:
-        offset_sets = [(r,) for r in range(q)]
-    for offsets in offset_sets:
-        if mode == "cross":
-            u_sec = u.decimate(q, offsets[0])
-            v_sec = v.decimate(q, offsets[1])
-        else:
-            u_sec = u.decimate(q, offsets[0])
-            v_sec = v.decimate(q, offsets[0])
+        sections = [((r,), r, r) for r in range(q)]
+    results = []
+    for offsets, ru, rv in sections:
+        u_sec = u.decimate(q, ru)
+        v_sec = v.decimate(q, rv)
         if v_sec.is_zero:
             results.append(SectionResult(q, offsets, "divisor-vanishes"))
             continue
@@ -283,11 +297,7 @@ def solve_with_torsion_fallback(
 
     Returns either the direct outcome or a list of SectionResult.
     """
-    solver = {
-        "hadamard": hadamard_quotient,
-        "clearance": polynomial_clearance,
-        "cross": cross_quotient,
-    }[mode]
+    solver = _solver(mode)
     try:
         return solver(u, v, limit)
     except TorsionGroup:

@@ -84,13 +84,6 @@ class LinearRecurrence:
             out += coeff(n) * root**n
         return out
 
-    def coefficient_of(self, root) -> UniPoly:
-        root = _fr(root)
-        for r, c in self.terms:
-            if r == root:
-                return c
-        return UniPoly.zero()
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LinearRecurrence") -> "LinearRecurrence":
@@ -152,9 +145,6 @@ class LinearRecurrence:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-    def closed_form_pairs(self, var: str = "n") -> list[tuple[str, str]]:
-        return [(str(r), c.render(var)) for r, c in self.terms]
 
     def __eq__(self, other):
         if not isinstance(other, LinearRecurrence):
@@ -526,15 +516,3 @@ def multi_from_closed_form(triples) -> MultiRecurrence:
         tuple((a, b, c) for (a, b), c in merged.items() if not c.is_zero)
     )
 
-
-def lift_to_multi(u: LinearRecurrence, var_index: int) -> MultiRecurrence:
-    """View a one-index sequence as a two-index one in the chosen slot."""
-    assert var_index in (0, 1)
-    triples = []
-    for root, coeff in u.terms:
-        poly = BiPoly.from_unipoly(coeff, var_index)
-        if var_index == 0:
-            triples.append((root, Fraction(1), poly))
-        else:
-            triples.append((Fraction(1), root, poly))
-    return multi_from_closed_form(triples)

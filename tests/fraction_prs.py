@@ -1,15 +1,48 @@
-"""Test-only oracle: the recursive primitive PRS gcd over Fractions.
+"""Test-only oracles: the recursive primitive PRS gcd and the exact
+division over Fractions.
 
-This is the gcd ``recurquot.groupring`` used before it moved to integer
-coefficients.  It is slow (its innermost content is a gcd of constants,
-always 1, so remainders are never normalized and coefficients grow),
-but it is simple and shares no gcd code with the library, so the tests
-compare the library's gcd against it on small inputs.
+These are the gcd and division ``recurquot.groupring`` used before it
+moved to integer coefficients.  The gcd is slow (its innermost content
+is a gcd of constants, always 1, so remainders are never normalized and
+coefficients grow), but both are simple and share no code with the
+library, so the tests compare the library against them on small inputs.
+Polynomials are dicts mapping exponent tuples to Fractions.
 """
 
 from fractions import Fraction
 
-from recurquot.groupring import _mv_divide, _mv_lead
+
+def _mv_lead(f: dict) -> tuple[tuple[int, ...], Fraction]:
+    e = max(f)
+    return e, f[e]
+
+
+def _mv_divide(f: dict, g: dict) -> dict | None:
+    """Exact quotient f/g in the polynomial ring, or None.
+
+    Single-divisor division in lex order: if g divides f the remainder
+    process terminates empty, otherwise some leading term fails.
+    """
+    if not f:
+        return {}
+    q: dict[tuple[int, ...], Fraction] = {}
+    r = dict(f)
+    ge, gc = _mv_lead(g)
+    while r:
+        re, rc = _mv_lead(r)
+        diff = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 for d in diff):
+            return None
+        c = rc / gc
+        q[diff] = q.get(diff, Fraction(0)) + c
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(diff, e2))
+            v = r.get(key, Fraction(0)) - c * c2
+            if v:
+                r[key] = v
+            else:
+                r.pop(key, None)
+    return q
 
 
 def _mv_scale(f: dict, c: Fraction) -> dict:

@@ -4,8 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from fraction_prs import fraction_prs_gcd
-from hypothesis import given, settings
+from fraction_prs import _mv_divide, fraction_prs_gcd
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurquot import groupring
@@ -245,26 +245,43 @@ def test_linear_recurrence_alias():
     assert isinstance(geom(2), LinearRecurrence)
 
 
-# -- the integer gcd against the Fraction PRS oracle ---------------------------
+# -- the integer gcd and division against the Fraction oracles -----------------
+
+
+def fraction_poly(a):
+    """Non-zero a shifted to T-exponents >= 0 as a Fraction dict, and its least T-exponents."""
+    low = a.min_t_exponents()
+    poly = {(x, *(t - m for t, m in zip(te, low))): c for (x, te), c in a.terms.items()}
+    return poly, low
+
+
+def from_fraction_poly(basis, poly, shift):
+    return GroupRingElement(basis, {(e[0], e[1:]): c for e, c in poly.items()}).t_shift(shift)
 
 
 def oracle_gcd(a, b):
     """laurent_gcd computed by the old Fraction PRS (see fraction_prs.py)."""
     if a.is_zero or b.is_zero:
         return laurent_gcd(a, b)
-    fd, _ = groupring._as_mv(a)
-    gd, _ = groupring._as_mv(b)
-    result = fraction_prs_gcd(fd, gd, 1 + a.basis.rank)
-    return GroupRingElement(
-        a.basis, {(e[0], e[1:]): c for e, c in result.items()}
-    ).unit_normalized()
+    result = fraction_prs_gcd(fraction_poly(a)[0], fraction_poly(b)[0], 1 + a.basis.rank)
+    return from_fraction_poly(a.basis, result, (0,) * a.basis.rank).unit_normalized()
+
+
+def oracle_divide(a, b):
+    """laurent_divide computed by the old Fraction division (see fraction_prs.py)."""
+    if a.is_zero:
+        return a
+    fd, f_low = fraction_poly(a)
+    gd, g_low = fraction_poly(b)
+    quo = _mv_divide(fd, gd)
+    if quo is None:
+        return None
+    return from_fraction_poly(a.basis, quo, tuple(x - y for x, y in zip(f_low, g_low)))
 
 
 def integer_inputs(a, b):
     """The cleared integer polynomials laurent_gcd hands to the gcd."""
-    fd, _ = groupring._as_mv(a)
-    gd, _ = groupring._as_mv(b)
-    return groupring._zz_clear(fd), groupring._zz_clear(gd), 1 + a.basis.rank
+    return groupring._zz_clear(a)[1], groupring._zz_clear(b)[1], 1 + a.basis.rank
 
 
 BASES = {rank: compute_basis(tuple(F(p) for p in (2, 3, 5)[:rank])) for rank in (1, 2, 3)}
@@ -305,6 +322,56 @@ def test_gcd_matches_fraction_prs_oracle(a, b):
 def test_gcd_matches_oracle_on_common_factor_products(rung):
     for u, v, _ in common_factor_cases(rung, 6, seed=1):
         assert laurent_gcd(u, v) == oracle_gcd(u, v)
+
+
+# Rational, non-primitive coefficients of either sign and negative T-exponents,
+# so the integer division sees contents, denominators and shifts to undo.
+wide_elems = st.builds(
+    lambda terms: elem(dict(terms)),
+    st.lists(
+        st.tuples(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.tuples(st.integers(min_value=-3, max_value=2),
+                          st.integers(min_value=-3, max_value=2)),
+            ),
+            st.fractions(min_value=F(-12), max_value=F(12), max_denominator=6)
+            .filter(lambda c: c != 0),
+        ),
+        min_size=1, max_size=4, unique_by=lambda t: t[0],
+    ),
+)
+
+NEGATIVE_LEAD = elem({(2, (1, -2)): F(-4, 3), (0, (-1, 0)): F(6)})
+RATIONAL = elem({(1, (0, -1)): F(9, 4), (0, (2, 1)): F(-3, 2), (0, (0, 0)): F(15, 8)})
+
+
+@settings(max_examples=100, deadline=None)
+@example(NEGATIVE_LEAD, RATIONAL)
+@example(RATIONAL, NEGATIVE_LEAD)
+@given(wide_elems, wide_elems)
+def test_divide_matches_fraction_oracle_on_products(a, b):
+    prod = a * b
+    assert laurent_divide(prod, b) == oracle_divide(prod, b) == a
+
+
+@settings(max_examples=100, deadline=None)
+@example(NEGATIVE_LEAD, RATIONAL)
+@example(NEGATIVE_LEAD * RATIONAL + elem({(0, (0, 0)): F(1)}), RATIONAL)
+@given(wide_elems, wide_elems)
+def test_divide_matches_fraction_oracle_on_pairs(a, b):
+    # Random pairs are mostly not divisible: then both must return None.
+    assert laurent_divide(a, b) == oracle_divide(a, b)
+
+
+def test_divide_refusals_agree_with_oracle():
+    for a, b in [
+        (NEGATIVE_LEAD, RATIONAL),
+        (NEGATIVE_LEAD * RATIONAL + elem({(0, (0, 0)): F(1)}), RATIONAL),
+        (NEGATIVE_LEAD * RATIONAL, NEGATIVE_LEAD * 2 + elem({(1, (0, 0)): F(1, 5)})),
+    ]:
+        assert laurent_divide(a, b) is None
+        assert oracle_divide(a, b) is None
 
 
 def _heu_and_prs_agree(a, b, must_succeed):

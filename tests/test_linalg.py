@@ -7,7 +7,6 @@ from recurquot.linalg import (
     hnf_express,
     left_kernel,
     row_hnf,
-    smith_invariants,
     solve_rational,
 )
 
@@ -71,12 +70,6 @@ def test_left_kernel_property(rows):
         combo = [sum(zi * r[j] for zi, r in zip(z, rows)) for j in range(len(rows[0]))]
         assert all(c == 0 for c in combo)
         assert any(zi != 0 for zi in z)
-
-
-def test_smith_invariants():
-    assert smith_invariants([[2, 0], [0, 4]]) == [2, 4]
-    assert smith_invariants([[2, 4], [4, 2]]) == [2, 6]
-    assert smith_invariants([[0, 0]]) == []
 
 
 def test_hnf_express():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,6 @@ from recurquot.errors import RootNotInGroup, TorsionGroup, ZeroInput
 from recurquot.multiplicative import (
     compute_basis,
     exponent_table,
-    relation_lattice,
     torsion_status,
 )
 
@@ -33,31 +36,6 @@ def test_exponent_table():
 def test_exponent_table_rejects_zero():
     with pytest.raises(ZeroInput):
         exponent_table((F(0),))
-
-
-def test_relation_lattice_simple():
-    lat = relation_lattice((F(2), F(4)))
-    assert lat.basis == ((2, -1),)
-
-
-def test_relation_lattice_sign_doubling():
-    lat = relation_lattice((F(2), F(-2)))
-    assert lat.basis == ((2, -2),)
-
-
-def test_relation_lattice_independent():
-    assert relation_lattice((F(2), F(3))).basis == ()
-
-
-@settings(max_examples=60)
-@given(st.lists(rationals, min_size=1, max_size=4))
-def test_relation_lattice_rows_are_relations(values):
-    lat = relation_lattice(tuple(values))
-    for row in lat.basis:
-        prod = F(1)
-        for v, e in zip(values, row):
-            prod *= F(v) ** e
-        assert prod == 1
 
 
 def test_torsion_status_witness():
@@ -139,3 +117,64 @@ def test_express_round_trip(values, powers):
         x *= F(v) ** e
     exps = basis.express(x)
     assert basis.reconstruct(exps) == x
+
+
+def test_express_reads_stored_expressions_of_its_values():
+    basis = compute_basis((F(12), F(-18)))
+    for x, e in zip(basis.values, basis.expressions):
+        assert basis.express(x) == e
+
+
+# Under -O every assert is gone; the basis checks must still run.  "escape"
+# loses an input's lattice expression, "shifted" corrupts every expression
+# (caught at construction), "express" corrupts one for a value outside the
+# basis, and "sign" flips a generator's sign behind the bookkeeping.
+_BROKEN_BASIS = """
+import dataclasses
+import sys
+from fractions import Fraction
+import recurquot.multiplicative as mult
+from recurquot.errors import VerificationFailed
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+mode = sys.argv[1]
+real_express = mult.hnf_express
+
+def shifted(h, target):
+    coeffs = real_express(h, target)
+    return [coeffs[0] + 1] + coeffs[1:]
+
+try:
+    if mode == "escape":
+        mult.hnf_express = lambda h, target: None
+        mult.compute_basis((2, 3))
+    elif mode == "shifted":
+        mult.hnf_express = shifted
+        mult.compute_basis((2, 3))
+    elif mode == "express":
+        basis = mult.compute_basis((2, 3))
+        mult.hnf_express = shifted
+        basis.express(12)
+    else:
+        basis = mult.compute_basis((2, 3))
+        flipped = dataclasses.replace(basis, generators=(Fraction(-2), Fraction(3)))
+        flipped.express(6)
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("broken basis went unchecked")
+"""
+
+
+@pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign"])
+def test_broken_basis_is_caught_under_optimize(mode):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_BASIS, mode],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("VerificationFailed:"), result.stdout

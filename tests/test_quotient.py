@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurquot.errors import DivisorZero, TorsionGroup
+from recurquot import multiplicative, quotient
+from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
 from recurquot.polys import UniPoly
 from recurquot.quotient import (
     NoClearance,
@@ -280,3 +281,117 @@ def test_wrong_quotient_is_caught_under_optimize():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("VerificationFailed:"), result.stdout
+
+
+# The clearance certificate is re-checked as recurrences: P*U == Q*V and
+# V == P*(V/P).  "all" doubles every quotient, so Q is wrong; "v_over_p"
+# doubles only the division by P.  U = 2^n - 1, V = n*(2^n - 1), P = X.
+_WRONG_CLEARANCE = """
+import sys
+import recurquot.quotient as quotient
+from recurquot.errors import VerificationFailed
+from recurquot.recurrences import from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+mode = sys.argv[1]
+real_divide = quotient.laurent_divide
+
+def wrong_divide(f, g):
+    q = real_divide(f, g)
+    by_p = g.is_polynomial and not g.is_unit
+    if q is None or (mode == "v_over_p" and not by_p):
+        return q
+    return q * 2
+
+quotient.laurent_divide = wrong_divide
+try:
+    quotient.polynomial_clearance(
+        from_closed_form([(2, 1), (1, -1)]), from_closed_form([(2, [0, 1]), (1, [0, -1])])
+    )
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("wrong certificate returned unchecked")
+"""
+
+
+@pytest.mark.parametrize("mode", ["all", "v_over_p"])
+def test_wrong_clearance_is_caught_under_optimize(mode):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_CLEARANCE, mode],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("VerificationFailed:"), result.stdout
+
+
+def test_clearance_case_of_the_optimize_test():
+    u = mersenne()
+    v = from_closed_form([(F(2), UniPoly([F(0), F(1)])), (F(1), UniPoly([F(0), F(-1)]))])
+    out = polynomial_clearance(u, v)
+    assert isinstance(out, QuotientCertificate)
+    assert out.clearing_poly == UniPoly([F(0), F(1)])
+    assert out.quotient == constant(1) and out.v_over_p == u
+
+
+def test_each_root_is_factored_once_per_solve(monkeypatch):
+    calls = []
+    converting = []
+    real_factor = multiplicative.factor_rational
+    real_to_group_ring = quotient.to_group_ring
+
+    def factor_rational(x, limit=None):
+        calls.append((x, bool(converting)))
+        return real_factor(x, limit)
+
+    def to_group_ring(rec, basis):
+        converting.append(rec)
+        try:
+            return real_to_group_ring(rec, basis)
+        finally:
+            converting.pop()
+
+    monkeypatch.setattr(multiplicative, "factor_rational", factor_rational)
+    monkeypatch.setattr(quotient, "to_group_ring", to_group_ring)
+    u = from_closed_form([(F(10), F(1)), (F(6), F(-1)), (F(5), F(-3)), (F(3), F(3))])
+    v = from_closed_form([(F(2), F(1)), (F(1), F(-1))])
+    assert isinstance(polynomial_clearance(u, v), NoClearance)
+    assert sorted(x for x, _ in calls) == sorted(u.roots + v.roots)
+    assert not any(in_conversion for _, in_conversion in calls)
+
+
+def test_caller_limit_reaches_every_factorization():
+    # 2^89 - 1 is a prime above the default cap: the conversion to the group
+    # ring used to factor it again under that cap and ignore the caller's.
+    p = 2**89 - 1
+    u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
+    v = from_closed_form([(F(p), F(1)), (F(1), F(-1))])
+    assert hadamard_quotient(u, v, limit=2**90) == geometric(2)
+    with pytest.raises(FactorizationLimit):
+        hadamard_quotient(u, v)
+
+
+def test_unknown_mode_names_the_valid_ones():
+    for call in (solve_with_torsion_fallback, solve_on_sections):
+        with pytest.raises(InputError, match="hadamard, clearance, cross"):
+            call(mersenne(4), mersenne(), "quotient")
+
+
+def test_section_solver_is_looked_up_per_call(monkeypatch):
+    seen = []
+    real = quotient.hadamard_quotient
+
+    def traced(u, v, limit=None):
+        seen.append((u, v))
+        return real(u, v, limit)
+
+    monkeypatch.setattr(quotient, "hadamard_quotient", traced)
+    # 2^n + (-2)^n over 2^n: torsion, so the direct call fails and two sections run.
+    u = from_closed_form([(F(2), F(1)), (F(-2), F(1))])
+    results = solve_with_torsion_fallback(u, geometric(2), "hadamard", decimate=True)
+    assert [r.outcome for r in results] == [constant(2), LinearRecurrence(())]
+    assert len(seen) == 3

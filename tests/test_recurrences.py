@@ -15,7 +15,6 @@ from recurquot.recurrences import (
     from_closed_form,
     from_relation,
     geometric,
-    lift_to_multi,
     multi_from_closed_form,
     polynomial,
     zero_set,
@@ -46,8 +45,8 @@ def test_evaluate_known():
 def test_terms_are_sorted_and_merged():
     u = from_closed_form([(F(3), F(1)), (F(2), F(5)), (F(3), F(-1))])
     assert u.roots == (F(2),)
-    assert u.coefficient_of(F(2)) == UniPoly([F(5)])
-    assert u.coefficient_of(F(3)).is_zero
+    assert dict(u.terms)[F(2)] == UniPoly([F(5)])
+    assert F(3) not in dict(u.terms)
 
 
 def test_zero_root_rejected():
@@ -110,7 +109,7 @@ def test_decimate_merges_opposite_roots():
     u = from_closed_form([(F(2), F(1)), (F(-2), F(1))])
     even = u.decimate(2, 0)
     assert even.roots == (F(4),)
-    assert even.coefficient_of(F(4)) == UniPoly([F(2)])
+    assert dict(even.terms)[F(4)] == UniPoly([F(2)])
     assert u.decimate(2, 1).is_zero
 
 
@@ -266,16 +265,6 @@ def test_multi_recurrence_evaluate():
     for m in range(4):
         for n in range(4):
             assert w.evaluate(m, n) == F(3) ** m - F(2) ** n
-
-
-def test_lift_to_multi():
-    u = mersenne()
-    um = lift_to_multi(u, 0)
-    un = lift_to_multi(u, 1)
-    for m in range(4):
-        for n in range(4):
-            assert um.evaluate(m, n) == u.evaluate(m)
-            assert un.evaluate(m, n) == u.evaluate(n)
 
 
 def test_multi_render():
