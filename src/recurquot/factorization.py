@@ -1,10 +1,11 @@
 """Exact integer and rational factorization.
 
-Trial division over a fixed sieve, deterministic Miller-Rabin, and
-Brent's cycle variant of Pollard rho.  Every public function takes an
-optional ``limit``: a prime factor larger than the limit (or a cofactor
-the splitter cannot crack within its effort budget) raises
-``FactorizationLimit`` instead of silently looping.
+Trial division over a fixed sieve, deterministic Miller-Rabin, an
+integer k-th root test for perfect powers, and Brent's cycle variant of
+Pollard rho.  Every public function takes an optional ``limit``: a prime
+factor larger than the limit (or a cofactor the splitter cannot crack
+within its effort budget) raises ``FactorizationLimit`` instead of
+silently looping.
 """
 
 from __future__ import annotations
@@ -111,6 +112,19 @@ def _split(n: int, limit: int) -> int:
     raise FactorizationLimit(n, limit)
 
 
+def _perfect_root(n: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == n for the least prime k that allows it, else None."""
+    for k in _TRIAL_PRIMES:
+        if k >= n.bit_length():
+            break
+        r = 1 << -(-n.bit_length() // k)  # integer Newton from above to floor(n^(1/k))
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n:
+            return r, k
+    return None
+
+
 def factor_int(n: int, limit: int | None = None) -> dict[int, int]:
     """Factor n >= 1 into {prime: exponent}; 1 maps to {}."""
     if limit is None:
@@ -126,17 +140,23 @@ def factor_int(n: int, limit: int | None = None) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [n]
+    # (cofactor, multiplicity).  Rho needs about sqrt(p) steps for the least
+    # prime p of m, and a prime power p^k offers it no smaller prime, so
+    # powers are taken apart by their root first.
+    stack = [(n, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_probable_prime(m):
             if m > limit:
                 raise FactorizationLimit(m, limit)
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
+            continue
+        root = _perfect_root(m)
+        if root is not None:
+            stack.append((root[0], e * root[1]))
             continue
         d = _split(m, limit)
-        stack.append(d)
-        stack.append(m // d)
+        stack += [(d, e), (m // d, e)]
     return out
 
 

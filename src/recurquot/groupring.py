@@ -269,10 +269,6 @@ class GroupRingElement:
         return cls(basis, {})
 
     @classmethod
-    def from_rational(cls, basis, c) -> "GroupRingElement":
-        return cls(basis, {(0, (0,) * basis.rank): Fraction(c)})
-
-    @classmethod
     def from_poly(cls, basis, poly: UniPoly) -> "GroupRingElement":
         zero_t = (0,) * basis.rank
         return cls(basis, {(d, zero_t): c for d, c in enumerate(poly.coeffs)})
@@ -282,14 +278,6 @@ class GroupRingElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_unit(self) -> bool:
-        """Units are the single monomials q * T^a with no X part."""
-        if len(self.terms) != 1:
-            return False
-        (x, _), = self.terms.keys()
-        return x == 0
 
     @property
     def is_polynomial(self) -> bool:

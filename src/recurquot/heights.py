@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     HypothesisViolated,
     PointOnHyperplane,
+    VerificationFailed,
     ZeroInput,
 )
 from .factorization import factor_rational
@@ -224,7 +225,7 @@ def weil_function(form: HyperplaneForm, xs, place: Place) -> LogSum:
     """log(||x|| * ||L|| / |L(x)|) at one place, exactly.
 
     At finite places the ultrametric inequality forces the ratio >= 1,
-    which is asserted.  At the archimedean place the triangle
+    which is checked.  At the archimedean place the triangle
     inequality only gives ratio >= 1/(dim + 1), so the value may be
     negative there (e.g. L = x0 + x1 at x = (1, 1) gives -log 2); the
     global sum over places is what the height identity constrains.
@@ -238,8 +239,8 @@ def weil_function(form: HyperplaneForm, xs, place: Place) -> LogSum:
     x_norm = max(place_abs(x, place) for x in xs)
     l_norm = max(place_abs(a, place) for a in form.coefficients)
     ratio = x_norm * l_norm / place_abs(value, place)
-    if not place.is_archimedean:
-        assert ratio >= 1, "ultrametric inequality failed"
+    if not place.is_archimedean and ratio < 1:
+        raise VerificationFailed("ultrametric inequality failed")
     return LogSum.log_of(ratio)
 
 
@@ -289,10 +290,6 @@ def s_membership(x, spec: SIntegerSpec) -> SMembership:
     if _outside_part(x.numerator, spec.primes) != 1:
         return SMembership.S_INTEGER
     return SMembership.S_UNIT
-
-
-def is_s_integer(x, spec: SIntegerSpec) -> bool:
-    return s_membership(x, spec) in (SMembership.S_UNIT, SMembership.S_INTEGER)
 
 
 # -- decay of |V(n)| at one place --------------------------------------------------

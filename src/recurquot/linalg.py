@@ -4,21 +4,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import VerificationFailed
 
-def row_hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form with transform.
 
-    Returns (H, U) where H is the list of non-zero HNF rows (pivots
-    positive, strictly increasing pivot columns, entries above a pivot
-    reduced into [0, pivot)) and U is a k x k unimodular matrix with
-    U * rows == H padded with zero rows.
+def row_hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form: the non-zero rows of the HNF of ``rows``.
+
+    Pivots are positive, pivot columns strictly increase, and entries
+    above a pivot are reduced into [0, pivot), so the result depends
+    only on the lattice the rows span.
     """
     k = len(rows)
     m = len(rows[0]) if rows else 0
     a = [list(map(int, r)) for r in rows]
     for r in a:
         assert len(r) == m
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
     rank = 0
     for col in range(m):
         pivot_row = None
@@ -30,42 +30,35 @@ def row_hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
                 pivot_row = live[0]
                 break
             live.sort(key=lambda i: abs(a[i][col]))
-            base = live[0]
+            base = a[live[0]]
             for i in live[1:]:
-                q = a[i][col] // a[base][col]
+                q = a[i][col] // base[col]
                 if q:
-                    for j in range(m):
-                        a[i][j] -= q * a[base][j]
-                    for j in range(k):
-                        u[i][j] -= q * u[base][j]
+                    a[i] = [x - q * y for x, y in zip(a[i], base)]
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        u[rank], u[pivot_row] = u[pivot_row], u[rank]
         if a[rank][col] < 0:
             a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
-        piv = a[rank][col]
+        piv = a[rank]
         for i in range(rank):
-            q = a[i][col] // piv
+            q = a[i][col] // piv[col]
             if q:
-                for j in range(m):
-                    a[i][j] -= q * a[rank][j]
-                for j in range(k):
-                    u[i][j] -= q * u[rank][j]
+                a[i] = [x - q * y for x, y in zip(a[i], piv)]
         rank += 1
-    return [a[i] for i in range(rank)], u
+    return a[:rank]
 
 
 def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis (HNF-canonical) of {z in Z^k : z * rows == 0}."""
-    h, u = row_hnf(rows)
-    rank = len(h)
-    kernel_rows = u[rank:]
-    if not kernel_rows:
-        return []
-    canon, _ = row_hnf(kernel_rows)
-    return canon
+    """Basis (HNF-canonical) of {z in Z^k : z * rows == 0}.
+
+    The HNF of [rows | I] spans {(z * rows, z)}; its rows that start
+    with m zeros are exactly the kernel's HNF.
+    """
+    m = len(rows[0]) if rows else 0
+    k = len(rows)
+    h = row_hnf([list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)])
+    return [r[m:] for r in h if not any(r[:m])]
 
 
 def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:
@@ -90,12 +83,13 @@ def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:
 
 
 def solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Unique solution of a square exact system; asserts non-singularity."""
+    """Unique solution of a square system that is non-singular by construction."""
     n = len(matrix)
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        assert piv is not None, "singular system"
+        if piv is None:
+            raise VerificationFailed("singular system")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]

@@ -4,13 +4,15 @@ A non-zero rational is sign * prod(p^e); a finite set of them spans a
 subgroup of Q*.  This module decides whether the span contains -1
 (torsion) and produces a canonical free basis when it does not,
 factoring each input once.  All lattice work happens on exponent
-vectors over the union of primes, with the sign tracked as a parity
-character.
+vectors over the union of primes, with the sign as one more column
+taken mod 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
@@ -40,13 +42,10 @@ def exponent_table(
             raise ZeroInput("zero has no multiplicative coordinates")
         facts.append(factor_rational(Fraction(x), limit))
     primes = tuple(sorted({p for f in facts for p in f.exponents}))
-    index = {p: i for i, p in enumerate(primes)}
-    vectors = []
-    for f in facts:
-        row = [0] * len(primes)
-        for p, e in f.exponents.items():
-            row[index[p]] = e
-        vectors.append(ExponentVector(0 if f.sign > 0 else 1, tuple(row)))
+    vectors = [
+        ExponentVector(int(f.sign < 0), tuple(f.exponents.get(p, 0) for p in primes))
+        for f in facts
+    ]
     return primes, vectors
 
 
@@ -93,12 +92,13 @@ class MultiplicativeBasis:
     def rank(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _stored(self) -> dict[Fraction, tuple[int, ...]]:
+        return dict(zip(self.values, self.expressions))
+
     def reconstruct(self, exponents: tuple[int, ...]) -> Fraction:
         assert len(exponents) == self.rank
-        out = Fraction(1)
-        for g, e in zip(self.generators, exponents):
-            out *= Fraction(g) ** e
-        return out
+        return math.prod((g**e for g, e in zip(self.generators, exponents)), start=Fraction(1))
 
     def express(self, x, limit: int | None = None) -> tuple[int, ...]:
         """Exponents of x over the generators; RootNotInGroup if x is outside.
@@ -107,25 +107,20 @@ class MultiplicativeBasis:
         values are factored.
         """
         x = Fraction(x)
-        if x in self.values:
-            return self.expressions[self.values.index(x)]
+        if x in self._stored:
+            return self._stored[x]
         if x == 0:
             raise ZeroInput("zero is not a group element")
         fact = factor_rational(x, limit)
-        index = {p: i for i, p in enumerate(self.primes)}
-        row = [0] * len(self.primes)
-        for p, e in fact.exponents.items():
-            if p not in index:
-                raise RootNotInGroup(f"{x} involves the prime {p}, outside the basis")
-            row[index[p]] = e
+        stray = set(fact.exponents).difference(self.primes)
+        if stray:
+            raise RootNotInGroup(f"{x} involves the prime {min(stray)}, outside the basis")
+        row = [fact.exponents.get(p, 0) for p in self.primes]
         coeffs = hnf_express([list(r) for r in self.matrix], row)
         if coeffs is None:
             raise RootNotInGroup(f"{x} is not in the lattice of the basis")
-        sign = 1
-        for c, s in zip(coeffs, self.generator_signs):
-            if s < 0 and c % 2 == 1:
-                sign = -sign
-        if sign != fact.sign:
+        odd = sum(c for c, s in zip(coeffs, self.generator_signs) if s < 0) % 2
+        if (-1) ** odd != fact.sign:
             raise RootNotInGroup(f"{x} differs from the basis span by a sign")
         out = tuple(coeffs)
         if self.reconstruct(out) != x:
@@ -143,28 +138,28 @@ class MultiplicativeBasis:
 def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
     """Canonical free basis of the span; TorsionGroup if -1 is inside.
 
-    Generators come from the HNF of the joint exponent lattice, so any
-    input list spanning the same group yields the same generators.
-    Each generator's sign is fixed by the parity of the unimodular
-    transform row that produced it.
+    One HNF of the rows [exponents | sign bit] plus [0 ... 0 | 2]: the
+    span contains -1 exactly when the sign column's pivot is 1.
+    Otherwise the other rows' prime parts are the HNF of the exponent
+    lattice, so any input list spanning the same group yields the same
+    generators, and each row's sign entry (reduced mod 2) is the sign of
+    its generator.
     """
     vals = tuple(Fraction(v) for v in values)
     primes, vectors = exponent_table(vals, limit)
-    witness = _torsion_witness(vectors)
-    if witness is not None:
+    m = len(primes)
+    *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in vectors] + [[0] * m + [2]])
+    if last[m] == 1:
+        witness = _torsion_witness(vectors)
+        if witness is None:
+            raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
         raise TorsionGroup(vals, witness)
-    h, u = row_hnf([list(v.exponents) for v in vectors])
-    sign_bits = [v.sign_bit for v in vectors]
-    gen_signs = []
-    for row in u[: len(h)]:
-        parity = sum(c * b for c, b in zip(row, sign_bits)) % 2
-        gen_signs.append(-1 if parity else 1)
-    generators = []
-    for sign, exps in zip(gen_signs, h):
-        g = Fraction(sign)
-        for p, e in zip(primes, exps):
-            g *= Fraction(p) ** e
-        generators.append(g)
+    h = [r[:m] for r in rows]
+    gen_signs = [-1 if r[m] else 1 for r in rows]
+    generators = [
+        math.prod((Fraction(p) ** e for p, e in zip(primes, exps)), start=Fraction(sign))
+        for sign, exps in zip(gen_signs, h)
+    ]
     expressions = []
     for x, vec in zip(vals, vectors):
         coeffs = hnf_express(h, list(vec.exponents))

@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BothZero, ZeroInput
+from .errors import BothZero, VerificationFailed, ZeroInput
 from .factorization import divisors
 
 
@@ -226,7 +226,8 @@ class UniPoly:
             if hit is None:
                 break
             quo, rem = divmod(poly, UniPoly((-hit, 1)))
-            assert rem.is_zero
+            if not rem.is_zero:
+                raise VerificationFailed(f"the rational root {hit} left a remainder")
             found[hit] = found.get(hit, 0) + 1
             poly = quo
         return sorted(found.items())

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, IrrationalRoots, ZeroRecurrence, ZeroRoot
+from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRecurrence, ZeroRoot
 from .linalg import solve_rational
 from .places import Place, place_abs
 from .polys import BiPoly, UniPoly, poly_affine_compose
@@ -227,12 +227,13 @@ def from_relation(coeffs, initial, limit: int | None = None) -> LinearRecurrence
         )
         pairs.append((root, poly))
     rec = from_closed_form(pairs)
-    for n in range(k):
-        assert rec.evaluate(n) == initial[n]
+    if any(rec.evaluate(n) != initial[n] for n in range(k)):
+        raise VerificationFailed("the closed form does not give back the initial values")
     for n in range(k + 1):
         lhs = rec.evaluate(n + k)
         rhs = sum(c * rec.evaluate(n + i) for i, c in enumerate(coeffs))
-        assert lhs == rhs
+        if lhs != rhs:
+            raise VerificationFailed(f"the closed form breaks the relation at n = {n}")
     return rec
 
 

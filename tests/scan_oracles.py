@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from recurquot.errors import BadPrime, HypothesisViolated, InputError, ZeroInput
 from recurquot.factorization import euler_phi, is_probable_prime
-from recurquot.heights import DecayReport, LogSum, SIntegerSpec, is_s_integer
+from recurquot.heights import DecayReport, LogSum, SIntegerSpec, SMembership, s_membership
 from recurquot.integrality import FixedDenominator, ObstructionReport, SearchHit
 from recurquot.places import place_abs, valuation
 
@@ -50,7 +50,7 @@ def fraction_search(u, v, m_max, n_max, policy, s_spec=None, totient=False, limi
             accepted = d_min <= n**policy.exponent
         if not accepted:
             return
-        if not is_s_integer(ratio * d_min, SIntegerSpec(s_primes)):
+        if s_membership(ratio * d_min, SIntegerSpec(s_primes)) is SMembership.NEITHER:
             raise AssertionError("hit failed re-verification")
         hits.add(SearchHit(m, n, d_min))
 

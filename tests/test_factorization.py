@@ -64,6 +64,29 @@ def test_factor_int_reconstructs(n):
     assert prod == n
 
 
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_perfect_power_of_a_prime_inside_the_cap(k):
+    # Rho needs about sqrt(p) steps for the least prime p, so (2^61 - 1)^2
+    # used to run all its attempts and then raise; the root test finds it.
+    assert factor_int(M61**k, 2**64) == {M61: k}
+
+
+def test_perfect_power_of_a_composite():
+    n = (M61 * (2**31 - 1)) ** 2 * 3**5
+    assert factor_int(n, 2**64) == {3: 5, 2**31 - 1: 2, M61: 2}
+    assert factor_int(n**6, 2**64) == {3: 30, 2**31 - 1: 12, M61: 12}
+
+
+def test_perfect_power_of_a_prime_above_the_cap():
+    m89 = 2**89 - 1
+    with pytest.raises(FactorizationLimit) as info:
+        factor_int(m89**2, 2**64)
+    assert info.value.cofactor == m89
+
+
 def test_factor_rational_signs_and_exponents():
     fr = factor_rational(Fraction(-45, 8))
     assert fr.sign == -1

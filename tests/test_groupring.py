@@ -38,18 +38,12 @@ def geom(root, coeff=1):
 def test_constructors_and_queries():
     zero = GroupRingElement.zero(BASIS)
     assert zero.is_zero
-    c = GroupRingElement.from_rational(BASIS, F(5, 2))
-    assert c.is_unit and c.is_polynomial
+    c = elem({(0, (0, 0)): F(5, 2)})
+    assert c.is_polynomial and c.x_polynomial() == UniPoly([F(5, 2)])
     p = GroupRingElement.from_poly(BASIS, UniPoly([F(1), F(2)]))
-    assert p.is_polynomial and not p.is_unit
+    assert p.is_polynomial
     assert p.x_polynomial() == UniPoly([F(1), F(2)])
-
-
-def test_unit_requires_single_pure_monomial():
-    t = elem({(0, (1, 0)): F(3)})
-    assert t.is_unit
-    assert not elem({(1, (1, 0)): F(3)}).is_unit
-    assert not elem({(0, (1, 0)): F(1), (0, (0, 0)): F(1)}).is_unit
+    assert not elem({(0, (1, 0)): F(3)}).is_polynomial
 
 
 def test_evaluate_matches_sequence_semantics():
@@ -142,7 +136,7 @@ def test_laurent_gcd_coprime():
     a = GroupRingElement(basis, {(0, (1,)): F(1), (0, (0,)): F(-1)})
     b = GroupRingElement(basis, {(0, (1,)): F(1), (0, (0,)): F(1)})
     g = laurent_gcd(a, b)
-    assert g == GroupRingElement.from_rational(basis, 1)
+    assert g == GroupRingElement(basis, {(0, (0,)): F(1)})
 
 
 def test_laurent_gcd_units_cleared():
@@ -398,7 +392,7 @@ def test_heuristic_rejects_accidental_candidate():
     basis = compute_basis((F(2),))
     a, b = (GroupRingElement(basis, {(d, (0,)): F(c) for (d,), c in p.items()})
             for p in (f, g))
-    assert laurent_gcd(a, b) == oracle_gcd(a, b) == GroupRingElement.from_rational(basis, 1)
+    assert laurent_gcd(a, b) == oracle_gcd(a, b) == GroupRingElement(basis, {(0, (0,)): F(1)})
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import (
     FactorizationLimit,
     HypothesisViolated,
@@ -17,7 +18,6 @@ from recurquot.heights import (
     SIntegerSpec,
     SMembership,
     decay_check,
-    is_s_integer,
     product_formula_check,
     s_membership,
     vector_height,
@@ -218,8 +218,8 @@ def test_s_membership():
     assert s_membership(F(35, 6), spec) == SMembership.S_INTEGER
     assert s_membership(F(1, 5), spec) == SMembership.NEITHER
     assert s_membership(F(0), spec) == SMembership.S_INTEGER
-    assert is_s_integer(F(7, 8), spec)
-    assert not is_s_integer(F(1, 7), spec)
+    assert s_membership(F(7, 8), spec) is not SMembership.NEITHER
+    assert s_membership(F(1, 7), spec) is SMembership.NEITHER
 
 
 def test_s_membership_empty_s():
@@ -266,3 +266,29 @@ def test_decay_check_rejects_bad_range():
         decay_check(v, Place.finite(3), 0, 10)
     with pytest.raises(ZeroInput):
         decay_check(v, Place.finite(3), 5, 4)
+
+
+# At a finite place the Weil function's ratio is >= 1 by the ultrametric
+# inequality; under -O a ratio below 1 must still be caught.  |L(x)|_3 is
+# patched to read 2 for L = x0 + x1 at x = (1, 1), where it is 1.
+_BROKEN_ABS = """
+import sys
+import recurquot.heights as heights
+from recurquot.errors import VerificationFailed
+from recurquot.places import Place
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_abs = heights.place_abs
+heights.place_abs = lambda x, place: real_abs(x, place) * (2 if x == 2 else 1)
+try:
+    heights.weil_function(heights.HyperplaneForm((1, 1)), [1, 1], Place.finite(3))
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("ultrametric failure went unchecked")
+"""
+
+
+def test_broken_ultrametric_inequality_is_caught_under_optimize():
+    assert_caught_under_optimize(_BROKEN_ABS)

@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import BadPrime, FactorizationLimit, InputError, ZeroInput
 from recurquot.factorization import euler_phi
 from recurquot.heights import SIntegerSpec
@@ -255,14 +252,4 @@ for u, n_max in ((from_closed_form([(3, 1), (1, -1)]), 4),
 
 
 def test_wrong_residue_is_caught_under_optimize():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_STEPPER],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 2, result.stdout
-    assert all(line.startswith("VerificationFailed:") for line in lines), result.stdout
+    assert_caught_under_optimize(_WRONG_STEPPER, count=2)

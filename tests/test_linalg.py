@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import basis_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,27 +25,21 @@ def mat_mul(a, b):
 
 
 def test_row_hnf_known():
-    h, u = row_hnf([[4, 6], [2, 4]])
-    assert h == [[2, 0], [0, 2]]
-    assert mat_mul(u, [[4, 6], [2, 4]]) == [[2, 0], [0, 2]]
+    assert row_hnf([[4, 6], [2, 4]]) == [[2, 0], [0, 2]]
 
 
 def test_row_hnf_rank_deficient():
-    rows = [[2, 4, 6], [1, 2, 3], [0, 0, 0]]
-    h, u = row_hnf(rows)
-    assert h == [[1, 2, 3]]
-    full = mat_mul(u, rows)
-    assert full[0] == [1, 2, 3]
-    assert full[1] == [0, 0, 0]
-    assert full[2] == [0, 0, 0]
+    assert row_hnf([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == [[1, 2, 3]]
 
 
 @given(int_rows)
-def test_row_hnf_transform_property(rows):
-    h, u = row_hnf(rows)
-    product = mat_mul(u, rows)
-    assert product[: len(h)] == h
-    assert all(all(c == 0 for c in r) for r in product[len(h) :])
+def test_row_hnf_shape_and_lattice_property(rows):
+    h = row_hnf(rows)
+    # Same lattice: every input row lies in the span of H, and the
+    # transform oracle reaches the same H from the rows.
+    assert all(hnf_express(h, r) is not None for r in rows)
+    oracle_h, u = basis_oracle.row_hnf(rows)
+    assert mat_mul(u, rows)[: len(oracle_h)] == oracle_h == h
     pivots = []
     for r in h:
         j = next(i for i, c in enumerate(r) if c != 0)
@@ -72,14 +67,19 @@ def test_left_kernel_property(rows):
         assert any(zi != 0 for zi in z)
 
 
+@given(int_rows)
+def test_left_kernel_matches_transform_oracle(rows):
+    assert left_kernel(rows) == basis_oracle.left_kernel(rows)
+
+
 def test_hnf_express():
-    h, _ = row_hnf([[2, 0], [0, 3]])
+    h = row_hnf([[2, 0], [0, 3]])
     assert hnf_express(h, [4, 3]) == [2, 1]
     assert hnf_express(h, [1, 0]) is None
 
 
 def test_hnf_express_prefix_rows():
-    h, _ = row_hnf([[1, 2, 0], [0, 4, 1]])
+    h = row_hnf([[1, 2, 0], [0, 4, 1]])
     coeffs = hnf_express(h, [3, 10, 1])
     assert coeffs is not None
     target = [

@@ -1,13 +1,12 @@
-import os
-import subprocess
-import sys
+import math
 from fractions import Fraction
-from pathlib import Path
 
+import basis_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import RootNotInGroup, TorsionGroup, ZeroInput
 from recurquot.multiplicative import (
     compute_basis,
@@ -119,6 +118,44 @@ def test_express_round_trip(values, powers):
     assert basis.reconstruct(exps) == x
 
 
+# Signed products of 2, 3, 5, 7 with exponents -2..3, and +-1.  Mixed
+# signs give torsion and torsion-free sets; positive sets are always
+# free; appending -x^2 always puts -1 in the span.
+signed_roots = st.one_of(
+    st.builds(
+        lambda sign, exps: math.prod((F(p) ** e for p, e in zip((2, 3, 5, 7), exps)), start=F(sign)),
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(min_value=-2, max_value=3), min_size=4, max_size=4),
+    ),
+    st.sampled_from((F(1), F(-1))),
+)
+signed_root_sets = st.one_of(
+    st.lists(signed_roots, min_size=1, max_size=8),
+    st.lists(signed_roots.map(abs), min_size=1, max_size=8),
+    st.lists(signed_roots, min_size=1, max_size=6).map(lambda xs: xs + [-xs[0] ** 2]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_root_sets)
+def test_basis_matches_transform_oracle(values):
+    try:
+        primes, generators, matrix, signs, expressions = basis_oracle.compute_basis(values)
+    except basis_oracle.Torsion as torsion:
+        with pytest.raises(TorsionGroup) as info:
+            compute_basis(values)
+        assert info.value.exponents == torsion.exponents
+        assert torsion_status(values) == torsion.exponents
+        return
+    basis = compute_basis(values)
+    assert basis.primes == primes
+    assert basis.generators == generators
+    assert basis.matrix == matrix
+    assert basis.generator_signs == signs
+    assert basis.expressions == expressions
+    assert torsion_status(values) is None
+
+
 def test_express_reads_stored_expressions_of_its_values():
     basis = compute_basis((F(12), F(-18)))
     for x, e in zip(basis.values, basis.expressions):
@@ -169,12 +206,4 @@ else:
 
 @pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign"])
 def test_broken_basis_is_caught_under_optimize(mode):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_BASIS, mode],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("VerificationFailed:"), result.stdout
+    assert_caught_under_optimize(_BROKEN_BASIS, mode)

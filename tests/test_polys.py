@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import BothZero, ZeroInput
 from recurquot.polys import BiPoly, UniPoly, poly_affine_compose, poly_gcd
 
@@ -177,3 +178,28 @@ def test_bipoly_render():
     m = BiPoly({(1, 1): F(2), (0, 0): F(-1)})
     assert m.render(("M", "N")) == "2*M*N - 1"
     assert BiPoly({}).render(("M", "N")) == "0"
+
+
+# rational_roots divides out each root it finds; under -O a division that
+# leaves a remainder must still be caught.  Evaluation is patched to read
+# 0 everywhere, so the first candidate of X^2 + 1 looks like a root.
+_FALSE_ROOT = """
+import sys
+from fractions import Fraction
+from recurquot.errors import VerificationFailed
+from recurquot.polys import UniPoly
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+UniPoly.__call__ = lambda self, n: Fraction(0)
+try:
+    UniPoly([Fraction(1), Fraction(0), Fraction(1)]).rational_roots()
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("false root returned unchecked")
+"""
+
+
+def test_false_rational_root_is_caught_under_optimize():
+    assert_caught_under_optimize(_FALSE_ROOT)

@@ -1,13 +1,13 @@
-import os
-import subprocess
-import sys
+import itertools
+import random
+import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot import multiplicative, quotient
 from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
 from recurquot.polys import UniPoly
@@ -272,15 +272,7 @@ else:
 
 
 def test_wrong_quotient_is_caught_under_optimize():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_DIVIDE],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("VerificationFailed:"), result.stdout
+    assert_caught_under_optimize(_WRONG_DIVIDE)
 
 
 # The clearance certificate is re-checked as recurrences: P*U == Q*V and
@@ -299,7 +291,7 @@ real_divide = quotient.laurent_divide
 
 def wrong_divide(f, g):
     q = real_divide(f, g)
-    by_p = g.is_polynomial and not g.is_unit
+    by_p = g.is_polynomial and g.x_polynomial().degree > 0
     if q is None or (mode == "v_over_p" and not by_p):
         return q
     return q * 2
@@ -318,15 +310,7 @@ else:
 
 @pytest.mark.parametrize("mode", ["all", "v_over_p"])
 def test_wrong_clearance_is_caught_under_optimize(mode):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_CLEARANCE, mode],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("VerificationFailed:"), result.stdout
+    assert_caught_under_optimize(_WRONG_CLEARANCE, mode)
 
 
 def test_clearance_case_of_the_optimize_test():
@@ -362,6 +346,34 @@ def test_each_root_is_factored_once_per_solve(monkeypatch):
     assert isinstance(polynomial_clearance(u, v), NoClearance)
     assert sorted(x for x, _ in calls) == sorted(u.roots + v.roots)
     assert not any(in_conversion for _, in_conversion in calls)
+
+
+def test_large_clearance_builds_its_basis_quickly():
+    # A seeded (rank 4, 16 terms, degree 4) case of a*c over b*c: about
+    # 425 distinct roots over the primes 2, 3, 5, 7.  The basis used to keep
+    # a unimodular transform with one row and column per root, and this case
+    # took 4-7 s; a basis with one column per prime takes it well under 2 s.
+    rng = random.Random(0)
+    pool = sorted({
+        F(2) ** i * F(3) ** j * F(5) ** k * F(7) ** m
+        for i, j, k, m in itertools.product(range(-1, 3), repeat=4)
+    })
+
+    def form():
+        pairs = []
+        for root in rng.sample(pool, 16):
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4) + 1)]
+            if coeffs[-1] == 0:
+                coeffs[-1] = F(rng.choice((-2, -1, 1, 2)))
+            pairs.append((root, UniPoly(coeffs)))
+        return from_closed_form(pairs)
+
+    a, b, c = form(), form(), form()
+    start = time.perf_counter()
+    out = polynomial_clearance(a * c, b * c)
+    elapsed = time.perf_counter() - start
+    assert isinstance(out, NoClearance) and out.reason == "divisor-not-polynomial"
+    assert elapsed < 2, f"{elapsed:.2f} s"
 
 
 def test_caller_limit_reaches_every_factorization():

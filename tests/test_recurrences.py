@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRecurrence, ZeroRoot
 from recurquot.places import Place
 from recurquot.polys import UniPoly
@@ -291,3 +292,42 @@ def test_cleared_walk_matches_evaluate(rec, start, step, modulus):
         w = next(exact)
         assert w == cleared.scale * cleared.base**k * rec.evaluate(k)
         assert next(residues) == w % modulus
+
+
+# from_relation re-derives the initial values and the relation from the
+# closed form it found; under -O those checks must still run.  "initial"
+# shifts the solved coefficients, "relation" swaps the root 2 of
+# U(n + 1) = 2 U(n) for 3 (which still fits U(0)), and "singular" repeats
+# the simple root 2 of U(n + 2) = 5 U(n + 1) - 6 U(n), so the system for
+# the coefficients is singular.
+_BROKEN_RELATION = """
+import sys
+from fractions import Fraction
+import recurquot.recurrences as rec
+from recurquot.errors import VerificationFailed
+from recurquot.polys import UniPoly
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+mode = sys.argv[1]
+real_solve = rec.solve_rational
+coeffs, initial = [2], [1]
+if mode == "initial":
+    rec.solve_rational = lambda matrix, rhs: [x + 1 for x in real_solve(matrix, rhs)]
+elif mode == "relation":
+    UniPoly.rational_roots = lambda self, limit=None: [(Fraction(3), 1)]
+else:
+    UniPoly.rational_roots = lambda self, limit=None: [(Fraction(2), 1)] * 2
+    coeffs, initial = [-6, 5], [1, 1]
+try:
+    rec.from_relation(coeffs, initial)
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("broken closed form returned unchecked")
+"""
+
+
+@pytest.mark.parametrize("mode", ["initial", "relation", "singular"])
+def test_broken_relation_form_is_caught_under_optimize(mode):
+    assert_caught_under_optimize(_BROKEN_RELATION, mode)
