@@ -26,7 +26,6 @@ from .errors import (
     TorsionGroup,
     VerificationFailed,
     ZeroInput,
-    ZeroRecurrence,
     ZeroRoot,
 )
 from .factorization import (
@@ -34,6 +33,7 @@ from .factorization import (
     FactoredRational,
     euler_phi,
     factor_int,
+    factor_limit,
     factor_rational,
 )
 from .groupring import (
@@ -83,12 +83,10 @@ from .quotient import (
     solve_on_sections,
 )
 from .recurrences import (
-    DominantSplit,
     LinearRecurrence,
     MultiRecurrence,
     ZeroSetReport,
     constant,
-    dominant_split,
     from_closed_form,
     from_relation,
     geometric,

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     VerificationFailed,
 )
+from .factorization import DEFAULT_FACTOR_LIMIT, factor_limit
 from .heights import (
     LogSum,
     SIntegerSpec,
@@ -141,7 +142,7 @@ def _emit(document: dict, lines: list[str], json_mode: bool, out) -> None:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_eval(args, limit):
+def _cmd_eval(args):
     spec, rec = _load_spec(args.spec)
     if args.start > args.end:
         raise InputError("--from must not exceed --to")
@@ -155,7 +156,7 @@ def _cmd_eval(args, limit):
     return EXIT_OK, doc, lines
 
 
-def _cmd_zeros(args, limit):
+def _cmd_zeros(args):
     spec, rec = _load_spec(args.spec)
     report = zero_set(rec, args.bound)
     doc = {
@@ -179,12 +180,10 @@ def _cmd_zeros(args, limit):
     return EXIT_OK, doc, lines
 
 
-def _cmd_quotient(args, limit):
+def _cmd_quotient(args):
     _, u = _load_spec(args.numerator)
     _, v = _load_spec(args.divisor)
-    outcome = solve_with_torsion_fallback(
-        u, v, args.mode, decimate=args.decimate, limit=limit
-    )
+    outcome = solve_with_torsion_fallback(u, v, args.mode, decimate=args.decimate)
     if isinstance(outcome, list):
         sections = []
         all_positive = True
@@ -222,7 +221,7 @@ def _cmd_quotient(args, limit):
     return (EXIT_OK if positive else EXIT_NEGATIVE), doc, lines
 
 
-def _cmd_decimate(args, limit):
+def _cmd_decimate(args):
     spec, rec = _load_spec(args.spec)
     section = rec.decimate(args.modulus, args.residue)
     doc = {
@@ -237,14 +236,14 @@ def _cmd_decimate(args, limit):
     return EXIT_OK, doc, lines
 
 
-def _cmd_basis(args, limit):
+def _cmd_basis(args):
     roots: list[Fraction] = []
     for path in args.specs:
         _, rec = _load_spec(path)
         roots.extend(rec.roots)
     if not roots:
         raise InputError("no roots: all inputs are the zero sequence")
-    basis = compute_basis(roots, limit)
+    basis = compute_basis(roots)
     doc = {
         "roots": [str(r) for r in basis.values],
         "generators": [str(g) for g in basis.generators],
@@ -259,10 +258,10 @@ def _cmd_basis(args, limit):
     return EXIT_OK, doc, lines
 
 
-def _cmd_heights(args, limit):
+def _cmd_heights(args):
     values = [Fraction(v) for v in args.values]
     if args.vector:
-        height = vector_height(values, limit)
+        height = vector_height(values)
         doc = {
             "vector": [str(v) for v in values],
             "height": _logsum_doc(height),
@@ -274,7 +273,7 @@ def _cmd_heights(args, limit):
     entries = []
     lines = []
     for value in values:
-        height = weil_height(value, limit)
+        height = weil_height(value)
         product = product_formula_check(value)
         entries.append(
             {
@@ -290,7 +289,7 @@ def _cmd_heights(args, limit):
     return EXIT_OK, {"heights": entries}, lines
 
 
-def _cmd_decay_check(args, limit):
+def _cmd_decay_check(args):
     spec, rec = _load_spec(args.spec)
     place = Place.parse(args.place)
     report = decay_check(rec, place, args.start, args.end)
@@ -327,7 +326,7 @@ def _parse_d_policy(text: str):
     raise InputError(f"bad --d-policy kind: {text!r} (want fixed:k or poly:B)")
 
 
-def _cmd_search(args, limit):
+def _cmd_search(args):
     _, u = _load_spec(args.numerator)
     _, v = _load_spec(args.divisor)
     policy = _parse_d_policy(args.d_policy)
@@ -342,7 +341,6 @@ def _cmd_search(args, limit):
         policy,
         s_spec=s_spec,
         totient=args.totient,
-        limit=limit,
     )
     doc = {
         "grid": {"m_max": args.m_max, "n_max": args.n_max},
@@ -356,7 +354,7 @@ def _cmd_search(args, limit):
     return EXIT_OK, doc, lines
 
 
-def _cmd_obstruct(args, limit):
+def _cmd_obstruct(args):
     _, u = _load_spec(args.numerator)
     _, v = _load_spec(args.divisor)
     try:
@@ -475,12 +473,14 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    limit = args.factor_limit
-    if limit is None:
+    cap = args.factor_limit
+    if cap is None:
         env = os.environ.get("RECURQUOT_FACTOR_LIMIT")
-        if env is not None:
+        if env is None:
+            cap = DEFAULT_FACTOR_LIMIT
+        else:
             try:
-                limit = int(env)
+                cap = int(env)
             except ValueError:
                 print(
                     f"error: RECURQUOT_FACTOR_LIMIT must be an integer, got {env!r}",
@@ -488,7 +488,8 @@ def main(argv=None, out=None) -> int:
                 )
                 return EXIT_INPUT
     try:
-        code, doc, lines = args.handler(args, limit)
+        with factor_limit(cap):
+            code, doc, lines = args.handler(args)
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=out)
         return EXIT_RESOURCE

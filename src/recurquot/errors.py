@@ -46,10 +46,6 @@ class ZeroRoot(InputError):
     """A characteristic root is zero; closed forms require non-zero roots."""
 
 
-class ZeroRecurrence(InputError):
-    """An operation that needs a non-zero sequence received the zero sequence."""
-
-
 class TorsionGroup(InputError):
     """The multiplicative group spanned by the roots contains -1.
 

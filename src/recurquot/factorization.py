@@ -2,20 +2,43 @@
 
 Trial division over a fixed sieve, deterministic Miller-Rabin, an
 integer k-th root test for perfect powers, and Brent's cycle variant of
-Pollard rho.  Every public function takes an optional ``limit``: a prime
-factor larger than the limit (or a cofactor the splitter cannot crack
-within its effort budget) raises ``FactorizationLimit`` instead of
-silently looping.
+Pollard rho.  One cap governs every factorization: ``factor_int``
+reads it from a context variable that ``with factor_limit(cap):`` sets
+for a block (``DEFAULT_FACTOR_LIMIT`` outside any block), so every
+caller below that block honours it.  A prime factor larger than the cap
+(or a cofactor the splitter cannot crack within its effort budget)
+raises ``FactorizationLimit`` instead of silently looping.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
-from .errors import FactorizationLimit, ZeroInput
+from .errors import FactorizationLimit, InputError, ZeroInput
 
 DEFAULT_FACTOR_LIMIT = 2**64
+
+_CAP: ContextVar[int] = ContextVar("factor_limit", default=DEFAULT_FACTOR_LIMIT)
+
+
+@contextmanager
+def factor_limit(cap: int):
+    """Cap accepted prime factors at ``cap`` inside the block.
+
+    Blocks nest; leaving one, normally or by an exception, restores the
+    cap outside it.  A cap below 2 is an InputError.
+    """
+    if not isinstance(cap, int) or cap < 2:
+        raise InputError(f"the factoring cap must be an integer >= 2, got {cap!r}")
+    token = _CAP.set(cap)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
 
 _TRIAL_BOUND = 10_000
 
@@ -125,10 +148,9 @@ def _perfect_root(n: int) -> tuple[int, int] | None:
     return None
 
 
-def factor_int(n: int, limit: int | None = None) -> dict[int, int]:
+def factor_int(n: int) -> dict[int, int]:
     """Factor n >= 1 into {prime: exponent}; 1 maps to {}."""
-    if limit is None:
-        limit = DEFAULT_FACTOR_LIMIT
+    limit = _CAP.get()
     if n < 1:
         raise ZeroInput(f"factor_int needs n >= 1, got {n}")
     out: dict[int, int] = {}
@@ -199,35 +221,35 @@ class FactoredRational:
         return f"FactoredRational({lead}{body})"
 
 
-def factor_rational(x: Fraction | int, limit: int | None = None) -> FactoredRational:
+def factor_rational(x: Fraction | int) -> FactoredRational:
     """Factor a non-zero rational; denominator primes get negative exponents."""
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("cannot factor zero")
     sign = 1 if x > 0 else -1
-    num = factor_int(abs(x.numerator), limit)
-    den = factor_int(x.denominator, limit)
+    num = factor_int(abs(x.numerator))
+    den = factor_int(x.denominator)
     exps = dict(num)
     for p, e in den.items():
         exps[p] = exps.get(p, 0) - e
     return FactoredRational(sign, exps)
 
 
-def euler_phi(n: int, limit: int | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler's totient of n >= 1 via factorization."""
     if n < 1:
         raise ZeroInput(f"euler_phi needs n >= 1, got {n}")
     out = n
-    for p in factor_int(n, limit):
+    for p in factor_int(n):
         out = out // p * (p - 1)
     return out
 
 
-def divisors(n: int, limit: int | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
     if n < 1:
         raise ZeroInput(f"divisors needs n >= 1, got {n}")
     out = [1]
-    for p, e in factor_int(n, limit).items():
+    for p, e in factor_int(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)

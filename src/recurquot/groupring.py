@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import BasisMismatch, BothZero, VerificationFailed, ZeroInput
 from .multiplicative import MultiplicativeBasis
-from .polys import UniPoly
+from .polys import UniPoly, _monomial, _render_sum
 from .recurrences import LinearRecurrence, from_closed_form
 
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
@@ -371,28 +371,10 @@ class GroupRingElement:
     # -- rendering -------------------------------------------------------------------
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (x, te), c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            if x == 1:
-                factors.append("X")
-            elif x > 1:
-                factors.append(f"X^{x}")
-            for i, e in enumerate(te, start=1):
-                if e == 1:
-                    factors.append(f"T{i}")
-                elif e != 0:
-                    factors.append(f"T{i}^{e}")
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_sum(
+            (c, _monomial([("X", x), *((f"T{i}", e) for i, e in enumerate(te, start=1))]))
+            for (x, te), c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):

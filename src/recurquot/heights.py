@@ -23,7 +23,7 @@ from .errors import (
 )
 from .factorization import factor_rational
 from .places import Place, place_abs, valuation
-from .polys import UniPoly
+from .polys import UniPoly, _render_sum
 from .recurrences import ClearedRecurrence, LinearRecurrence
 
 
@@ -48,12 +48,12 @@ class LogSum:
         return cls({})
 
     @classmethod
-    def log_of(cls, x, limit: int | None = None) -> "LogSum":
+    def log_of(cls, x) -> "LogSum":
         """log of a positive rational, exactly."""
         x = Fraction(x)
         if x <= 0:
             raise ZeroInput("log needs a positive rational")
-        fact = factor_rational(x, limit)
+        fact = factor_rational(x)
         return cls({p: Fraction(e) for p, e in fact.exponents.items()})
 
     @property
@@ -120,17 +120,7 @@ class LogSum:
         return sum(float(c) * math.log(p) for p, c in self.coeffs.items())
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        out = ""
-        for p, c in self.coeffs.items():
-            mag = abs(c)
-            body = f"log {p}" if mag == 1 else f"{mag}*log {p}"
-            if not out:
-                out = ("-" if c < 0 else "") + body
-            else:
-                out += (" - " if c < 0 else " + ") + body
-        return out
+        return _render_sum((c, [f"log {p}"]) for p, c in self.coeffs.items())
 
     def as_pairs(self) -> list[tuple[int, str]]:
         return [(p, str(c)) for p, c in self.coeffs.items()]
@@ -151,7 +141,7 @@ def _contributing_primes(values) -> set[int]:
     return primes
 
 
-def vector_height(xs, limit: int | None = None) -> LogSum:
+def vector_height(xs) -> LogSum:
     """h(x) = sum over places of log of the sup-norm of the vector.
 
     Projective: scaling the vector by a non-zero rational leaves the
@@ -162,16 +152,16 @@ def vector_height(xs, limit: int | None = None) -> LogSum:
         raise ZeroInput("the zero vector has no height")
     total = LogSum.zero()
     arch = max(abs(x) for x in xs)
-    total = total + LogSum.log_of(arch, limit)
+    total = total + LogSum.log_of(arch)
     for p in sorted(_contributing_primes(xs)):
         place = Place.finite(p)
         norm = max(place_abs(x, place) for x in xs)
         if norm != 1:
-            total = total + LogSum.log_of(norm, limit)
+            total = total + LogSum.log_of(norm)
     return total
 
 
-def weil_height(x, limit: int | None = None) -> LogSum:
+def weil_height(x) -> LogSum:
     """Height of a rational, a vector, or a polynomial's coefficients.
 
     Scalars are the projective point [1 : x], so h(p/q) = log max(|p|, q)
@@ -180,13 +170,13 @@ def weil_height(x, limit: int | None = None) -> LogSum:
     if isinstance(x, UniPoly):
         if x.is_zero:
             raise ZeroInput("the zero polynomial has no height")
-        return vector_height(list(x.coeffs), limit)
+        return vector_height(list(x.coeffs))
     if isinstance(x, (list, tuple)):
-        return vector_height(x, limit)
+        return vector_height(x)
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("zero has no height")
-    return vector_height([Fraction(1), x], limit)
+    return vector_height([Fraction(1), x])
 
 
 def product_formula_check(x) -> Fraction:

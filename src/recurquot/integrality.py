@@ -127,7 +127,6 @@ def integrality_search(
     policy: DPolicy,
     s_spec: SIntegerSpec | None = None,
     totient: bool = False,
-    limit: int | None = None,
 ) -> list[SearchHit]:
     """All hits on the grid [1, m_max] x [1, n_max], sorted by (n, m, d).
 
@@ -137,8 +136,9 @@ def integrality_search(
     most n^exponent.  Totient mode additionally tries the pair
     (phi(V(n)), n) whenever V(n) is a positive integer, even when that
     index exceeds m_max; phi is computed by exact factorization, so a
-    huge V(n) can raise FactorizationLimit.  So can a prime factor above
-    the factoring limit of B, the lcm of U's root denominators.
+    huge V(n) can raise FactorizationLimit.  So can a prime factor of B,
+    the lcm of U's root denominators, above the factoring cap
+    (``factor_limit``).
 
     With W_u(m) = c * B^m * U(m) cleared to integers and V(n) = num/den
     in lowest terms, U(m)/V(n) = W_u(m) * den / M for M = c * B^m * |num|,
@@ -156,7 +156,7 @@ def integrality_search(
     cleared_v = ClearedRecurrence(v)
     scale_u = cleared_u.scale
     fixed = isinstance(policy, FixedDenominator)
-    primes_b = factor_int(cleared_u.base, limit)
+    primes_b = factor_int(cleared_u.base)
     # (p, v_p(B), v_p(c)) for the primes of B outside S.
     b_part = [(p, k, valuation(scale_u, p)) for p, k in primes_b.items() if p not in s_primes]
     outside = [*s_primes, *primes_b]
@@ -192,7 +192,7 @@ def integrality_search(
         row_shifts = shifts(num, den)
         cells = zip(range(1, m_max + 1), cleared_u.walk(1, modulus=free), vals_by_m)
         if totient and den == 1 and num > 0:
-            phi = euler_phi(num, limit)
+            phi = euler_phi(num)
             phi_vals = [_capped_valuation(cleared_u, phi, p, c_p + phi * k + s)
                         for (p, k, c_p), s in zip(b_part, row_shifts)]
             cells = chain(cells, [(phi, next(cleared_u.walk(phi, modulus=free)), phi_vals)])

@@ -29,9 +29,7 @@ class ExponentVector:
     exponents: tuple[int, ...]
 
 
-def exponent_table(
-    values: tuple[Fraction, ...], limit: int | None = None
-) -> tuple[tuple[int, ...], list[ExponentVector]]:
+def exponent_table(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], list[ExponentVector]]:
     """Factor every value over the union of their primes.
 
     Returns (sorted prime tuple, one ExponentVector per input value).
@@ -40,7 +38,7 @@ def exponent_table(
     for x in values:
         if x == 0:
             raise ZeroInput("zero has no multiplicative coordinates")
-        facts.append(factor_rational(Fraction(x), limit))
+        facts.append(factor_rational(Fraction(x)))
     primes = tuple(sorted({p for f in facts for p in f.exponents}))
     vectors = [
         ExponentVector(int(f.sign < 0), tuple(f.exponents.get(p, 0) for p in primes))
@@ -62,13 +60,13 @@ def _torsion_witness(vectors: list[ExponentVector]) -> tuple[int, ...] | None:
     return None
 
 
-def torsion_status(values, limit: int | None = None) -> tuple[int, ...] | None:
+def torsion_status(values) -> tuple[int, ...] | None:
     """Witness exponents z with prod(values_i ^ z_i) == -1, else None.
 
     None means the span is torsion-free: -1 lies in the span iff some
     magnitude relation has odd sign parity.
     """
-    _, vectors = exponent_table(tuple(Fraction(v) for v in values), limit)
+    _, vectors = exponent_table(tuple(Fraction(v) for v in values))
     return _torsion_witness(vectors)
 
 
@@ -100,7 +98,7 @@ class MultiplicativeBasis:
         assert len(exponents) == self.rank
         return math.prod((g**e for g, e in zip(self.generators, exponents)), start=Fraction(1))
 
-    def express(self, x, limit: int | None = None) -> tuple[int, ...]:
+    def express(self, x) -> tuple[int, ...]:
         """Exponents of x over the generators; RootNotInGroup if x is outside.
 
         One of ``values`` is looked up in ``expressions``; only other
@@ -111,7 +109,7 @@ class MultiplicativeBasis:
             return self._stored[x]
         if x == 0:
             raise ZeroInput("zero is not a group element")
-        fact = factor_rational(x, limit)
+        fact = factor_rational(x)
         stray = set(fact.exponents).difference(self.primes)
         if stray:
             raise RootNotInGroup(f"{x} involves the prime {min(stray)}, outside the basis")
@@ -135,7 +133,7 @@ class MultiplicativeBasis:
         )
 
 
-def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
+def compute_basis(values) -> MultiplicativeBasis:
     """Canonical free basis of the span; TorsionGroup if -1 is inside.
 
     One HNF of the rows [exponents | sign bit] plus [0 ... 0 | 2]: the
@@ -146,7 +144,7 @@ def compute_basis(values, limit: int | None = None) -> MultiplicativeBasis:
     its generator.
     """
     vals = tuple(Fraction(v) for v in values)
-    primes, vectors = exponent_table(vals, limit)
+    primes, vectors = exponent_table(vals)
     m = len(primes)
     *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in vectors] + [[0] * m + [2]])
     if last[m] == 1:

@@ -202,11 +202,11 @@ class RecurrenceSpec:
     closed_form: tuple[tuple[Fraction, UniPoly], ...] | None
     relation: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None
 
-    def to_recurrence(self, limit: int | None = None) -> LinearRecurrence:
+    def to_recurrence(self) -> LinearRecurrence:
         if self.closed_form is not None:
             return from_closed_form(self.closed_form)
         coeffs, initial = self.relation
-        return from_relation(coeffs, initial, limit)
+        return from_relation(coeffs, initial)
 
 
 def _schema_fail(message: str):

@@ -16,6 +16,29 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
+def _monomial(powers) -> list[str]:
+    """The factors of a product of var^d over (var, d) pairs; d = 0 is left out."""
+    return [var if d == 1 else f"{var}^{d}" for var, d in powers if d]
+
+
+def _render_sum(terms) -> str:
+    """A signed sum such as "X^2 - 3*X + 1" from (coefficient, factors) pairs.
+
+    A coefficient of absolute value 1 is written only where a term has no
+    factors; the empty sum is "0".
+    """
+    parts = []
+    for c, factors in terms:
+        if not factors or abs(c) != 1:
+            factors = [str(abs(c)), *factors]
+        body = "*".join(factors)
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
 class UniPoly:
     """Univariate polynomial over Q, dense coefficient tuple, low degree first.
 
@@ -194,7 +217,7 @@ class UniPoly:
         lead = abs(self.lc)
         return 1 + max(abs(c) / lead for c in self.coeffs[:-1])
 
-    def rational_roots(self, limit: int | None = None) -> list[tuple[Fraction, int]]:
+    def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicity, sorted by value."""
         if self.is_zero:
             raise ZeroInput("the zero polynomial vanishes everywhere")
@@ -214,7 +237,7 @@ class UniPoly:
             ints = [c // g for c in ints]
             a0, ad = abs(ints[0]), abs(ints[-1])
             hit = None
-            for p, q in itertools.product(divisors(a0, limit), divisors(ad, limit)):
+            for p, q in itertools.product(divisors(a0), divisors(ad)):
                 if math.gcd(p, q) != 1:
                     continue
                 for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -235,23 +258,11 @@ class UniPoly:
     # -- rendering and comparison ---------------------------------------
 
     def render(self, var: str = "X") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                body = str(abs(c))
-            else:
-                head = var if d == 1 else f"{var}^{d}"
-                body = head if abs(c) == 1 else f"{abs(c)}*{head}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_sum(
+            (self.coeffs[d], _monomial([(var, d)]))
+            for d in range(self.degree, -1, -1)
+            if self.coeffs[d]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -347,24 +358,9 @@ class BiPoly:
         return out
 
     def render(self, vars: tuple[str, str] = ("M", "N")) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for var, d in ((vars[0], i), (vars[1], j)):
-                if d == 1:
-                    factors.append(var)
-                elif d > 1:
-                    factors.append(f"{var}^{d}")
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render_sum(
+            (c, _monomial(zip(vars, key))) for key, c in sorted(self.terms.items(), reverse=True)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):

@@ -63,11 +63,9 @@ class NoClearance:
     detail: str = ""
 
 
-def combined_basis(
-    u: LinearRecurrence, v: LinearRecurrence, limit: int | None = None
-) -> MultiplicativeBasis:
+def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBasis:
     """Canonical basis of the group spanned by all roots of u and v."""
-    return compute_basis(tuple(u.roots) + tuple(v.roots), limit)
+    return compute_basis(tuple(u.roots) + tuple(v.roots))
 
 
 def _coefficient_lcm(rec) -> int:
@@ -82,9 +80,7 @@ def _coefficient_lcm(rec) -> int:
     return out
 
 
-def hadamard_quotient(
-    u: LinearRecurrence, v: LinearRecurrence, limit: int | None = None
-) -> LinearRecurrence | None:
+def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
     """The recurrence U/V if V divides U in the group ring, else None.
 
     None is a genuine negative verdict: no recurrence whose roots lie
@@ -94,7 +90,7 @@ def hadamard_quotient(
         raise DivisorZero("cannot divide by the zero sequence")
     if u.is_zero:
         return LinearRecurrence(())
-    basis = combined_basis(u, v, limit)
+    basis = combined_basis(u, v)
     fu = to_group_ring(u, basis)
     fv = to_group_ring(v, basis)
     quo = laurent_divide(fu, fv)
@@ -107,7 +103,7 @@ def hadamard_quotient(
 
 
 def polynomial_clearance(
-    u: LinearRecurrence, v: LinearRecurrence, limit: int | None = None
+    u: LinearRecurrence, v: LinearRecurrence
 ) -> QuotientCertificate | NoClearance:
     """Monic P in Q[X] making P*U/V and V/P recurrences, if one exists.
 
@@ -119,7 +115,7 @@ def polynomial_clearance(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    basis = combined_basis(u, v, limit)
+    basis = combined_basis(u, v)
     fu = to_group_ring(u, basis)
     fv = to_group_ring(v, basis)
     gcd = laurent_gcd(fu, fv)
@@ -182,7 +178,7 @@ def _strip_x_content(element: GroupRingElement) -> GroupRingElement:
 
 
 def cross_quotient(
-    u: LinearRecurrence, v: LinearRecurrence, limit: int | None = None
+    u: LinearRecurrence, v: LinearRecurrence
 ) -> QuotientCertificate | NoClearance:
     """Clearance for U(m)/V(n) with independent indices.
 
@@ -194,7 +190,7 @@ def cross_quotient(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    combined_basis(u, v, limit)
+    combined_basis(u, v)
     if len(v.terms) > 1:
         return NoClearance(
             reason="multiple-roots",
@@ -262,7 +258,6 @@ def solve_on_sections(
     v: LinearRecurrence,
     mode: str,
     q: int = 2,
-    limit: int | None = None,
 ) -> list[SectionResult]:
     """Split indices into progressions mod q and solve each section.
 
@@ -282,7 +277,7 @@ def solve_on_sections(
         if v_sec.is_zero:
             results.append(SectionResult(q, offsets, "divisor-vanishes"))
             continue
-        results.append(SectionResult(q, offsets, solver(u_sec, v_sec, limit)))
+        results.append(SectionResult(q, offsets, solver(u_sec, v_sec)))
     return results
 
 
@@ -291,7 +286,6 @@ def solve_with_torsion_fallback(
     v: LinearRecurrence,
     mode: str,
     decimate: bool = False,
-    limit: int | None = None,
 ):
     """Run a solver; on TorsionGroup optionally retry on sections mod 2.
 
@@ -299,8 +293,8 @@ def solve_with_torsion_fallback(
     """
     solver = _solver(mode)
     try:
-        return solver(u, v, limit)
+        return solver(u, v)
     except TorsionGroup:
         if not decimate:
             raise
-        return solve_on_sections(u, v, mode, 2, limit)
+        return solve_on_sections(u, v, mode, 2)

@@ -13,10 +13,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRecurrence, ZeroRoot
+from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
 from .linalg import solve_rational
-from .places import Place, place_abs
-from .polys import BiPoly, UniPoly, poly_affine_compose
+from .polys import BiPoly, UniPoly, _render_sum, poly_affine_compose
 
 
 def _fr(x) -> Fraction:
@@ -28,6 +27,11 @@ def _pow_str(base: Fraction, var: str) -> str:
     if base < 0 or base.denominator != 1:
         text = f"({text})"
     return f"{text}^{var}"
+
+
+def _signed(term: str) -> tuple[int, list[str]]:
+    """A rendered term as a (sign, [body]) pair for ``_render_sum``."""
+    return (-1, [term[1:]]) if term.startswith("-") else (1, [term])
 
 
 def _term_str(coeff: UniPoly, base: Fraction, var: str) -> str:
@@ -138,13 +142,7 @@ class LinearRecurrence:
     # -- rendering ----------------------------------------------------------
 
     def render(self, var: str = "n") -> str:
-        if self.is_zero:
-            return "0"
-        parts = [_term_str(c, r, var) for r, c in reversed(self.terms)]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _render_sum(_signed(_term_str(c, r, var)) for r, c in reversed(self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, LinearRecurrence):
@@ -193,7 +191,7 @@ def polynomial(coeffs) -> LinearRecurrence:
     return from_closed_form([(Fraction(1), UniPoly(coeffs))])
 
 
-def from_relation(coeffs, initial, limit: int | None = None) -> LinearRecurrence:
+def from_relation(coeffs, initial) -> LinearRecurrence:
     """Recover the closed form from U(n+k) = sum(c_i U(n+i)) and U(0..k-1).
 
     Requires c_0 != 0 (else a root would be zero) and a characteristic
@@ -209,7 +207,7 @@ def from_relation(coeffs, initial, limit: int | None = None) -> LinearRecurrence
     if coeffs[0] == 0:
         raise ZeroRoot("c_0 = 0 forces a zero characteristic root")
     char = UniPoly([-c for c in coeffs] + [Fraction(1)])
-    roots = char.rational_roots(limit)
+    roots = char.rational_roots()
     if sum(m for _, m in roots) != k:
         residual = char
         for root, mult in roots:
@@ -399,46 +397,6 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
     )
 
 
-# -- dominant part at a place -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DominantSplit:
-    """V written as V1 - W with V1 the terms of maximal |root| at a place.
-
-    ``ratio_delta`` is the largest |root|_place among W relative to the
-    dominant one; it is < 1 exactly when a single absolute value
-    dominates strictly.
-    """
-
-    place: Place
-    dominant: LinearRecurrence
-    rest: LinearRecurrence
-    ratio_delta: Fraction
-
-
-def dominant_split(v: LinearRecurrence, place: Place) -> DominantSplit:
-    if v.is_zero:
-        raise ZeroRecurrence("the zero sequence has no dominant part")
-    sizes = [place_abs(root, place) for root in v.roots]
-    top = max(sizes)
-    dominant = []
-    rest = []
-    delta = Fraction(0)
-    for (root, coeff), size in zip(v.terms, sizes):
-        if size == top:
-            dominant.append((root, coeff))
-        else:
-            rest.append((root, -coeff))
-            delta = max(delta, size / top)
-    return DominantSplit(
-        place,
-        LinearRecurrence(tuple(dominant)),
-        LinearRecurrence(tuple(rest)),
-        delta,
-    )
-
-
 # -- two-parameter closed forms ------------------------------------------------
 
 
@@ -470,11 +428,9 @@ class MultiRecurrence:
         return out
 
     def render(self, vars: tuple[str, str] = ("m", "n")) -> str:
-        if self.is_zero:
-            return "0"
         parts = []
         for base_m, base_n, coeff in self.terms:
-            body = coeff.render((vars[0], vars[1]))
+            body = coeff.render(vars)
             factors = []
             if body != "1" or (base_m == 1 and base_n == 1):
                 factors.append(f"({body})" if " " in body else body)
@@ -482,13 +438,8 @@ class MultiRecurrence:
                 factors.append(_pow_str(base_m, vars[0]))
             if base_n != 1:
                 factors.append(_pow_str(base_n, vars[1]))
-            if factors[0] == "1" and len(factors) > 1:
-                factors = factors[1:]
-            parts.append("*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            parts.append(_signed("*".join(factors)))
+        return _render_sum(parts)
 
     def __eq__(self, other):
         if not isinstance(other, MultiRecurrence):

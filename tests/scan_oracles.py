@@ -30,7 +30,7 @@ def _stripped_denominator(x: Fraction, s_primes) -> int:
     return den
 
 
-def fraction_search(u, v, m_max, n_max, policy, s_spec=None, totient=False, limit=None):
+def fraction_search(u, v, m_max, n_max, policy, s_spec=None, totient=False):
     """``integrality_search`` over exact Fractions, cell by cell."""
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
@@ -61,7 +61,7 @@ def fraction_search(u, v, m_max, n_max, policy, s_spec=None, totient=False, limi
         for m in range(1, m_max + 1):
             consider(m, n, v_value)
         if totient and v_value.denominator == 1 and v_value >= 1:
-            consider(euler_phi(int(v_value), limit), n, v_value)
+            consider(euler_phi(int(v_value)), n, v_value)
     return sorted(hits, key=lambda h: (h.n, h.m, h.d))
 
 

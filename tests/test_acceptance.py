@@ -253,7 +253,7 @@ def _coprime_pair(rng):
             [(r, F(rng.choice([-2, -1, 1, 2, 3]))) for r in v_roots]
         )
         u = _random_recurrence(rng, 2, 1)
-        basis = combined_basis(u, v, None)
+        basis = combined_basis(u, v)
         gcd = laurent_gcd(to_group_ring(u, basis), to_group_ring(v, basis))
         (x_degree, _), *rest = gcd.terms  # a unit is one monomial q * T^a without X
         if not rest and x_degree == 0:

@@ -193,6 +193,51 @@ def test_factor_limit_env(monkeypatch):
         big.unlink()
 
 
+M61 = 2**61 - 1
+FACTORING_PATHS = {
+    # spec -> root M61, factored when the relation is solved
+    "relation": {"relation": {"coeffs": [str(M61)], "initial": ["1"]}},
+    # the archimedean decay ratio is log M61 / n
+    "inverse": {"closed_form": [{"root": "1", "coeff": f"1/{M61}"}]},
+    # each section's coefficient has the rational root about M61 / 2
+    "late_zero": {"closed_form": [{"root": "2", "coeff": f"X - {M61}"}]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "relation"],
+    ["decimate", "relation", "-q", 2, "-r", 0],
+    ["decay-check", "inverse", "--place", "inf", "--from", 1, "--to", 5],
+    ["zeros", "late_zero"],
+    # the order of 2 mod M61 factors M61 - 1, whose largest prime is 1321
+    ["obstruct", DATA / "power3m.json", DATA / "mersenne2.json",
+     "--progression", "1,0", "--prime", M61],
+], ids=["eval", "decimate", "decay-check", "zeros", "obstruct"])
+def test_factor_limit_reaches_every_factoring_path(tmp_path, argv):
+    for name, doc in FACTORING_PATHS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [tmp_path / a if a in FACTORING_PATHS else a for a in argv]
+    code, text = run(*argv)
+    assert code in (0, 1), text
+    code, text = run("--factor-limit", 1000, *argv)
+    assert code == 3, text
+    assert text.startswith("resource limit")
+
+
+@pytest.mark.parametrize("cap", [-5, 0, 1])
+def test_factor_limit_below_two_is_an_input_error(monkeypatch, cap):
+    # (2^31 - 1)(2^61 - 1) reaches the rho splitter, which a negative cap
+    # used to crash with a ValueError from math.isqrt.
+    n = (2**31 - 1) * M61
+    code, text = run("--factor-limit", cap, "heights", n)
+    assert code == 2
+    assert text.startswith("error: the factoring cap")
+    monkeypatch.setenv("RECURQUOT_FACTOR_LIMIT", str(cap))
+    code, text = run("heights", n)
+    assert code == 2
+    assert text.startswith("error: the factoring cap")
+
+
 def test_bad_env_value(monkeypatch):
     monkeypatch.setenv("RECURQUOT_FACTOR_LIMIT", "soon")
     code, text = run("heights", "2")

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurquot.errors import FactorizationLimit, ZeroInput
+from recurquot.errors import FactorizationLimit, InputError, ZeroInput
 from recurquot.factorization import (
     FactoredRational,
     divisors,
     euler_phi,
     factor_int,
+    factor_limit,
     factor_rational,
     is_probable_prime,
 )
@@ -37,10 +38,34 @@ def test_factor_int_rejects_nonpositive():
 
 def test_factor_limit_reports_cofactor():
     p = 2**61 - 1
-    with pytest.raises(FactorizationLimit) as info:
-        factor_int(p * p, limit=10**6)
+    with factor_limit(10**6), pytest.raises(FactorizationLimit) as info:
+        factor_int(p * p)
     assert info.value.cofactor % p == 0
     assert info.value.limit == 10**6
+
+
+def test_factor_limit_nests_and_restores_the_outer_cap():
+    p = 2**31 - 1
+    with factor_limit(10**6):
+        with pytest.raises(FactorizationLimit):
+            factor_int(p)
+        with factor_limit(2**40):
+            assert factor_int(p) == {p: 1}
+        with pytest.raises(FactorizationLimit):
+            factor_int(p)
+        with pytest.raises(KeyError), factor_limit(2**40):
+            raise KeyError("leaves the block by an exception")
+        with pytest.raises(FactorizationLimit) as info:
+            factor_int(p)
+        assert info.value.limit == 10**6
+    assert factor_int(p) == {p: 1}
+
+
+@pytest.mark.parametrize("cap", [-5, 0, 1])
+def test_factor_limit_rejects_caps_below_two(cap):
+    # A negative cap used to reach math.isqrt in the rho splitter.
+    with pytest.raises(InputError), factor_limit(cap):
+        factor_int((2**31 - 1) * (2**61 - 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1, 10**18 + 9])
@@ -71,19 +96,21 @@ M61 = 2**61 - 1
 def test_perfect_power_of_a_prime_inside_the_cap(k):
     # Rho needs about sqrt(p) steps for the least prime p, so (2^61 - 1)^2
     # used to run all its attempts and then raise; the root test finds it.
-    assert factor_int(M61**k, 2**64) == {M61: k}
+    with factor_limit(2**64):
+        assert factor_int(M61**k) == {M61: k}
 
 
 def test_perfect_power_of_a_composite():
     n = (M61 * (2**31 - 1)) ** 2 * 3**5
-    assert factor_int(n, 2**64) == {3: 5, 2**31 - 1: 2, M61: 2}
-    assert factor_int(n**6, 2**64) == {3: 30, 2**31 - 1: 12, M61: 12}
+    with factor_limit(2**64):
+        assert factor_int(n) == {3: 5, 2**31 - 1: 2, M61: 2}
+        assert factor_int(n**6) == {3: 30, 2**31 - 1: 12, M61: 12}
 
 
 def test_perfect_power_of_a_prime_above_the_cap():
     m89 = 2**89 - 1
-    with pytest.raises(FactorizationLimit) as info:
-        factor_int(m89**2, 2**64)
+    with factor_limit(2**64), pytest.raises(FactorizationLimit) as info:
+        factor_int(m89**2)
     assert info.value.cofactor == m89
 
 

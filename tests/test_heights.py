@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import log
 
@@ -12,6 +13,7 @@ from recurquot.errors import (
     PointOnHyperplane,
     ZeroInput,
 )
+from recurquot.factorization import factor_limit
 from recurquot.heights import (
     HyperplaneForm,
     LogSum,
@@ -292,3 +294,25 @@ else:
 
 def test_broken_ultrametric_inequality_is_caught_under_optimize():
     assert_caught_under_optimize(_BROKEN_ABS)
+
+
+M61 = 2**61 - 1
+
+
+def test_vector_height_honours_the_cap_at_every_prime():
+    # The primes behind the finite places were factored under the default
+    # cap: this ran past a 15 s alarm instead of raising.
+    start = time.perf_counter()
+    with factor_limit(10), pytest.raises(FactorizationLimit):
+        vector_height([10**70, (2**89 - 1) * (2**107 - 1)])
+    assert time.perf_counter() - start < 1
+
+
+def test_weil_function_and_product_formula_honour_the_cap():
+    form = HyperplaneForm((F(1), F(-1)))
+    with factor_limit(1000):
+        with pytest.raises(FactorizationLimit):
+            weil_function(form, [F(M61), F(1)], Place.archimedean())
+        with pytest.raises(FactorizationLimit):
+            product_formula_check(F(1, M61))
+    assert product_formula_check(F(1, M61)) == 1

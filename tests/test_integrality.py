@@ -5,7 +5,7 @@ import pytest
 
 from optimized import assert_caught_under_optimize
 from recurquot.errors import BadPrime, FactorizationLimit, InputError, ZeroInput
-from recurquot.factorization import euler_phi
+from recurquot.factorization import euler_phi, factor_limit
 from recurquot.heights import SIntegerSpec
 from recurquot.integrality import (
     FixedDenominator,
@@ -97,7 +97,8 @@ def test_search_factors_the_root_denominators_within_the_limit():
     u = from_closed_form([(F(1, 2**89 - 1), F(1)), (F(1), F(-1))])
     with pytest.raises(FactorizationLimit):
         integrality_search(u, mersenne(2), 2, 3, FixedDenominator(1))
-    assert integrality_search(u, mersenne(2), 2, 3, FixedDenominator(1), limit=2**90) == []
+    with factor_limit(2**90):
+        assert integrality_search(u, mersenne(2), 2, 3, FixedDenominator(1)) == []
 
 
 def test_search_fixed_denominator_divisibility():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from optimized import assert_caught_under_optimize
 from recurquot import multiplicative, quotient
 from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
+from recurquot.factorization import factor_limit
 from recurquot.polys import UniPoly
 from recurquot.quotient import (
     NoClearance,
@@ -328,9 +329,9 @@ def test_each_root_is_factored_once_per_solve(monkeypatch):
     real_factor = multiplicative.factor_rational
     real_to_group_ring = quotient.to_group_ring
 
-    def factor_rational(x, limit=None):
+    def factor_rational(x):
         calls.append((x, bool(converting)))
-        return real_factor(x, limit)
+        return real_factor(x)
 
     def to_group_ring(rec, basis):
         converting.append(rec)
@@ -382,7 +383,8 @@ def test_caller_limit_reaches_every_factorization():
     p = 2**89 - 1
     u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
     v = from_closed_form([(F(p), F(1)), (F(1), F(-1))])
-    assert hadamard_quotient(u, v, limit=2**90) == geometric(2)
+    with factor_limit(2**90):
+        assert hadamard_quotient(u, v) == geometric(2)
     with pytest.raises(FactorizationLimit):
         hadamard_quotient(u, v)
 
@@ -397,9 +399,9 @@ def test_section_solver_is_looked_up_per_call(monkeypatch):
     seen = []
     real = quotient.hadamard_quotient
 
-    def traced(u, v, limit=None):
+    def traced(u, v):
         seen.append((u, v))
-        return real(u, v, limit)
+        return real(u, v)
 
     monkeypatch.setattr(quotient, "hadamard_quotient", traced)
     # 2^n + (-2)^n over 2^n: torsion, so the direct call fails and two sections run.

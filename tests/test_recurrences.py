@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
-from recurquot.errors import InputError, IrrationalRoots, ZeroRecurrence, ZeroRoot
-from recurquot.places import Place
+from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
 from recurquot.polys import UniPoly
 from recurquot.recurrences import (
     ClearedRecurrence,
     LinearRecurrence,
     constant,
-    dominant_split,
     from_closed_form,
     from_relation,
     geometric,
@@ -234,33 +232,6 @@ def test_zero_set_completeness_extends(u):
             assert in_progression(n)
 
 
-def test_dominant_split_archimedean():
-    v = geometric(3) + geometric(2) + constant(1)
-    split = dominant_split(v, Place.archimedean())
-    assert split.dominant.roots == (F(3),)
-    assert split.rest.roots == (F(1), F(2))
-    assert split.ratio_delta == F(2, 3)
-
-
-def test_dominant_split_finite_place():
-    v = geometric(2) + geometric(3)
-    split = dominant_split(v, Place.finite(2))
-    assert split.dominant.roots == (F(3),)
-    assert split.ratio_delta == F(1, 2)
-
-
-def test_dominant_split_tie():
-    v = geometric(2) + geometric(-2)
-    split = dominant_split(v, Place.archimedean())
-    assert set(split.dominant.roots) == {F(2), F(-2)}
-    assert split.rest.is_zero
-
-
-def test_dominant_split_rejects_zero():
-    with pytest.raises(ZeroRecurrence):
-        dominant_split(LinearRecurrence(()), Place.archimedean())
-
-
 def test_multi_recurrence_evaluate():
     w = multi_from_closed_form([(F(3), F(1), F(1)), (F(1), F(2), F(-1))])
     for m in range(4):
@@ -315,9 +286,9 @@ coeffs, initial = [2], [1]
 if mode == "initial":
     rec.solve_rational = lambda matrix, rhs: [x + 1 for x in real_solve(matrix, rhs)]
 elif mode == "relation":
-    UniPoly.rational_roots = lambda self, limit=None: [(Fraction(3), 1)]
+    UniPoly.rational_roots = lambda self: [(Fraction(3), 1)]
 else:
-    UniPoly.rational_roots = lambda self, limit=None: [(Fraction(2), 1)] * 2
+    UniPoly.rational_roots = lambda self: [(Fraction(2), 1)] * 2
     coeffs, initial = [-6, 5], [1, 1]
 try:
     rec.from_relation(coeffs, initial)
