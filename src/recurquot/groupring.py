@@ -5,7 +5,10 @@ A recurrence whose roots lie in a torsion-free group with free basis
 X stands for the index n and T_i for the sequence n -> g_i^n.  The
 correspondence turns pointwise sequence product into ring product, so
 divisibility questions about sequences become exact polynomial algebra.
-Units of the Laurent ring are the monomials q * T^a with q in Q*.
+Units of the Laurent ring are the monomials q * T^a with q in Q*, and
+an element *is* its split q * T^a * P into a unit and a primitive
+integer polynomial P in X and the T_i: gcd and division work on the
+stored P and convert nothing.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BasisMismatch, BothZero, VerificationFailed, ZeroInput
+from .errors import BasisMismatch, BothZero, InputError, VerificationFailed, ZeroInput
 from .multiplicative import MultiplicativeBasis
 from .polys import UniPoly, _monomial, _render_sum
 from .recurrences import LinearRecurrence, from_closed_form
 
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
 #
-# Gcd and division work in Z[v_0..v_{k-1}]: inputs are split into a
-# rational constant times a primitive integer polynomial.  The gcd tries
-# GCDHEU first, and a primitive PRS over the integers takes over when it
-# gives up.  Every answer is exact.
+# Gcd and division work in Z[v_0..v_{k-1}], v_0 = X and v_i = T_i, on the
+# primitive parts that group-ring elements store.  The gcd tries GCDHEU
+# first, and a primitive PRS over the integers takes over when it gives
+# up.  Every answer is exact.
 
 
 def _zz_content(f: dict) -> int:
@@ -239,30 +242,60 @@ def _zz_gcd(f: dict, g: dict, k: int) -> dict:
 class GroupRingElement:
     """Element of Q[X, T_1^+-1, .., T_t^+-1] over a multiplicative basis.
 
-    Terms map (x_degree, t_exponents) to a non-zero rational; x_degree
-    is >= 0, t_exponents are arbitrary integers of length basis.rank.
-    As a sequence the element evaluates to
-    sum(c * n^x * prod(g_i^(e_i * n))).
+    A non-zero element is stored as its split content * T^low * poly:
+    content is a non-zero rational, low holds the least T-exponents, and
+    poly maps (x_degree, t_1, .., t_t) to an integer.  poly is primitive,
+    its lex-leading coefficient is positive and no T_i divides it, so the
+    split is unique.  The zero element has content 0, low 0 and no poly.
+    As a sequence the element evaluates to sum(c * n^x * prod(g_i^(e_i * n)))
+    over its ``terms``.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis", "content", "low", "poly")
 
     def __init__(self, basis: MultiplicativeBasis, terms: dict):
+        """Split a map (x_degree, t_exponents) -> rational.
+
+        x_degree is >= 0, t_exponents are arbitrary integers, one per
+        generator of the basis.
+        """
         clean = {}
         for (x, te), c in terms.items():
+            key = (int(x), *map(int, te))
+            if key[0] < 0 or len(key) != 1 + basis.rank:
+                raise InputError(
+                    f"group-ring term {(x, te)!r} needs x >= 0 and {basis.rank} T-exponents"
+                )
             c = Fraction(c)
-            if c == 0:
-                continue
-            te = tuple(int(v) for v in te)
-            assert x >= 0 and len(te) == basis.rank
-            clean[(int(x), te)] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+            if c:
+                clean[key] = c
+        if not clean:
+            self._set(basis, Fraction(0), (0,) * basis.rank, {})
+            return
+        low = tuple(map(min, zip(*clean)))[1:]
+        shift = (0, *low)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        poly = {
+            tuple(a - b for a, b in zip(e, shift)): c.numerator * (den // c.denominator)
+            for e, c in clean.items()
+        }
+        cont = _zz_content(poly)
+        self._set(basis, Fraction(cont, den), low, {e: c // cont for e, c in poly.items()})
+
+    def _set(self, *fields) -> "GroupRingElement":
+        for name, value in zip(GroupRingElement.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _split(cls, basis, content, low, poly) -> "GroupRingElement":
+        """content * T^low * poly, for a split that is already normal."""
+        return cls.__new__(cls)._set(basis, content, low, poly)
 
     @classmethod
     def zero(cls, basis) -> "GroupRingElement":
@@ -276,21 +309,28 @@ class GroupRingElement:
     # -- queries ----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """The element as a map (x_degree, t_exponents) -> non-zero rational."""
+        return {
+            (e[0], tuple(a + b for a, b in zip(e[1:], self.low))): self.content * c
+            for e, c in self.poly.items()
+        }
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.poly
 
     @property
     def is_polynomial(self) -> bool:
         """True when no T variable appears (an element of Q[X])."""
-        return all(all(e == 0 for e in te) for _, te in self.terms)
+        return not any(self.low) and not any(any(e[1:]) for e in self.poly)
 
     def x_polynomial(self) -> UniPoly:
         assert self.is_polynomial
-        coeffs: dict[int, Fraction] = {}
-        for (x, _), c in self.terms.items():
-            coeffs[x] = c
-        top = max(coeffs, default=-1)
-        return UniPoly([coeffs.get(d, Fraction(0)) for d in range(top + 1)])
+        coeffs = [0] * (1 + max((e[0] for e in self.poly), default=-1))
+        for e, c in self.poly.items():
+            coeffs[e[0]] = self.content * c
+        return UniPoly(coeffs)
 
     def _check(self, other: "GroupRingElement"):
         if self.basis is not other.basis and not self.basis.same_group(other.basis):
@@ -300,73 +340,45 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return GroupRingElement(self.basis, out)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.basis, {k: -c for k, c in self.terms.items()})
+        return self._split(self.basis, -self.content, self.low, self.poly)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GroupRingElement(
-                self.basis, {k: c * other for k, c in self.terms.items()}
-            )
+            if not other:
+                return GroupRingElement.zero(self.basis)
+            return self._split(self.basis, self.content * other, self.low, self.poly)
         self._check(other)
-        out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for (x1, t1), c1 in self.terms.items():
-            for (x2, t2), c2 in other.terms.items():
-                key = (x1 + x2, tuple(a + b for a, b in zip(t1, t2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return GroupRingElement(self.basis, out)
+        if self.is_zero or other.is_zero:
+            return GroupRingElement.zero(self.basis)
+        # By Gauss's lemma the product of primitive polys is primitive, its
+        # lead is the product of the leads, and the prime T_i divides it
+        # only if it divides a factor: the split stays normal.
+        return self._split(
+            self.basis,
+            self.content * other.content,
+            tuple(a + b for a, b in zip(self.low, other.low)),
+            _zz_mul(self.poly, other.poly),
+        )
 
     __rmul__ = __mul__
 
-    # -- sequence view ----------------------------------------------------------
-
-    def evaluate(self, n: int) -> Fraction:
-        out = Fraction(0)
-        cache: dict[tuple[int, ...], Fraction] = {}
-        for (x, te), c in self.terms.items():
-            if te not in cache:
-                cache[te] = self.basis.reconstruct(te)
-            out += c * Fraction(n) ** x * cache[te] ** n
-        return out
-
     # -- normal forms -------------------------------------------------------------
-
-    def min_t_exponents(self) -> tuple[int, ...]:
-        assert self.terms
-        rank = self.basis.rank
-        return tuple(
-            min(te[i] for _, te in self.terms) for i in range(rank)
-        )
-
-    def t_shift(self, shift: tuple[int, ...]) -> "GroupRingElement":
-        """Multiply by the unit T^shift."""
-        return GroupRingElement(
-            self.basis,
-            {
-                (x, tuple(a + s for a, s in zip(te, shift))): c
-                for (x, te), c in self.terms.items()
-            },
-        )
 
     def unit_normalized(self) -> "GroupRingElement":
         """Canonical associate: min T-exponents 0, lex-leading coefficient 1."""
         if self.is_zero:
             return self
-        shift = tuple(-m for m in self.min_t_exponents())
-        shifted = self.t_shift(shift)
-        lead_key = max(shifted.terms)
-        lead = shifted.terms[lead_key]
-        return GroupRingElement(
-            self.basis, {k: c / lead for k, c in shifted.terms.items()}
-        )
+        lead = self.poly[max(self.poly)]
+        return self._split(self.basis, Fraction(1, lead), (0,) * self.basis.rank, self.poly)
 
     # -- rendering -------------------------------------------------------------------
 
@@ -379,10 +391,15 @@ class GroupRingElement:
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.basis.same_group(other.basis) and self.terms == other.terms
+        return (
+            self.content == other.content
+            and self.low == other.low
+            and self.poly == other.poly
+            and self.basis.same_group(other.basis)
+        )
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.content, self.low, frozenset(self.poly.items())))
 
     def __repr__(self):
         return f"GroupRingElement({self.render()})"
@@ -422,30 +439,13 @@ def from_group_ring(f: GroupRingElement) -> LinearRecurrence:
 # -- Laurent gcd and division --------------------------------------------------------
 
 
-def _zz_clear(f: GroupRingElement) -> tuple[Fraction, dict, tuple[int, ...]]:
-    """Split non-zero f as c * T^low * P with c rational, P in Z[X, T].
-
-    low holds the least T-exponents, so no T_i divides P; P is primitive
-    with a positive lex-leading coefficient, keyed by (x, t_1, .., t_t).
-    """
-    low = f.min_t_exponents()
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    poly = {
-        (x, *(a - b for a, b in zip(te, low))): c.numerator * (den // c.denominator)
-        for (x, te), c in f.terms.items()
-    }
-    cont = _zz_content(poly)
-    return Fraction(cont, den), {e: c // cont for e, c in poly.items()}, low
-
-
 def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
     """Gcd up to units, returned unit-normalized.
 
-    The T variables are units, so gcds are computed in the polynomial
-    ring after clearing negative exponents; no T_i divides either
-    cleared input, hence none divides the gcd, which is therefore
-    already in normal position.  Denominators are cleared too, and the
-    gcd is taken over the integers (GCDHEU, then a primitive PRS).
+    Contents and T-powers are units, so the gcd is that of the primitive
+    parts, taken over the integers (GCDHEU, then a primitive PRS).  No
+    T_i divides either part, hence none divides their gcd, which is
+    therefore already in normal position.
     """
     f._check(g)
     if f.is_zero and g.is_zero:
@@ -454,35 +454,25 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
         return g.unit_normalized()
     if g.is_zero:
         return f.unit_normalized()
-    h = _zz_gcd(_zz_clear(f)[1], _zz_clear(g)[1], 1 + f.basis.rank)
-    lead = h[max(h)]
-    element = GroupRingElement(
-        f.basis, {(e[0], e[1:]): Fraction(c, lead) for e, c in h.items()}
-    )
-    return element.unit_normalized()
+    h = _zz_gcd(f.poly, g.poly, 1 + f.basis.rank)
+    return GroupRingElement._split(f.basis, Fraction(1, h[max(h)]), (0,) * f.basis.rank, h)
 
 
 def laurent_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement | None:
     """Exact quotient f/g in the Laurent ring, or None if g does not divide f.
 
-    With f = c_f * T^a * P_f and g = c_g * T^b * P_g as in ``_zz_clear``,
-    g divides f iff P_g divides P_f over Q, which by Gauss's lemma (P_g
-    is primitive) holds iff it does over Z; the quotient is then
-    (c_f / c_g) * T^(a - b) * P_f / P_g.
+    g divides f iff g.poly divides f.poly over Q, which by Gauss's lemma
+    (g.poly is primitive) holds iff it does over Z.  The quotient poly is
+    then primitive with a positive lead and no T_i factor, and the split
+    of f/g is (f.content / g.content) * T^(f.low - g.low) * quotient.
     """
     f._check(g)
     if g.is_zero:
         raise ZeroInput("division by the zero element")
     if f.is_zero:
         return GroupRingElement.zero(f.basis)
-    cf, pf, f_low = _zz_clear(f)
-    cg, pg, g_low = _zz_clear(g)
-    quo = _zz_divide(pf, pg)
+    quo = _zz_divide(f.poly, g.poly)
     if quo is None:
         return None
-    scale = cf / cg
-    shift = tuple(a - b for a, b in zip(f_low, g_low))
-    return GroupRingElement(
-        f.basis,
-        {(e[0], tuple(t + s for t, s in zip(e[1:], shift))): scale * c for e, c in quo.items()},
-    )
+    low = tuple(a - b for a, b in zip(f.low, g.low))
+    return GroupRingElement._split(f.basis, f.content / g.content, low, quo)

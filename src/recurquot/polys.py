@@ -285,11 +285,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def poly_affine_compose(u: UniPoly, q, r) -> UniPoly:
-    """u(q*X + r) as an exact polynomial."""
-    return u.shift_compose(_fr(q), _fr(r))
-
-
 class BiPoly:
     """Sparse polynomial in two variables over Q, keyed by (deg_first, deg_second)."""
 

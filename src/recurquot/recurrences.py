@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
 from .linalg import solve_rational
-from .polys import BiPoly, UniPoly, _render_sum, poly_affine_compose
+from .polys import BiPoly, UniPoly, _render_sum
 
 
 def _fr(x) -> Fraction:
@@ -133,7 +133,7 @@ class LinearRecurrence:
         merged: dict[Fraction, UniPoly] = {}
         for root, coeff in self.terms:
             new_root = root**q
-            new_coeff = poly_affine_compose(coeff, q, r).scale(root**r)
+            new_coeff = coeff.shift_compose(q, r).scale(root**r)
             merged[new_root] = merged.get(new_root, UniPoly.zero()) + new_coeff
         return LinearRecurrence(
             tuple((r_, c) for r_, c in merged.items() if not c.is_zero)
@@ -430,15 +430,12 @@ class MultiRecurrence:
     def render(self, vars: tuple[str, str] = ("m", "n")) -> str:
         parts = []
         for base_m, base_n, coeff in self.terms:
+            powers = [_pow_str(b, var) for b, var in zip((base_m, base_n), vars) if b != 1]
+            if set(coeff.terms) == {(0, 0)}:
+                parts.append((coeff.terms[(0, 0)], powers))
+                continue
             body = coeff.render(vars)
-            factors = []
-            if body != "1" or (base_m == 1 and base_n == 1):
-                factors.append(f"({body})" if " " in body else body)
-            if base_m != 1:
-                factors.append(_pow_str(base_m, vars[0]))
-            if base_n != 1:
-                factors.append(_pow_str(base_n, vars[1]))
-            parts.append(_signed("*".join(factors)))
+            parts.append(_signed("*".join([f"({body})" if " " in body else body, *powers])))
         return _render_sum(parts)
 
     def __eq__(self, other):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurquot import groupring
-from recurquot.errors import BasisMismatch, BothZero, VerificationFailed, ZeroInput
+from recurquot.errors import (
+    BasisMismatch,
+    BothZero,
+    InputError,
+    VerificationFailed,
+    ZeroInput,
+)
 from recurquot.groupring import (
     GroupRingElement,
     from_group_ring,
@@ -35,6 +42,11 @@ def geom(root, coeff=1):
     return from_closed_form([(F(root), UniPoly([F(coeff)]))])
 
 
+def value(f, n):
+    """The element's sequence at n, read through its recurrence."""
+    return from_group_ring(f).evaluate(n)
+
+
 def test_constructors_and_queries():
     zero = GroupRingElement.zero(BASIS)
     assert zero.is_zero
@@ -46,15 +58,27 @@ def test_constructors_and_queries():
     assert not elem({(0, (1, 0)): F(3)}).is_polynomial
 
 
+@pytest.mark.parametrize("terms", [
+    {(0, (1,)): F(1)},
+    {(0, (1, 0, 0)): F(1)},
+    {(-1, (0, 0)): F(2)},
+    {(0, (1,)): 1, (-1, (0, 0, 0)): 2},
+])
+def test_constructor_rejects_malformed_terms(terms):
+    # A raise, not an assert: under python -O the element must not be built.
+    with pytest.raises(InputError):
+        elem(terms)
+
+
 def test_evaluate_matches_sequence_semantics():
     f = elem({(1, (1, 0)): F(1), (0, (0, 1)): F(-2)})
     for n in range(6):
-        assert f.evaluate(n) == n * F(2) ** n - 2 * F(3) ** n
+        assert value(f, n) == n * F(2) ** n - 2 * F(3) ** n
 
 
 def test_negative_exponents_evaluate():
     f = elem({(0, (-1, 0)): F(1)})
-    assert f.evaluate(3) == F(1, 8)
+    assert value(f, 3) == F(1, 8)
 
 
 def test_ring_axioms_on_samples():
@@ -65,14 +89,14 @@ def test_ring_axioms_on_samples():
     assert a * b == b * a
     assert (a - a).is_zero
     for n in range(5):
-        assert (a * b).evaluate(n) == a.evaluate(n) * b.evaluate(n)
-        assert (a + b).evaluate(n) == a.evaluate(n) + b.evaluate(n)
+        assert value(a * b, n) == value(a, n) * value(b, n)
+        assert value(a + b, n) == value(a, n) + value(b, n)
 
 
 def test_scalar_multiplication():
     a = elem({(1, (1, 0)): F(1)})
-    assert (a * 3).evaluate(2) == 3 * a.evaluate(2)
-    assert (a * F(1, 2)).evaluate(4) == a.evaluate(4) / 2
+    assert value(a * 3, 2) == 3 * value(a, 2)
+    assert value(a * F(1, 2), 4) == value(a, 4) / 2
 
 
 def test_basis_mismatch_is_rejected():
@@ -85,21 +109,21 @@ def test_same_group_bases_interoperate():
     alt = compute_basis((F(2), F(3), F(6)))
     a = elem({(0, (1, 0)): F(1)})
     b = GroupRingElement(alt, {(0, (0, 1)): F(1)})
-    assert (a * b).evaluate(2) == F(4) * F(9)
+    assert value(a * b, 2) == F(4) * F(9)
 
 
-def test_t_shift_and_min_exponents():
+def test_low_holds_the_least_t_exponents():
     f = elem({(0, (-1, 2)): F(1), (1, (3, 0)): F(2)})
-    assert f.min_t_exponents() == (-1, 0)
-    g = f.t_shift((1, 0))
-    assert g.min_t_exponents() == (0, 0)
-    assert g.evaluate(2) == f.evaluate(2) * F(2) ** 2
+    assert f.low == (-1, 0)
+    g = f * elem({(0, (1, 0)): F(1)})
+    assert g.low == (0, 0)
+    assert value(g, 2) == value(f, 2) * F(2) ** 2
 
 
 def test_unit_normalized():
     f = elem({(0, (-1, 1)): F(-2), (1, (2, 1)): F(-6)})
     g = f.unit_normalized()
-    assert g.min_t_exponents() == (0, 0)
+    assert g.low == (0, 0)
     (x0, t0), = [k for k in g.terms if k[0] == max(x for x, _ in g.terms)]
     assert g.terms[(x0, t0)] > 0
 
@@ -112,7 +136,7 @@ def test_round_trip_with_recurrences():
     f = to_group_ring(u, BASIS)
     assert from_group_ring(f) == u
     for n in range(5):
-        assert f.evaluate(n) == u.evaluate(n)
+        assert value(f, n) == u.evaluate(n)
 
 
 def test_to_group_ring_rejects_outside_roots():
@@ -143,7 +167,7 @@ def test_laurent_gcd_units_cleared():
     basis = compute_basis((F(2),))
     a = GroupRingElement(basis, {(0, (3,)): F(2), (0, (1,)): F(-2)})
     g = laurent_gcd(a, a)
-    assert g.min_t_exponents() == (0,)
+    assert g.low == (0,)
     assert g == GroupRingElement(basis, {(0, (2,)): F(1), (0, (0,)): F(-1)})
 
 
@@ -244,13 +268,15 @@ def test_linear_recurrence_alias():
 
 def fraction_poly(a):
     """Non-zero a shifted to T-exponents >= 0 as a Fraction dict, and its least T-exponents."""
-    low = a.min_t_exponents()
+    low = a.low
     poly = {(x, *(t - m for t, m in zip(te, low))): c for (x, te), c in a.terms.items()}
     return poly, low
 
 
 def from_fraction_poly(basis, poly, shift):
-    return GroupRingElement(basis, {(e[0], e[1:]): c for e, c in poly.items()}).t_shift(shift)
+    return GroupRingElement(
+        basis, {(e[0], tuple(t + s for t, s in zip(e[1:], shift))): c for e, c in poly.items()}
+    )
 
 
 def oracle_gcd(a, b):
@@ -274,8 +300,8 @@ def oracle_divide(a, b):
 
 
 def integer_inputs(a, b):
-    """The cleared integer polynomials laurent_gcd hands to the gcd."""
-    return groupring._zz_clear(a)[1], groupring._zz_clear(b)[1], 1 + a.basis.rank
+    """The primitive integer polynomials laurent_gcd hands to the gcd."""
+    return a.poly, b.poly, 1 + a.basis.rank
 
 
 BASES = {rank: compute_basis(tuple(F(p) for p in (2, 3, 5)[:rank])) for rank in (1, 2, 3)}
@@ -335,6 +361,30 @@ wide_elems = st.builds(
         min_size=1, max_size=4, unique_by=lambda t: t[0],
     ),
 )
+
+def assert_normal_split(x):
+    """x is stored as its unique split content * T^low * poly."""
+    rebuilt = GroupRingElement(x.basis, x.terms)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    if x.is_zero:
+        assert x.content == 0 and x.low == (0,) * x.basis.rank
+        return
+    assert x.content != 0
+    assert all(type(c) is int for c in x.poly.values())
+    assert math.gcd(*x.poly.values()) == 1 and x.poly[max(x.poly)] > 0
+    assert all(min(column) == 0 for column in list(zip(*x.poly))[1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_elems, wide_elems)
+def test_every_operation_keeps_the_split_normal(a, b):
+    prod = a * b
+    for x in (a, b, prod, -a, a * 3, b * F(-2, 5), a * 0, a.unit_normalized(),
+              b.unit_normalized(), laurent_gcd(a, b), laurent_divide(prod, b),
+              laurent_divide(a, b), laurent_divide(b, laurent_gcd(a, b))):
+        if x is not None:
+            assert_normal_split(x)
+
 
 NEGATIVE_LEAD = elem({(2, (1, -2)): F(-4, 3), (0, (-1, 0)): F(6)})
 RATIONAL = elem({(1, (0, -1)): F(9, 4), (0, (2, 1)): F(-3, 2), (0, (0, 0)): F(15, 8)})

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
 from recurquot.errors import BothZero, ZeroInput
-from recurquot.polys import BiPoly, UniPoly, poly_affine_compose, poly_gcd
+from recurquot.polys import BiPoly, UniPoly, poly_gcd
 
 F = Fraction
 
@@ -88,6 +88,14 @@ def test_shift_compose():
     assert p.shift_compose(F(1), F(1)).coeffs == (F(1), F(2), F(1))
 
 
+def test_poly_affine_compose():
+    # P(q*n + r) with plain int q and r.
+    p = upoly(0, 1)
+    assert p.shift_compose(2, 1).coeffs == (F(1), F(2))
+    q = upoly(0, 0, 1)
+    assert q.shift_compose(3, -1)(F(2)) == F(25)
+
+
 def test_poly_gcd_monic():
     a = upoly(-1, 0, 1) * upoly(2)
     b = upoly(-1, 1) * upoly(0, 3)
@@ -149,13 +157,6 @@ def test_render():
     assert upoly(0, F(1, 2)).render("N") == "1/2*N"
     assert UniPoly([]).render("X") == "0"
     assert upoly(5).render("X") == "5"
-
-
-def test_poly_affine_compose():
-    p = upoly(0, 1)
-    assert poly_affine_compose(p, 2, 1).coeffs == (F(1), F(2))
-    q = upoly(0, 0, 1)
-    assert poly_affine_compose(q, 3, -1)(F(2)) == F(25)
 
 
 def test_bipoly_from_unipoly_and_evaluate():

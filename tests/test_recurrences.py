@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
-from recurquot.polys import UniPoly
+from recurquot.polys import BiPoly, UniPoly
 from recurquot.recurrences import (
     ClearedRecurrence,
     LinearRecurrence,
@@ -243,6 +243,16 @@ def test_multi_render():
     w = multi_from_closed_form([(F(3), F(1), F(1)), (F(1), F(1), F(-1))])
     text = w.render()
     assert "3^m" in text
+    # A constant coefficient of -1 is a bare sign, as in LinearRecurrence.render.
+    for triples, text in [
+        ([(2, 1, -1), (3, 1, 1)], "-2^m + 3^m"),
+        ([(2, 3, -1)], "-2^m*3^n"),
+        ([(1, 1, -1), (2, 1, 1)], "-1 + 2^m"),
+        ([(1, 2, F(-1, 2)), (3, 1, 1)], "-1/2*2^n + 3^m"),
+        ([(2, 1, BiPoly({(1, 0): F(-1)}))], "-m*2^m"),
+        ([(2, 1, BiPoly({(1, 0): F(1), (0, 0): F(-1)}))], "(m - 1)*2^m"),
+    ]:
+        assert multi_from_closed_form(triples).render() == text
 
 
 def test_cleared_recurrence_of():
@@ -276,7 +286,7 @@ import sys
 from fractions import Fraction
 import recurquot.recurrences as rec
 from recurquot.errors import VerificationFailed
-from recurquot.polys import UniPoly
+from recurquot.polys import BiPoly, UniPoly
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
