@@ -72,7 +72,7 @@ from .multiplicative import (
 )
 from .parsing import RecurrenceSpec, parse_polynomial, parse_rational, parse_spec
 from .places import Place, place_abs, valuation
-from .polys import BiPoly, UniPoly, poly_gcd
+from .polys import BiPoly, UniPoly
 from .quotient import (
     NoClearance,
     QuotientCertificate,

@@ -18,10 +18,8 @@ from fractions import Fraction
 
 from .errors import (
     InputError,
-    ParseError,
     RecurquotError,
     ResourceError,
-    SchemaError,
     VerificationFailed,
 )
 from .factorization import DEFAULT_FACTOR_LIMIT, factor_limit
@@ -497,9 +495,6 @@ def main(argv=None, out=None) -> int:
         print(f"internal check failed (a defect in recurquot, not in the input): {exc}",
               file=out)
         return EXIT_INTERNAL
-    except (ParseError, SchemaError, InputError) as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_INPUT
     except RecurquotError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT

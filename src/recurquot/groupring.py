@@ -301,11 +301,6 @@ class GroupRingElement:
     def zero(cls, basis) -> "GroupRingElement":
         return cls(basis, {})
 
-    @classmethod
-    def from_poly(cls, basis, poly: UniPoly) -> "GroupRingElement":
-        zero_t = (0,) * basis.rank
-        return cls(basis, {(d, zero_t): c for d, c in enumerate(poly.coeffs)})
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -476,3 +471,25 @@ def laurent_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement
         return None
     low = tuple(a - b for a, b in zip(f.low, g.low))
     return GroupRingElement._split(f.basis, f.content / g.content, low, quo)
+
+
+def strip_x_content(f: GroupRingElement) -> GroupRingElement:
+    """f without its largest Q[X] factor, unit-normalized; f must be non-zero.
+
+    The X-content is the gcd of the T-columns of f.poly, one integer
+    polynomial in X per T-monomial.  By Gauss's lemma the quotient of the
+    primitive f.poly by that primitive gcd is primitive with a positive
+    lead, and it keeps f.poly's freedom from T_i factors.
+    """
+    columns: dict[tuple[int, ...], dict] = {}
+    for e, c in f.poly.items():
+        columns.setdefault(e[1:], {})[e[:1]] = c
+    parts = iter(columns.values())
+    content = next(parts)
+    for col in parts:
+        content = _zz_gcd(content, col, 1)
+    zero_t = (0,) * f.basis.rank
+    quo = _zz_divide(f.poly, {x + zero_t: c for x, c in content.items()})
+    if quo is None:
+        raise VerificationFailed("X-content does not divide its own element")
+    return GroupRingElement._split(f.basis, Fraction(1, quo[max(quo)]), zero_t, quo)

@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BothZero, VerificationFailed, ZeroInput
+from .errors import VerificationFailed, ZeroInput
 from .factorization import divisors
 
 
@@ -73,10 +73,6 @@ class UniPoly:
     @classmethod
     def x(cls) -> "UniPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, c=1) -> "UniPoly":
-        return cls((0,) * degree + (c,))
 
     # -- basic queries -------------------------------------------------
 
@@ -173,14 +169,6 @@ class UniPoly:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -276,15 +264,6 @@ class UniPoly:
         return f"UniPoly({self.render()})"
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q; gcd(0, 0) raises BothZero."""
-    if a.is_zero and b.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
 class BiPoly:
     """Sparse polynomial in two variables over Q, keyed by (deg_first, deg_second)."""
 
@@ -300,10 +279,6 @@ class BiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
 
     @classmethod
     def from_unipoly(cls, u: UniPoly, var_index: int) -> "BiPoly":
@@ -323,28 +298,6 @@ class BiPoly:
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                key = (i + k, j + l)
-                out[key] = out.get(key, 0) + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "BiPoly":
-        c = _fr(c)
-        return BiPoly({k: v * c for k, v in self.terms.items()})
 
     def __call__(self, m, n) -> Fraction:
         out = Fraction(0)

@@ -16,7 +16,6 @@ positive).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,11 +25,17 @@ from .groupring import (
     from_group_ring,
     laurent_divide,
     laurent_gcd,
+    strip_x_content,
     to_group_ring,
 )
 from .multiplicative import MultiplicativeBasis, compute_basis
-from .polys import BiPoly, UniPoly, poly_gcd
-from .recurrences import LinearRecurrence, MultiRecurrence, multi_from_closed_form
+from .polys import BiPoly, UniPoly
+from .recurrences import (
+    ClearedRecurrence,
+    LinearRecurrence,
+    MultiRecurrence,
+    multi_from_closed_form,
+)
 
 
 @dataclass(frozen=True)
@@ -66,18 +71,6 @@ class NoClearance:
 def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBasis:
     """Canonical basis of the group spanned by all roots of u and v."""
     return compute_basis(tuple(u.roots) + tuple(v.roots))
-
-
-def _coefficient_lcm(rec) -> int:
-    out = 1
-    if isinstance(rec, MultiRecurrence):
-        coeff_groups = [list(c.terms.values()) for _, _, c in rec.terms]
-    else:
-        coeff_groups = [list(c.coeffs) for _, c in rec.terms]
-    for group in coeff_groups:
-        for c in group:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-    return out
 
 
 def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
@@ -122,9 +115,11 @@ def polynomial_clearance(
     v_reduced = laurent_divide(fv, gcd)
     if v_reduced is None:
         raise VerificationFailed("the gcd does not divide the divisor")
-    v_norm = v_reduced.unit_normalized()
-    if not v_norm.is_polynomial:
-        witness = _strip_x_content(v_norm)
+    # The unit-normalized v' has lex-leading coefficient 1; when it lies in
+    # Q[X] that coefficient is its X-lead, so v' is already the monic P.
+    p_element = v_reduced.unit_normalized()
+    if not p_element.is_polynomial:
+        witness = strip_x_content(p_element)
         return NoClearance(
             reason="divisor-not-polynomial",
             witness=witness,
@@ -134,8 +129,7 @@ def polynomial_clearance(
                 "the index can absorb it"
             ),
         )
-    clearing = v_norm.x_polynomial().monic()
-    p_element = GroupRingElement.from_poly(basis, clearing)
+    clearing = p_element.x_polynomial()
     quotient_element = laurent_divide(fu * p_element, fv)
     if quotient_element is None:
         raise VerificationFailed("clearance identity failed")
@@ -153,28 +147,8 @@ def polynomial_clearance(
         clearing_poly=clearing,
         quotient=quotient,
         v_over_p=v_over_p,
-        min_denominator=_coefficient_lcm(quotient),
+        min_denominator=ClearedRecurrence(quotient).scale,
     )
-
-
-def _strip_x_content(element: GroupRingElement) -> GroupRingElement:
-    """Remove the largest Q[X] factor, keeping the obstruction only."""
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (x, te), c in element.terms.items():
-        groups.setdefault(te, {})[x] = c
-    polys = []
-    for coeffs in groups.values():
-        top = max(coeffs)
-        polys.append(UniPoly([coeffs.get(d, Fraction(0)) for d in range(top + 1)]))
-    content = polys[0]
-    for p in polys[1:]:
-        content = poly_gcd(content, p)
-    quo = laurent_divide(
-        element, GroupRingElement.from_poly(element.basis, content)
-    )
-    if quo is None:
-        raise VerificationFailed("X-content does not divide its own element")
-    return quo.unit_normalized()
 
 
 def cross_quotient(
@@ -204,17 +178,15 @@ def cross_quotient(
     clearing = p.monic()
     lead = p.lc
     v_over_p = LinearRecurrence(((beta, UniPoly.constant(lead)),))
-    quotient_terms = []
-    for root, coeff in u.terms:
-        quotient_terms.append(
-            (root, 1 / beta, BiPoly.from_unipoly(coeff.scale(1 / lead), 0))
-        )
-    quotient = multi_from_closed_form(quotient_terms)
+    scaled = u.scale(1 / lead)
+    quotient = multi_from_closed_form(
+        (root, 1 / beta, BiPoly.from_unipoly(coeff, 0)) for root, coeff in scaled.terms
+    )
     return QuotientCertificate(
         clearing_poly=clearing,
         quotient=quotient,
         v_over_p=v_over_p,
-        min_denominator=_coefficient_lcm(quotient),
+        min_denominator=ClearedRecurrence(scaled).scale,
     )
 
 

@@ -460,7 +460,7 @@ def multi_from_closed_form(triples) -> MultiRecurrence:
         if not isinstance(coeff, BiPoly):
             coeff = BiPoly({(0, 0): _fr(coeff)})
         key = (base_m, base_n)
-        merged[key] = merged.get(key, BiPoly.zero()) + coeff
+        merged[key] = merged.get(key, BiPoly()) + coeff
     return MultiRecurrence(
         tuple((a, b, c) for (a, b), c in merged.items() if not c.is_zero)
     )

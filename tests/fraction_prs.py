@@ -1,15 +1,18 @@
-"""Test-only oracles: the recursive primitive PRS gcd and the exact
-division over Fractions.
+"""Test-only oracles: the recursive primitive PRS gcd, the exact
+division and the removal of X-content, all over Fractions.
 
-These are the gcd and division ``recurquot.groupring`` used before it
-moved to integer coefficients.  The gcd is slow (its innermost content
-is a gcd of constants, always 1, so remainders are never normalized and
-coefficients grow), but both are simple and share no code with the
-library, so the tests compare the library against them on small inputs.
-Polynomials are dicts mapping exponent tuples to Fractions.
+These are the gcd, division and refusal witness that ``recurquot``
+computed before it moved to integer coefficients.  The gcd is slow (its
+innermost content is a gcd of constants, always 1, so remainders are
+never normalized and coefficients grow), but all three are simple and
+share no code with the library's integer core, so the tests compare the
+library against them on small inputs.  Polynomials are dicts mapping
+exponent tuples to Fractions.
 """
 
 from fractions import Fraction
+
+from recurquot.polys import UniPoly
 
 
 def _mv_lead(f: dict) -> tuple[tuple[int, ...], Fraction]:
@@ -148,3 +151,36 @@ def fraction_prs_gcd(f: dict, g: dict, k: int) -> dict:
         rem = _prem(fp, gp)
         fp, gp = gp, _primitive(rem, k - 1)
     return _mv_monic(_join_main({d: _mv_mul(c, cont) for d, c in fp.items()}))
+
+
+def _euclid_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q by Euclid's algorithm; a and b are not both zero."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+def fraction_strip_x_content(terms: dict) -> dict:
+    """A non-zero group-ring element without its largest Q[X] factor.
+
+    ``terms`` maps (x_degree, t_exponents) to Fractions, as
+    ``GroupRingElement.terms`` does.  The X-content is the gcd over Q of
+    the columns, one polynomial in X per T-monomial.  The result, in the
+    same form, is shifted to least T-exponents 0 and scaled to a
+    lex-leading coefficient of 1.
+    """
+    columns: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (x, te), c in terms.items():
+        columns.setdefault(te, {})[x] = c
+    polys = [UniPoly([col.get(d, 0) for d in range(max(col) + 1)]) for col in columns.values()]
+    content = polys[0].monic()
+    for p in polys[1:]:
+        content = _euclid_gcd(content, p)
+    low = [min(col) for col in zip(*columns)]
+    shifted = {(x, *(t - m for t, m in zip(te, low))): c for (x, te), c in terms.items()}
+    zero_t = (0,) * len(low)
+    quo = _mv_divide(shifted, {(d, *zero_t): c for d, c in enumerate(content.coeffs) if c})
+    if quo is None:
+        raise AssertionError("X-content does not divide its own element")
+    lead = quo[max(quo)]
+    return {(e[0], e[1:]): c / lead for e, c in quo.items()}

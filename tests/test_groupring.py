@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from fraction_prs import _mv_divide, fraction_prs_gcd
+from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from recurquot.groupring import (
     from_group_ring,
     laurent_divide,
     laurent_gcd,
+    strip_x_content,
     to_group_ring,
 )
 from recurquot.multiplicative import compute_basis
@@ -52,7 +53,7 @@ def test_constructors_and_queries():
     assert zero.is_zero
     c = elem({(0, (0, 0)): F(5, 2)})
     assert c.is_polynomial and c.x_polynomial() == UniPoly([F(5, 2)])
-    p = GroupRingElement.from_poly(BASIS, UniPoly([F(1), F(2)]))
+    p = elem({(0, (0, 0)): F(1), (1, (0, 0)): F(2)})
     assert p.is_polynomial
     assert p.x_polynomial() == UniPoly([F(1), F(2)])
     assert not elem({(0, (1, 0)): F(3)}).is_polynomial
@@ -487,3 +488,38 @@ def test_common_factor_divides_gcd_on_cliff_rungs(rung):
         started = time.perf_counter()
         polynomial_clearance(from_group_ring(u), from_group_ring(v))
         assert time.perf_counter() - started < 2.0
+
+
+# -- the refusal witness against the Euclid-over-Q oracle ----------------------
+
+x_coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@example({(1, 0): [-1, 1], (0, 0): [1, 1]}, [F(0), F(-2, 3)], F(-5, 2))
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2)),
+        x_coeffs, min_size=2, max_size=4,
+    ),
+    st.lists(st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4),
+             min_size=1, max_size=3).filter(any),
+    st.fractions(min_value=F(-6), max_value=F(6), max_denominator=5).filter(bool),
+)
+def test_strip_x_content_matches_euclid_oracle(columns, shared, scale):
+    # 2-4 T-columns times a shared rational X factor and a rational unit of
+    # either sign: the X-content is at least that factor.
+    f = elem({(x, te): F(c) for te, cs in columns.items() for x, c in enumerate(cs) if c})
+    f = f * elem({(x, (0, 0)): c for x, c in enumerate(shared) if c}) * scale
+    witness = strip_x_content(f)
+    assert witness.terms == fraction_strip_x_content(f.terms)
+    assert witness == witness.unit_normalized() and not witness.is_polynomial
+    content = laurent_divide(f, witness)
+    assert content is not None and content.unit_normalized().is_polynomial
+
+
+def test_strip_x_content_checks_its_division(monkeypatch):
+    f = elem({(1, (1, 0)): F(1), (0, (0, 0)): F(-1)})
+    monkeypatch.setattr(groupring, "_zz_gcd", lambda f, g, k: {(1,): 1})
+    with pytest.raises(VerificationFailed, match="X-content"):
+        strip_x_content(f)

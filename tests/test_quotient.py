@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -170,6 +171,27 @@ def test_cross_single_root_certificate():
         for n in range(1, 5):
             lhs = out.clearing_poly(F(n)) * u.evaluate(m) / v.evaluate(n)
             assert lhs == out.quotient.evaluate(m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([F(2), F(3), F(1, 2)]),
+                       st.lists(st.fractions(min_value=F(-6), max_value=F(6), max_denominator=5),
+                                min_size=1, max_size=3)),
+             min_size=1, max_size=3),
+    st.sampled_from([F(2), F(3), F(5, 3)]),
+    st.lists(st.fractions(min_value=F(-6), max_value=F(6), max_denominator=5),
+             min_size=1, max_size=3).filter(lambda cs: cs[-1] not in (0, 1)),
+)
+def test_cross_min_denominator_clears_the_quotient(u_terms, beta, p_coeffs):
+    # lc(p) != 1, so the quotient U(m) * beta^(-n) / lc(p) has new denominators.
+    u = from_closed_form([(root, UniPoly(cs)) for root, cs in u_terms])
+    v = from_closed_form([(beta, UniPoly(p_coeffs))])
+    out = cross_quotient(u, v)
+    assert isinstance(out, QuotientCertificate)
+    denominators = [c.denominator for _, _, coeff in out.quotient.terms
+                    for c in coeff.terms.values()]
+    assert out.min_denominator == math.lcm(*denominators)
 
 
 def test_cross_multiple_roots_refused():
