@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     HypothesisViolated,
+    InputError,
     PointOnHyperplane,
     VerificationFailed,
     ZeroInput,
@@ -80,9 +81,7 @@ class LogSum:
         """Exact sign: compare prod(p^(N c_p)) against 1."""
         if not self.coeffs:
             return 0
-        lcm = 1
-        for c in self.coeffs.values():
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in self.coeffs.values()))
         pos, neg = 1, 1
         for p, c in self.coeffs.items():
             e = int(c * lcm)
@@ -207,7 +206,8 @@ class HyperplaneForm:
 
     def __call__(self, xs) -> Fraction:
         xs = [Fraction(x) for x in xs]
-        assert len(xs) == len(self.coefficients)
+        if len(xs) != len(self.coefficients):
+            raise InputError(f"{len(xs)} coordinates for a form in {len(self.coefficients)}")
         return sum((a * x for a, x in zip(self.coefficients, xs)), Fraction(0))
 
 

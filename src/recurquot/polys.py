@@ -174,9 +174,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.lc)
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
-
     def shift_compose(self, q, r) -> "UniPoly":
         """self(q*X + r) by Horner over the polynomial ring."""
         lin = UniPoly((r, q))
@@ -186,24 +183,6 @@ class UniPoly:
         return out
 
     # -- number-theoretic helpers ---------------------------------------
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-        return out
-
-    def integer_cleared(self) -> tuple[int, list[int]]:
-        """(d, ints) with d >= 1 minimal such that d*self has integer coeffs."""
-        d = self.denominator_lcm()
-        return d, [int(c * d) for c in self.coeffs]
-
-    def cauchy_root_bound(self) -> Fraction:
-        """1 + max |a_i / a_d|: every complex root has absolute value below it."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.lc)
-        return 1 + max(abs(c) / lead for c in self.coeffs[:-1])
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicity, sorted by value."""
@@ -218,12 +197,10 @@ class UniPoly:
             found[Fraction(0)] = low
             poly = UniPoly(poly.coeffs[low:])
         while poly.degree >= 1:
-            _, ints = poly.integer_cleared()
-            g = 0
-            for c in ints:
-                g = math.gcd(g, c)
-            ints = [c // g for c in ints]
-            a0, ad = abs(ints[0]), abs(ints[-1])
+            d = math.lcm(*(c.denominator for c in poly.coeffs))
+            ints = [int(c * d) for c in poly.coeffs]
+            g = math.gcd(*ints)
+            a0, ad = abs(ints[0]) // g, abs(ints[-1]) // g
             hit = None
             for p, q in itertools.product(divisors(a0), divisors(ad)):
                 if math.gcd(p, q) != 1:

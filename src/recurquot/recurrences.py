@@ -245,8 +245,10 @@ class ClearedRecurrence:
     of the coefficient denominators, so W(k) = sum(c_i(k) * R_i^k) with
     integer roots R_i = base * root_i and integer coefficient
     polynomials c_i = scale * coeff_i, stored in ``terms`` as (R_i,
-    coefficients of c_i, low degree first).  Index scans read V through
-    ``walk`` instead of evaluating Fractions.
+    coefficients of c_i, low degree first).  W vanishes exactly where V
+    does and has the same sign, so index scans read V through ``walk``
+    and the zero-set cutoff reads ``terms``, instead of evaluating
+    Fractions.
     """
 
     __slots__ = ("scale", "base", "terms")
@@ -315,41 +317,45 @@ class ZeroSetReport:
     dominance_from: int | None
 
 
-def _section_cutoff(sec: LinearRecurrence, cap: int) -> int | None:
+def _value(coeffs: tuple[int, ...], m: int) -> int:
+    """The integer polynomial sum(coeffs[i] * X^i) at X = m."""
+    return sum(c * m**i for i, c in enumerate(coeffs))
+
+
+def _section_cutoff(sec: ClearedRecurrence, cap: int) -> int | None:
     """Smallest verified index m0 <= cap + 1 with no zeros at m >= m0.
 
-    Requires all roots positive.  For a single term the cutoff clears
-    the rational roots of the coefficient.  Otherwise the unique largest
-    root beta dominates: with majorants P_i (absolute coefficients) and
-    rho the largest non-dominant root, once m is past the critical
-    points of the dominant coefficient, (1 + 1/m)^d * rho <= beta, and
-    sum(P_i(m) rho_i^m) < |u_beta(m)| beta^m, induction keeps the
-    dominant term strictly ahead of the rest forever.
+    Reads the cleared W in integers only; requires all roots positive.
+    For a single term the cutoff clears the rational roots of the
+    coefficient.  Otherwise the unique largest root R_beta dominates: with
+    majorants P_i (absolute coefficients) of degree at most d and R_rho
+    the largest other root, once m is past the critical points of the
+    dominant coefficient c_beta (Cauchy: 2 + max|a_i| // |a_d|),
+    (m + 1)^d * R_rho <= m^d * R_beta, and sum(P_i(m) R_i^m) <
+    |c_beta(m)| R_beta^m, induction keeps the dominant term strictly ahead
+    of the rest forever.
     """
-    assert not sec.is_zero and all(r > 0 for r in sec.roots)
+    assert sec.terms and all(r > 0 for r, _ in sec.terms)
     if len(sec.terms) == 1:
-        _, coeff = sec.terms[0]
+        _, coeffs = sec.terms[0]
         cutoff = 0
-        for root, _ in coeff.rational_roots():
+        for root, _ in UniPoly(coeffs).rational_roots():
             if root.denominator == 1 and root >= 0:
                 cutoff = max(cutoff, int(root) + 1)
         return cutoff if cutoff <= cap + 1 else None
-    beta, u_beta = sec.terms[-1]
+    beta, c_beta = sec.terms[-1]
     others = sec.terms[:-1]
     rho = others[-1][0]
-    majorants = [
-        (root, UniPoly([abs(c) for c in coeff.coeffs])) for root, coeff in others
-    ]
-    env_degree = max(p.degree for _, p in majorants)
+    majorants = [(root, tuple(abs(c) for c in coeffs)) for root, coeffs in others]
+    env_degree = max(len(p) for _, p in majorants) - 1
     m0 = 1
-    if u_beta.degree >= 1:
-        m0 = max(m0, int(u_beta.cauchy_root_bound()) + 1)
-    if u_beta.degree >= 2:
-        m0 = max(m0, int(u_beta.derivative().cauchy_root_bound()) + 1)
+    for poly in (c_beta, [i * c for i, c in enumerate(c_beta)][1:]):
+        if len(poly) >= 2:
+            m0 = max(m0, 2 + max(abs(c) for c in poly[:-1]) // abs(poly[-1]))
     while m0 <= cap + 1:
-        if (1 + Fraction(1, m0)) ** env_degree * rho <= beta:
-            small = sum(p(m0) * root**m0 for root, p in majorants)
-            big = abs(u_beta(m0)) * beta**m0
+        if (m0 + 1) ** env_degree * rho <= m0**env_degree * beta:
+            small = sum(_value(p, m0) * root**m0 for root, p in majorants)
+            big = abs(_value(c_beta, m0)) * beta**m0
             if small < big:
                 return m0
         m0 += 1
@@ -364,7 +370,8 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
     which the section cannot vanish.  Identically-zero sections become
     arithmetic progressions.  If some section's cutoff cannot be
     certified inside the bound, ``complete`` is False and only the
-    scanned zeros are reported.
+    scanned zeros are reported.  Each section is read as its cleared
+    integer sequence, so no index builds a Fraction.
     """
     if search_bound < 0:
         raise InputError("search_bound must be >= 0")
@@ -379,11 +386,12 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
         if section.is_zero:
             progressions.append((2, residue))
             continue
+        cleared = ClearedRecurrence(section)
         cap = (search_bound - residue) // 2
-        cutoff = _section_cutoff(section, cap) if cap >= 0 else None
+        cutoff = _section_cutoff(cleared, cap) if cap >= 0 else None
         scan_to = cutoff - 1 if cutoff is not None else cap
-        for m in range(0, scan_to + 1):
-            if section.evaluate(m) == 0:
+        for m, value in zip(range(scan_to + 1), cleared.walk(0)):
+            if value == 0:
                 sporadic.add(2 * m + residue)
         if cutoff is None:
             complete = False

@@ -1,8 +1,9 @@
 """Run a check script in a fresh ``python -O`` interpreter.
 
 Under -O every assert is gone, so each correctness check that must
-survive it is tested by a script that patches a callee, runs the check
-and prints one ``VerificationFailed: ...`` line per defect it caught.
+survive it is tested by a script that patches a callee (or passes bad
+input), runs the check and prints one ``VerificationFailed: ...`` line,
+or a line naming the error it expects, per defect it caught.
 This module is not a test module, so pytest does not rewrite its asserts
 and ``python -O -m pytest`` would drop them: it fails through
 ``pytest.fail``.
@@ -18,8 +19,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def assert_caught_under_optimize(script: str, *args: str, count: int = 1) -> None:
-    """Run ``python -O -c script *args``; expect ``count`` caught defects."""
+def assert_caught_under_optimize(
+    script: str, *args: str, count: int = 1, error: str = "VerificationFailed"
+) -> None:
+    """Run ``python -O -c script *args``; expect ``count`` caught ``error`` lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -29,5 +32,5 @@ def assert_caught_under_optimize(script: str, *args: str, count: int = 1) -> Non
     if result.returncode != 0:
         pytest.fail(result.stderr)
     lines = result.stdout.splitlines()
-    if len(lines) != count or not all(line.startswith("VerificationFailed:") for line in lines):
+    if len(lines) != count or not all(line.startswith(f"{error}:") for line in lines):
         pytest.fail(result.stdout)

@@ -5,10 +5,11 @@ U and V as cleared integer sequences, through residues or one exact
 integer per index.  The versions here are the earlier ones: the search
 divides exact ``Fraction`` values in every cell, the obstruction scan
 evaluates both reductions mod p with a ``pow`` per index over the full
-window of p*(p-1) indices, and the decay loop evaluates V(n) as a
-``Fraction``.  They are slow but simple, and share no scanning code with
-the library, so the tests compare the library's scans against them on
-small inputs.
+window of p*(p-1) indices, the decay loop evaluates V(n) as a
+``Fraction``, and the zero set evaluates each section as a ``Fraction``
+and bounds its dominance cutoff with rational majorants.  They are slow
+but simple, and share no scanning code with the library, so the tests
+compare the library's scans against them on small inputs.
 """
 
 import math
@@ -19,6 +20,8 @@ from recurquot.factorization import euler_phi, is_probable_prime
 from recurquot.heights import DecayReport, LogSum, SIntegerSpec, SMembership, s_membership
 from recurquot.integrality import FixedDenominator, ObstructionReport, SearchHit
 from recurquot.places import place_abs, valuation
+from recurquot.polys import UniPoly
+from recurquot.recurrences import ZeroSetReport
 
 
 def _stripped_denominator(x: Fraction, s_primes) -> int:
@@ -162,4 +165,76 @@ def fraction_decay_check(v, place, n_lo, n_hi):
         argmax_n=best_n,
         samples=tuple(samples),
         skipped_zeros=tuple(skipped),
+    )
+
+
+def _cauchy_root_bound(poly):
+    """1 + max |a_i / a_d|: every complex root has absolute value below it."""
+    lead = abs(poly.lc)
+    return 1 + max(abs(c) / lead for c in poly.coeffs[:-1])
+
+
+def _fraction_section_cutoff(sec, cap):
+    """The dominance cutoff of one positive-root section over Fractions."""
+    assert not sec.is_zero and all(r > 0 for r in sec.roots)
+    if len(sec.terms) == 1:
+        _, coeff = sec.terms[0]
+        cutoff = 0
+        for root, _ in coeff.rational_roots():
+            if root.denominator == 1 and root >= 0:
+                cutoff = max(cutoff, int(root) + 1)
+        return cutoff if cutoff <= cap + 1 else None
+    beta, u_beta = sec.terms[-1]
+    others = sec.terms[:-1]
+    rho = others[-1][0]
+    majorants = [
+        (root, UniPoly([abs(c) for c in coeff.coeffs])) for root, coeff in others
+    ]
+    env_degree = max(p.degree for _, p in majorants)
+    m0 = 1
+    if u_beta.degree >= 1:
+        m0 = max(m0, int(_cauchy_root_bound(u_beta)) + 1)
+    if u_beta.degree >= 2:
+        derivative = UniPoly([c * i for i, c in enumerate(u_beta.coeffs) if i])
+        m0 = max(m0, int(_cauchy_root_bound(derivative)) + 1)
+    while m0 <= cap + 1:
+        if (1 + Fraction(1, m0)) ** env_degree * rho <= beta:
+            small = sum(p(m0) * root**m0 for root, p in majorants)
+            big = abs(u_beta(m0)) * beta**m0
+            if small < big:
+                return m0
+        m0 += 1
+    return None
+
+
+def fraction_zero_set(u, search_bound):
+    """``zero_set`` with each section evaluated as a Fraction at every index."""
+    if search_bound < 0:
+        raise InputError("search_bound must be >= 0")
+    if u.is_zero:
+        return ZeroSetReport(((1, 0),), (), True, 0)
+    progressions = []
+    sporadic = set()
+    complete = True
+    frontier = 0
+    for residue in (0, 1):
+        section = u.decimate(2, residue)
+        if section.is_zero:
+            progressions.append((2, residue))
+            continue
+        cap = (search_bound - residue) // 2
+        cutoff = _fraction_section_cutoff(section, cap) if cap >= 0 else None
+        scan_to = cutoff - 1 if cutoff is not None else cap
+        for m in range(0, scan_to + 1):
+            if section.evaluate(m) == 0:
+                sporadic.add(2 * m + residue)
+        if cutoff is None:
+            complete = False
+        else:
+            frontier = max(frontier, 2 * cutoff + residue)
+    return ZeroSetReport(
+        tuple(progressions),
+        tuple(sorted(sporadic)),
+        complete,
+        frontier if complete else None,
     )

@@ -296,6 +296,31 @@ def test_broken_ultrametric_inequality_is_caught_under_optimize():
     assert_caught_under_optimize(_BROKEN_ABS)
 
 
+# A bare assert on the length would vanish under -O: L = x0 + x1 would read
+# (1, 2, 3) as 3 and weil_function would return -log 2 + log 5 for (1, 1, 5).
+_WRONG_LENGTH = """
+import sys
+from recurquot.errors import InputError
+from recurquot.heights import HyperplaneForm, weil_function
+from recurquot.places import Place
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+form = HyperplaneForm((1, 1))
+for call in (lambda: form((1, 2, 3)), lambda: weil_function(form, (1, 1, 5), Place.archimedean())):
+    try:
+        call()
+    except InputError as exc:
+        print("InputError:", exc)
+    else:
+        print("a vector of the wrong length went unchecked")
+"""
+
+
+def test_form_length_is_checked_under_optimize():
+    assert_caught_under_optimize(_WRONG_LENGTH, count=2, error="InputError")
+
+
 M61 = 2**61 - 1
 
 

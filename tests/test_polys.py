@@ -71,11 +71,9 @@ def test_divmod_property(a, b):
     assert r.degree < b.degree
 
 
-def test_monic_and_derivative():
+def test_monic():
     p = upoly(2, 0, 4)
     assert p.monic().coeffs == (F(1, 2), F(0), F(1))
-    assert p.derivative().coeffs == (F(0), F(8))
-    assert UniPoly([]).derivative().is_zero
 
 
 def test_shift_compose():
@@ -95,6 +93,8 @@ def test_rational_roots():
     p = upoly(1, 1) * upoly(-1, 2) ** 2 * upoly(3)
     roots = p.rational_roots()
     assert roots == [(F(-1), 1), (F(1, 2), 2)]
+    # Coefficients with denominators are cleared before the divisor search.
+    assert upoly(F(1, 6), F(3, 4)).rational_roots() == [(F(-2, 9), 1)]
 
 
 def test_rational_roots_with_zero_root():
@@ -104,21 +104,6 @@ def test_rational_roots_with_zero_root():
 
 def test_rational_roots_none():
     assert upoly(1, 0, 1).rational_roots() == []
-
-
-def test_cauchy_root_bound_dominates_roots():
-    p = upoly(-6, 1, 1)
-    bound = p.cauchy_root_bound()
-    for root, _ in p.rational_roots():
-        assert abs(root) < bound
-
-
-def test_denominator_handling():
-    p = upoly(F(1, 6), F(3, 4))
-    assert p.denominator_lcm() == 12
-    d, ints = p.integer_cleared()
-    assert d == 12
-    assert ints == [2, 9]
 
 
 def test_render():

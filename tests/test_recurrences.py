@@ -153,6 +153,11 @@ def test_from_relation_irrational_roots():
     with pytest.raises(IrrationalRoots) as info:
         from_relation([F(1), F(1)], [F(0), F(1)])
     assert info.value.residual == UniPoly([F(-1), F(-1), F(1)])
+    # X^3 - 3X^2 + X + 2 = (X - 2)(X^2 - X - 1): the rational root 2 is
+    # divided out of the characteristic polynomial and the rest reported.
+    with pytest.raises(IrrationalRoots) as info:
+        from_relation([-2, -1, 3], [0, 1, 2])
+    assert info.value.residual == UniPoly([F(-1), F(-1), F(1)])
 
 
 def test_from_relation_zero_root_companion():

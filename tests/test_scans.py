@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scan_oracles import fraction_decay_check, fraction_search, window_obstruction_scan
+from scan_oracles import (
+    fraction_decay_check,
+    fraction_search,
+    fraction_zero_set,
+    window_obstruction_scan,
+)
 
 from recurquot.errors import RecurquotError
 from recurquot.heights import SIntegerSpec, decay_check
@@ -17,7 +22,7 @@ from recurquot.integrality import (
 )
 from recurquot.places import Place
 from recurquot.polys import UniPoly
-from recurquot.recurrences import from_closed_form, geometric
+from recurquot.recurrences import from_closed_form, geometric, zero_set
 
 F = Fraction
 
@@ -171,3 +176,39 @@ def test_decay_skipped_zeros():
     assert report.skipped_zeros == (3,)
     assert [n for n, _ in report.samples] == list(range(4, 13))
     assert report == fraction_decay_check(v, Place.archimedean(), 1, 12)
+
+
+# -- zero_set --------------------------------------------------------------------------------
+
+# Signed roots with denominators, so that the cleared base B and scale c
+# exceed 1, and opposite roots, whose sections mod 2 merge or cancel.
+ZERO_ROOTS = [F(1), F(-1), F(2), F(-2), F(3), F(4), F(1, 2), F(3, 2), F(-3, 2),
+              F(-5, 3), F(5, 3), F(2, 3), F(5, 4)]
+
+
+def mirrored(u, sign):
+    """(1 + sign * (-1)^n) * U(n): one section mod 2 is identically zero."""
+    return u + from_closed_form([(-root, coeff.scale(sign)) for root, coeff in u.terms])
+
+
+zero_set_inputs = st.one_of(
+    recurrences(ZERO_ROOTS, max_degree=2),
+    st.builds(mirrored, recurrences(ZERO_ROOTS, max_degree=2, max_terms=2),
+              st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_set_inputs, st.integers(0, 150))
+# (3/2)^n = 27/8 at n = 3 only; the odd section has the single zero.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-27, 8))]), 40)
+# (n - 7) * (-3/2)^n: each section has one term; the even one's 2m - 7 has
+# no integer root, the odd one's 2m - 6 vanishes at m = 3, that is n = 7.
+@example(from_closed_form([(F(-3, 2), UniPoly((F(-7), F(1))))]), 20)
+# (5/3)^n + (-5/3)^n vanishes on every odd n.
+@example(from_closed_form([(F(-5, 3), F(1)), (F(5, 3), F(1))]), 50)
+# 10^6 against (9/4)^m: the cutoff lies past a bound of 30, not of 150.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-10**6))]), 30)
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-10**6))]), 150)
+def test_zero_set_matches_fraction_oracle(u, bound):
+    assert outcome(zero_set, u, bound) == outcome(fraction_zero_set, u, bound)
