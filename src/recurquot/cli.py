@@ -16,12 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    InputError,
-    RecurquotError,
-    ResourceError,
-    VerificationFailed,
-)
+from .errors import InputError, ResourceError, VerificationFailed
 from .factorization import DEFAULT_FACTOR_LIMIT, factor_limit
 from .heights import (
     LogSum,
@@ -256,8 +251,15 @@ def _cmd_basis(args):
     return EXIT_OK, doc, lines
 
 
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a rational number: {text!r}") from None
+
+
 def _cmd_heights(args):
-    values = [Fraction(v) for v in args.values]
+    values = [_rational_arg(v) for v in args.values]
     if args.vector:
         height = vector_height(values)
         doc = {
@@ -330,7 +332,11 @@ def _cmd_search(args):
     policy = _parse_d_policy(args.d_policy)
     s_spec = None
     if args.s_primes:
-        s_spec = SIntegerSpec(int(p) for p in args.s_primes.split(","))
+        try:
+            primes = [int(p) for p in args.s_primes.split(",")]
+        except ValueError:
+            raise InputError(f"bad --s-primes {args.s_primes!r} (want p1,p2,...)") from None
+        s_spec = SIntegerSpec(primes)
     hits = integrality_search(
         u,
         v,
@@ -486,18 +492,21 @@ def main(argv=None, out=None) -> int:
                 )
                 return EXIT_INPUT
     try:
-        with factor_limit(cap):
-            code, doc, lines = args.handler(args)
-    except ResourceError as exc:
-        print(f"resource limit: {exc}", file=out)
-        return EXIT_RESOURCE
+        try:
+            with factor_limit(cap):
+                code, doc, lines = args.handler(args)
+        except ResourceError as exc:
+            print(f"resource limit: {exc}", file=out)
+            return EXIT_RESOURCE
+        except InputError as exc:
+            # A TorsionGroup finds its witness when its message is read,
+            # and a missing witness raises VerificationFailed here.
+            print(f"error: {exc}", file=out)
+            return EXIT_INPUT
     except VerificationFailed as exc:
         print(f"internal check failed (a defect in recurquot, not in the input): {exc}",
               file=out)
         return EXIT_INTERNAL
-    except RecurquotError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_INPUT
     document = {"version": VERSION_TAG, "command": args.command, **doc}
     _emit(document, lines, args.json, out)
     return code

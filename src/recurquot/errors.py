@@ -9,6 +9,8 @@ internal check, maps to exit code 4.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class RecurquotError(Exception):
     """Base class for all package-specific errors."""
@@ -50,14 +52,24 @@ class TorsionGroup(InputError):
     """The multiplicative group spanned by the roots contains -1.
 
     Carries a witness: exponents over the offending roots whose product
-    is a negative rational of absolute value 1.
+    is a negative rational of absolute value 1.  ``witness`` is a
+    zero-argument callable that computes them; it runs when
+    ``exponents`` or the message is first read, so a caller that only
+    catches the error pays nothing for it.
     """
 
-    def __init__(self, roots, exponents):
+    def __init__(self, roots, witness):
+        super().__init__()
         self.roots = tuple(roots)
-        self.exponents = tuple(exponents)
+        self._witness = witness
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        return tuple(self._witness())
+
+    def __str__(self):
         pretty = " * ".join(f"({r})^{e}" for r, e in zip(self.roots, self.exponents) if e)
-        super().__init__(f"root group contains -1: {pretty} = -1")
+        return f"root group contains -1: {pretty} = -1"
 
 
 class BasisMismatch(InputError):

@@ -299,7 +299,7 @@ class GroupRingElement:
 
     @classmethod
     def zero(cls, basis) -> "GroupRingElement":
-        return cls(basis, {})
+        return cls._split(basis, Fraction(0), (0,) * basis.rank, {})
 
     # -- queries ----------------------------------------------------------
 
@@ -407,14 +407,26 @@ def to_group_ring(u: LinearRecurrence, basis: MultiplicativeBasis) -> GroupRingE
     """Laurent form of a recurrence; every root must lie in the basis span.
 
     The defining property: the result evaluates to u(n) for every n.
+    Distinct roots have distinct T-exponents, so no two terms meet, and
+    the split is read off directly: low is the least T-exponents, the
+    poly the numerators over one common denominator, divided by their
+    content.
     """
-    terms: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for root, coeff in u.terms:
-        te = basis.express(root)
+    if u.is_zero:
+        return GroupRingElement.zero(basis)
+    exponents = [basis.express(root) for root in u.roots]
+    low = tuple(map(min, zip(*exponents)))
+    den = math.lcm(*(c.denominator for _, coeff in u.terms for c in coeff.coeffs))
+    poly = {}
+    for te, (_, coeff) in zip(exponents, u.terms):
+        shifted = tuple(a - b for a, b in zip(te, low))
         for d, c in enumerate(coeff.coeffs):
-            if c != 0:
-                terms[(d, te)] = terms.get((d, te), Fraction(0)) + c
-    return GroupRingElement(basis, terms)
+            if c:
+                poly[(d, *shifted)] = c.numerator * (den // c.denominator)
+    cont = _zz_content(poly)
+    if cont != 1:
+        poly = {e: c // cont for e, c in poly.items()}
+    return GroupRingElement._split(basis, Fraction(cont, den), low, poly)
 
 
 def from_group_ring(f: GroupRingElement) -> LinearRecurrence:

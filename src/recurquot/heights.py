@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadPrime,
     HypothesisViolated,
     InputError,
     PointOnHyperplane,
     VerificationFailed,
     ZeroInput,
 )
-from .factorization import factor_rational
+from .factorization import factor_rational, is_probable_prime
 from .places import Place, place_abs, valuation
 from .polys import UniPoly, _render_sum
 from .recurrences import ClearedRecurrence, LinearRecurrence
@@ -239,12 +240,20 @@ def weil_function(form: HyperplaneForm, xs, place: Place) -> LogSum:
 
 @dataclass(frozen=True)
 class SIntegerSpec:
-    """The finite set S of primes allowed in denominators (and units)."""
+    """The finite set S of primes allowed in denominators (and units).
+
+    A member that is not prime raises BadPrime: dividing out a composite
+    would classify against a set that is not a set of places.
+    """
 
     primes: frozenset[int]
 
     def __init__(self, primes):
-        object.__setattr__(self, "primes", frozenset(int(p) for p in primes))
+        primes = frozenset(int(p) for p in primes)
+        for p in sorted(primes):
+            if not is_probable_prime(p):
+                raise BadPrime(f"{p} is not prime")
+        object.__setattr__(self, "primes", primes)
 
     def sorted(self) -> list[int]:
         return sorted(self.primes)

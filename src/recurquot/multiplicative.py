@@ -36,9 +36,9 @@ def exponent_table(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], list[
     """
     facts = []
     for x in values:
-        if x == 0:
+        if not x:
             raise ZeroInput("zero has no multiplicative coordinates")
-        facts.append(factor_rational(Fraction(x)))
+        facts.append(factor_rational(x))
     primes = tuple(sorted({p for f in facts for p in f.exponents}))
     vectors = [
         ExponentVector(int(f.sign < 0), tuple(f.exponents.get(p, 0) for p in primes))
@@ -96,7 +96,15 @@ class MultiplicativeBasis:
 
     def reconstruct(self, exponents: tuple[int, ...]) -> Fraction:
         assert len(exponents) == self.rank
-        return math.prod((g**e for g, e in zip(self.generators, exponents)), start=Fraction(1))
+        num = den = 1
+        for g, e in zip(self.generators, exponents):
+            if e > 0:
+                num *= g.numerator**e
+                den *= g.denominator**e
+            elif e < 0:
+                num *= g.denominator**-e
+                den *= g.numerator**-e
+        return Fraction(num, den)
 
     def express(self, x) -> tuple[int, ...]:
         """Exponents of x over the generators; RootNotInGroup if x is outside.
@@ -104,10 +112,11 @@ class MultiplicativeBasis:
         One of ``values`` is looked up in ``expressions``; only other
         values are factored.
         """
+        stored = self._stored.get(x)
+        if stored is not None:
+            return stored
         x = Fraction(x)
-        if x in self._stored:
-            return self._stored[x]
-        if x == 0:
+        if not x:
             raise ZeroInput("zero is not a group element")
         fact = factor_rational(x)
         stray = set(fact.exponents).difference(self.primes)
@@ -141,30 +150,45 @@ def compute_basis(values) -> MultiplicativeBasis:
     Otherwise the other rows' prime parts are the HNF of the exponent
     lattice, so any input list spanning the same group yields the same
     generators, and each row's sign entry (reduced mod 2) is the sign of
-    its generator.
+    its generator.  Each expression e of an input is checked in
+    integers: sum(e_i * row_i) must give back its exponents, and the
+    e_i on negative generators must add up to its sign bit mod 2.
     """
     vals = tuple(Fraction(v) for v in values)
     primes, vectors = exponent_table(vals)
     m = len(primes)
     *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in vectors] + [[0] * m + [2]])
     if last[m] == 1:
-        witness = _torsion_witness(vectors)
-        if witness is None:
-            raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
+        # The kernel HNF costs more than the basis, and callers that retry
+        # on sections never read the witness, so TorsionGroup finds it on
+        # first read.
+        def witness() -> tuple[int, ...]:
+            found = _torsion_witness(vectors)
+            if found is None:
+                raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
+            return found
+
         raise TorsionGroup(vals, witness)
     h = [r[:m] for r in rows]
     gen_signs = [-1 if r[m] else 1 for r in rows]
-    generators = [
-        math.prod((Fraction(p) ** e for p, e in zip(primes, exps)), start=Fraction(sign))
-        for sign, exps in zip(gen_signs, h)
-    ]
+    generators = []
+    for sign, row in zip(gen_signs, h):
+        num = math.prod(p**e for p, e in zip(primes, row) if e > 0)
+        den = math.prod(p**-e for p, e in zip(primes, row) if e < 0)
+        generators.append(Fraction(sign * num, den))
     expressions = []
     for x, vec in zip(vals, vectors):
         coeffs = hnf_express(h, list(vec.exponents))
         if coeffs is None:
             raise VerificationFailed(f"input {x} escaped its own lattice")
+        exps = [0] * m
+        for c, row in zip(coeffs, h):
+            exps = [a + c * b for a, b in zip(exps, row)]
+        odd = sum(c for c, s in zip(coeffs, gen_signs) if s < 0) % 2
+        if tuple(exps) != vec.exponents or odd != vec.sign_bit:
+            raise VerificationFailed(f"the expression of {x} does not give back its exponents and sign")
         expressions.append(tuple(coeffs))
-    basis = MultiplicativeBasis(
+    return MultiplicativeBasis(
         values=vals,
         primes=primes,
         generators=tuple(generators),
@@ -172,7 +196,3 @@ def compute_basis(values) -> MultiplicativeBasis:
         generator_signs=tuple(gen_signs),
         expressions=tuple(expressions),
     )
-    for x, e in zip(vals, basis.expressions):
-        if basis.reconstruct(e) != x:
-            raise VerificationFailed(f"sign bookkeeping broke for {x}")
-    return basis

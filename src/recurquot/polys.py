@@ -174,14 +174,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.lc)
 
-    def shift_compose(self, q, r) -> "UniPoly":
-        """self(q*X + r) by Horner over the polynomial ring."""
-        lin = UniPoly((r, q))
-        out = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            out = out * lin + UniPoly.constant(c)
-        return out
-
     # -- number-theoretic helpers ---------------------------------------
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:

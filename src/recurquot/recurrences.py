@@ -127,14 +127,30 @@ class LinearRecurrence:
         return LinearRecurrence(tuple((r, coeff.scale(c)) for r, coeff in self.terms))
 
     def decimate(self, q: int, r: int) -> "LinearRecurrence":
-        """The section m -> U(q*m + r); roots may merge (e.g. (-a)^q == a^q)."""
+        """The section m -> U(q*m + r); roots may merge (e.g. (-a)^q == a^q).
+
+        A term c(n) * root^n becomes root^r * c(q*m + r) * (root^q)^m.
+        With c = p / den for an integer polynomial p, the Taylor shift
+        p(X + r) and the scaling X -> q*X run on integers, and each output
+        coefficient is one Fraction.
+        """
         if q < 1 or not 0 <= r < q:
             raise InputError(f"decimation needs q >= 1 and 0 <= r < q, got q={q}, r={r}")
         merged: dict[Fraction, UniPoly] = {}
         for root, coeff in self.terms:
+            den = math.lcm(*(c.denominator for c in coeff.coeffs))
+            p = [c.numerator * (den // c.denominator) for c in coeff.coeffs]
+            if r:
+                for i in range(len(p) - 1):
+                    for j in range(len(p) - 2, i - 1, -1):
+                        p[j] += r * p[j + 1]
+            num = root.numerator**r
+            den *= root.denominator**r
+            new_coeff = UniPoly([Fraction(c * q**j * num, den) for j, c in enumerate(p)])
             new_root = root**q
-            new_coeff = coeff.shift_compose(q, r).scale(root**r)
-            merged[new_root] = merged.get(new_root, UniPoly.zero()) + new_coeff
+            if new_root in merged:
+                new_coeff = merged[new_root] + new_coeff
+            merged[new_root] = new_coeff
         return LinearRecurrence(
             tuple((r_, c) for r_, c in merged.items() if not c.is_zero)
         )

@@ -145,6 +145,19 @@ def test_search_bad_policy():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["heights", "1/0"],
+    ["heights", "abc"],
+    ["search", DATA / "power5.json", DATA / "poly_nn.json", "--s-primes", "x"],
+    ["search", DATA / "power5.json", DATA / "poly_nn.json", "--s-primes", "2,,3"],
+    ["search", DATA / "power5.json", DATA / "poly_nn.json", "--s-primes", "4"],
+], ids=["zero-denominator", "not-a-number", "prime-not-a-number", "empty-prime", "composite"])
+def test_invalid_values_are_input_errors(argv):
+    code, text = run(*argv)
+    assert code == 2
+    assert text.startswith("error: ")
+
+
 def test_obstruct_not_certified():
     code, text = run(
         "obstruct", DATA / "power3m.json", DATA / "mersenne2.json",
@@ -303,3 +316,13 @@ def test_internal_check_failure_exits_4(monkeypatch):
     assert text.startswith("internal check failed")
     assert "re-verification" in text
     assert "Traceback" not in text
+
+
+def test_missing_torsion_witness_exits_4(monkeypatch):
+    import recurquot.multiplicative as mult
+
+    monkeypatch.setattr(mult, "_torsion_witness", lambda vectors: None)
+    code, text = run("quotient", DATA / "torsion.json", DATA / "mersenne2.json")
+    assert code == 4
+    assert text.startswith("internal check failed")
+    assert "no kernel witness" in text

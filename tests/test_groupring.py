@@ -387,6 +387,35 @@ def test_every_operation_keeps_the_split_normal(a, b):
             assert_normal_split(x)
 
 
+# Roots 2^a * 3^b with a, b down to -3, so T-exponents go negative, and
+# rational coefficients with zeros inside; the empty list is the zero
+# recurrence.
+basis_recurrences = st.lists(
+    st.tuples(
+        st.builds(lambda a, b: F(2) ** a * F(3) ** b,
+                  st.integers(min_value=-3, max_value=2), st.integers(min_value=-3, max_value=2)),
+        st.lists(st.fractions(min_value=F(-12), max_value=F(12), max_denominator=6),
+                 min_size=1, max_size=3).map(UniPoly),
+    ),
+    min_size=0, max_size=4,
+).map(from_closed_form)
+
+
+@settings(max_examples=150, deadline=None)
+@example(LinearRecurrence(()))
+@given(basis_recurrences)
+def test_to_group_ring_matches_fraction_map(u):
+    terms = {
+        (d, BASIS.express(root)): c
+        for root, coeff in u.terms
+        for d, c in enumerate(coeff.coeffs)
+        if c
+    }
+    f = to_group_ring(u, BASIS)
+    assert f == GroupRingElement(BASIS, terms)
+    assert_normal_split(f)
+
+
 NEGATIVE_LEAD = elem({(2, (1, -2)): F(-4, 3), (0, (-1, 0)): F(6)})
 RATIONAL = elem({(1, (0, -1)): F(9, 4), (0, (2, 1)): F(-3, 2), (0, (0, 0)): F(15, 8)})
 

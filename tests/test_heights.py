@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
 from recurquot.errors import (
+    BadPrime,
     FactorizationLimit,
     HypothesisViolated,
     PointOnHyperplane,
@@ -229,6 +230,12 @@ def test_s_membership_empty_s():
     assert s_membership(F(6), spec) == SMembership.S_INTEGER
     assert s_membership(F(1), spec) == SMembership.S_UNIT
     assert s_membership(F(1, 2), spec) == SMembership.NEITHER
+
+
+@pytest.mark.parametrize("primes", [[4], [2, 9], [1], [0], [-3]])
+def test_s_integer_spec_rejects_non_primes(primes):
+    with pytest.raises(BadPrime):
+        SIntegerSpec(primes)
 
 
 def test_decay_check_mersenne_3adic():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
-from recurquot.errors import RootNotInGroup, TorsionGroup, ZeroInput
+from recurquot.errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
 from recurquot.multiplicative import (
     compute_basis,
     exponent_table,
@@ -145,6 +145,8 @@ def test_basis_matches_transform_oracle(values):
         with pytest.raises(TorsionGroup) as info:
             compute_basis(values)
         assert info.value.exponents == torsion.exponents
+        pretty = " * ".join(f"({v})^{e}" for v, e in zip(values, torsion.exponents) if e)
+        assert str(info.value) == f"root group contains -1: {pretty} = -1"
         assert torsion_status(values) == torsion.exponents
         return
     basis = compute_basis(values)
@@ -165,7 +167,8 @@ def test_express_reads_stored_expressions_of_its_values():
 # Under -O every assert is gone; the basis checks must still run.  "escape"
 # loses an input's lattice expression, "shifted" corrupts every expression
 # (caught at construction), "express" corrupts one for a value outside the
-# basis, and "sign" flips a generator's sign behind the bookkeeping.
+# basis, "sign" flips a generator's sign behind the bookkeeping, and
+# "hnf-sign" flips a sign entry of the HNF (caught at construction).
 _BROKEN_BASIS = """
 import dataclasses
 import sys
@@ -177,10 +180,15 @@ if not sys.flags.optimize:
     raise SystemExit("not running under -O")
 mode = sys.argv[1]
 real_express = mult.hnf_express
+real_hnf = mult.row_hnf
 
 def shifted(h, target):
     coeffs = real_express(h, target)
     return [coeffs[0] + 1] + coeffs[1:]
+
+def sign_flipped(rows):
+    first, *rest = real_hnf(rows)
+    return [first[:-1] + [1 - first[-1]], *rest]
 
 try:
     if mode == "escape":
@@ -188,6 +196,9 @@ try:
         mult.compute_basis((2, 3))
     elif mode == "shifted":
         mult.hnf_express = shifted
+        mult.compute_basis((2, 3))
+    elif mode == "hnf-sign":
+        mult.row_hnf = sign_flipped
         mult.compute_basis((2, 3))
     elif mode == "express":
         basis = mult.compute_basis((2, 3))
@@ -204,6 +215,36 @@ else:
 """
 
 
-@pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign"])
+@pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign", "hnf-sign"])
 def test_broken_basis_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_BROKEN_BASIS, mode)
+
+
+def test_torsion_witness_is_found_when_read(monkeypatch):
+    import recurquot.multiplicative as mult
+
+    calls = []
+    real_kernel = mult.left_kernel
+
+    def counting_kernel(rows):
+        calls.append(rows)
+        return real_kernel(rows)
+
+    monkeypatch.setattr(mult, "left_kernel", counting_kernel)
+    with pytest.raises(TorsionGroup) as info:
+        compute_basis((F(-2), F(2)))
+    assert calls == []
+    assert str(info.value) == "root group contains -1: (-2)^1 * (2)^-1 = -1"
+    assert info.value.exponents == (1, -1)
+    assert len(calls) == 1
+
+
+def test_missing_torsion_witness_fails_on_every_read(monkeypatch):
+    import recurquot.multiplicative as mult
+
+    monkeypatch.setattr(mult, "_torsion_witness", lambda vectors: None)
+    with pytest.raises(TorsionGroup) as info:
+        compute_basis((F(-2), F(2)))
+    for read in (lambda e: e.exponents, str, lambda e: e.exponents):
+        with pytest.raises(VerificationFailed, match="no kernel witness"):
+            read(info.value)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decimate_oracle import shift_compose
 from optimized import assert_caught_under_optimize
 from recurquot.errors import ZeroInput
 from recurquot.polys import BiPoly, UniPoly
@@ -78,15 +79,15 @@ def test_monic():
 
 def test_shift_compose():
     p = upoly(0, 0, 1)
-    assert p.shift_compose(F(1), F(1)).coeffs == (F(1), F(2), F(1))
+    assert shift_compose(p, F(1), F(1)).coeffs == (F(1), F(2), F(1))
 
 
 def test_poly_affine_compose():
     # P(q*n + r) with plain int q and r.
     p = upoly(0, 1)
-    assert p.shift_compose(2, 1).coeffs == (F(1), F(2))
+    assert shift_compose(p, 2, 1).coeffs == (F(1), F(2))
     q = upoly(0, 0, 1)
-    assert q.shift_compose(3, -1)(F(2)) == F(25)
+    assert shift_compose(q, 3, -1)(F(2)) == F(25)
 
 
 def test_rational_roots():

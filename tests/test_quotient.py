@@ -245,6 +245,18 @@ def test_fallback_decimates_on_torsion():
     assert all(isinstance(r, SectionResult) for r in results)
 
 
+@pytest.mark.parametrize("mode", ["hadamard", "clearance", "cross"])
+def test_fallback_never_computes_the_torsion_witness(monkeypatch, mode):
+    def no_kernel(rows):
+        raise AssertionError("the fallback discards the witness; no kernel is due")
+
+    monkeypatch.setattr(multiplicative, "left_kernel", no_kernel)
+    u = from_closed_form([(F(2), F(1)), (F(-3), UniPoly([F(1), F(1)])), (F(6), F(-1))])
+    v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
+    results = solve_with_torsion_fallback(u, v, mode, decimate=True)
+    assert all(isinstance(r, SectionResult) for r in results)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from([F(2), F(3), F(1, 2)]),

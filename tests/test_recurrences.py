@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decimate_oracle
 from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
 from recurquot.polys import BiPoly, UniPoly
@@ -128,6 +129,25 @@ def test_decimate_pointwise(u, q, r):
     sec = u.decimate(q, r)
     for m in range(5):
         assert sec.evaluate(m) == u.evaluate(q * m + r)
+
+
+# Signed and rational roots in +-pairs, so that even q merges (-a)^q with
+# a^q, and coefficients of degree up to 5.
+decimation_inputs = st.lists(
+    st.tuples(
+        st.sampled_from([F(1), F(-1), F(2), F(-2), F(3, 2), F(-3, 2), F(1, 6), F(-1, 6)]),
+        st.lists(st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6),
+                 min_size=1, max_size=6).map(UniPoly),
+    ),
+    min_size=0, max_size=5,
+).map(from_closed_form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decimation_inputs, st.integers(min_value=1, max_value=4))
+def test_decimate_matches_fraction_horner(u, q):
+    for r in range(q):
+        assert u.decimate(q, r) == decimate_oracle.decimate(u, q, r)
 
 
 def test_render_dominant_first():
