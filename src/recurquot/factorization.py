@@ -223,16 +223,14 @@ class FactoredRational:
 
 def factor_rational(x: Fraction | int) -> FactoredRational:
     """Factor a non-zero rational; denominator primes get negative exponents."""
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     if x == 0:
         raise ZeroInput("cannot factor zero")
-    sign = 1 if x > 0 else -1
-    num = factor_int(abs(x.numerator))
-    den = factor_int(x.denominator)
-    exps = dict(num)
-    for p, e in den.items():
-        exps[p] = exps.get(p, 0) - e
-    return FactoredRational(sign, exps)
+    exps = factor_int(abs(x.numerator))
+    # Numerator and denominator are coprime, so no prime is in both.
+    for p, e in factor_int(x.denominator).items():
+        exps[p] = -e
+    return FactoredRational(1 if x > 0 else -1, exps)
 
 
 def euler_phi(n: int) -> int:

@@ -321,7 +321,8 @@ class GroupRingElement:
         return not any(self.low) and not any(any(e[1:]) for e in self.poly)
 
     def x_polynomial(self) -> UniPoly:
-        assert self.is_polynomial
+        if not self.is_polynomial:
+            raise InputError(f"{self.render()} has a T variable, so it is not a polynomial in X")
         coeffs = [0] * (1 + max((e[0] for e in self.poly), default=-1))
         for e, c in self.poly.items():
             coeffs[e[0]] = self.content * c

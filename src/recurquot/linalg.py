@@ -68,14 +68,17 @@ def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:
     m = len(h[0])
     residue = list(map(int, target))
     coeffs = []
+    piv_col = 0
     for row in h:
-        piv_col = next(j for j in range(m) if row[j] != 0)
+        # Pivot columns strictly increase down the rows.
+        while row[piv_col] == 0:
+            piv_col += 1
         q, r = divmod(residue[piv_col], row[piv_col])
         if r != 0:
             return None
         coeffs.append(q)
         if q:
-            for j in range(m):
+            for j in range(piv_col, m):
                 residue[j] -= q * row[j]
     if any(v != 0 for v in residue):
         return None

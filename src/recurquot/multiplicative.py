@@ -11,12 +11,14 @@ taken mod 2.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
-from .factorization import factor_rational
+from .errors import InputError, RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
+from .factorization import FactoredRational, factor_rational
 from .linalg import hnf_express, left_kernel, row_hnf
 
 
@@ -29,16 +31,46 @@ class ExponentVector:
     exponents: tuple[int, ...]
 
 
+# (factorizations by value, bases by value tuple) of the innermost
+# ``shared_factors()`` block; None outside any block.
+_SHARED: ContextVar[tuple[dict, dict] | None] = ContextVar("shared_factors", default=None)
+
+
+@contextmanager
+def shared_factors():
+    """Inside the block each rational is factored once and each basis built once.
+
+    Yields ``add_powers(q)``, which serves x^q from every factorization
+    kept so far (exponents times q, sign to the q-th power), as the
+    sections mod q need.
+    """
+    factors: dict[Fraction, FactoredRational] = {}
+
+    def add_powers(q: int) -> None:
+        for x, f in list(factors.items()):
+            factors[x**q] = FactoredRational(f.sign**q, {p: e * q for p, e in f.exponents.items()})
+
+    token = _SHARED.set((factors, {}))
+    try:
+        yield add_powers
+    finally:
+        _SHARED.reset(token)
+
+
 def exponent_table(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], list[ExponentVector]]:
     """Factor every value over the union of their primes.
 
     Returns (sorted prime tuple, one ExponentVector per input value).
     """
+    shared = _SHARED.get()
+    known = {} if shared is None else shared[0]
     facts = []
     for x in values:
         if not x:
             raise ZeroInput("zero has no multiplicative coordinates")
-        facts.append(factor_rational(x))
+        if x not in known:
+            known[x] = factor_rational(x)
+        facts.append(known[x])
     primes = tuple(sorted({p for f in facts for p in f.exponents}))
     vectors = [
         ExponentVector(int(f.sign < 0), tuple(f.exponents.get(p, 0) for p in primes))
@@ -95,7 +127,8 @@ class MultiplicativeBasis:
         return dict(zip(self.values, self.expressions))
 
     def reconstruct(self, exponents: tuple[int, ...]) -> Fraction:
-        assert len(exponents) == self.rank
+        if len(exponents) != self.rank:
+            raise InputError(f"need {self.rank} exponents, one per generator, got {len(exponents)}")
         num = den = 1
         for g, e in zip(self.generators, exponents):
             if e > 0:
@@ -155,6 +188,9 @@ def compute_basis(values) -> MultiplicativeBasis:
     e_i on negative generators must add up to its sign bit mod 2.
     """
     vals = tuple(Fraction(v) for v in values)
+    shared = _SHARED.get()
+    if shared is not None and vals in shared[1]:
+        return shared[1][vals]
     primes, vectors = exponent_table(vals)
     m = len(primes)
     *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in vectors] + [[0] * m + [2]])
@@ -188,7 +224,7 @@ def compute_basis(values) -> MultiplicativeBasis:
         if tuple(exps) != vec.exponents or odd != vec.sign_bit:
             raise VerificationFailed(f"the expression of {x} does not give back its exponents and sign")
         expressions.append(tuple(coeffs))
-    return MultiplicativeBasis(
+    basis = MultiplicativeBasis(
         values=vals,
         primes=primes,
         generators=tuple(generators),
@@ -196,3 +232,6 @@ def compute_basis(values) -> MultiplicativeBasis:
         generator_signs=tuple(gen_signs),
         expressions=tuple(expressions),
     )
+    if shared is not None:
+        shared[1][vals] = basis
+    return basis

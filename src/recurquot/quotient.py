@@ -28,7 +28,7 @@ from .groupring import (
     strip_x_content,
     to_group_ring,
 )
-from .multiplicative import MultiplicativeBasis, compute_basis
+from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors
 from .polys import BiPoly, UniPoly
 from .recurrences import (
     ClearedRecurrence,
@@ -261,12 +261,16 @@ def solve_with_torsion_fallback(
 ):
     """Run a solver; on TorsionGroup optionally retry on sections mod 2.
 
-    Returns either the direct outcome or a list of SectionResult.
+    Returns either the direct outcome or a list of SectionResult.  Each
+    root is factored once per call: the sections' roots are squares of
+    the failing call's, and sections with equal roots share one basis.
     """
     solver = _solver(mode)
-    try:
-        return solver(u, v)
-    except TorsionGroup:
-        if not decimate:
-            raise
-        return solve_on_sections(u, v, mode, 2)
+    with shared_factors() as add_powers:
+        try:
+            return solver(u, v)
+        except TorsionGroup:
+            if not decimate:
+                raise
+            add_powers(2)
+            return solve_on_sections(u, v, mode, 2)

@@ -105,18 +105,27 @@ class LinearRecurrence:
         return self + (-other)
 
     def __mul__(self, other):
-        """Pointwise (Hadamard) product; scalars rescale."""
+        """Pointwise (Hadamard) product; scalars rescale.
+
+        Runs on the cleared integer forms: integer roots multiply, integer
+        coefficients convolve, and each output coefficient is one Fraction.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        merged: dict[Fraction, UniPoly] = {}
-        for r1, c1 in self.terms:
-            for r2, c2 in other.terms:
-                r = r1 * r2
-                prod = c1 * c2
-                merged[r] = merged.get(r, UniPoly.zero()) + prod
-        return LinearRecurrence(
-            tuple((r, c) for r, c in merged.items() if not c.is_zero)
-        )
+        a, b = ClearedRecurrence(self), ClearedRecurrence(other)
+        merged: dict[int, list[int]] = {}
+        for r1, c1 in a.terms:
+            for r2, c2 in b.terms:
+                acc = merged.setdefault(r1 * r2, [])
+                acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
+                for i, x in enumerate(c1):
+                    for j, y in enumerate(c2):
+                        acc[i + j] += x * y
+        base, scale = a.base * b.base, a.scale * b.scale
+        return LinearRecurrence(tuple(
+            (Fraction(r, base), UniPoly([Fraction(c, scale) for c in acc]))
+            for r, acc in merged.items() if any(acc)
+        ))
 
     __rmul__ = __mul__
 
@@ -278,7 +287,8 @@ class ClearedRecurrence:
         self.scale = scale
         self.base = base
         self.terms = tuple(
-            (int(root * base), tuple(int(c * scale) for c in coeff.coeffs))
+            (root.numerator * (base // root.denominator),
+             tuple(c.numerator * (scale // c.denominator) for c in coeff.coeffs))
             for root, coeff in rec.terms
         )
 

@@ -9,6 +9,7 @@ from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot import groupring
 from recurquot.errors import (
     BasisMismatch,
@@ -57,6 +58,28 @@ def test_constructors_and_queries():
     assert p.is_polynomial
     assert p.x_polynomial() == UniPoly([F(1), F(2)])
     assert not elem({(0, (1, 0)): F(3)}).is_polynomial
+
+
+# x_polynomial refuses an element with a T variable; under -O an assert
+# would be gone and 5*T1 + X + 1 would come back as X + 1.
+_T_IN_X_POLYNOMIAL = """
+import sys
+from recurquot.errors import InputError
+from recurquot.groupring import GroupRingElement
+from recurquot.multiplicative import compute_basis
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+f = GroupRingElement(compute_basis((2, 3)), {(0, (1, 0)): 5, (1, (0, 0)): 1, (0, (0, 0)): 1})
+try:
+    print("returned", f.x_polynomial())
+except InputError as exc:
+    print("InputError:", exc)
+"""
+
+
+def test_x_polynomial_refuses_t_variables_under_optimize():
+    assert_caught_under_optimize(_T_IN_X_POLYNOMIAL, error="InputError")
 
 
 @pytest.mark.parametrize("terms", [

@@ -220,6 +220,28 @@ def test_broken_basis_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_BROKEN_BASIS, mode)
 
 
+# reconstruct takes one exponent per generator; under -O an assert would
+# be gone and a rank-2 basis would turn (1,) into 2 and (1, 1, 5) into 6.
+_WRONG_EXPONENT_COUNT = """
+import sys
+from recurquot.errors import InputError
+from recurquot.multiplicative import compute_basis
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+basis = compute_basis((2, 3))
+for exponents in ((1,), (1, 1, 5)):
+    try:
+        print("returned", basis.reconstruct(exponents))
+    except InputError as exc:
+        print("InputError:", exc)
+"""
+
+
+def test_reconstruct_checks_the_exponent_count_under_optimize():
+    assert_caught_under_optimize(_WRONG_EXPONENT_COUNT, count=2, error="InputError")
+
+
 def test_torsion_witness_is_found_when_read(monkeypatch):
     import recurquot.multiplicative as mult
 

@@ -310,6 +310,43 @@ def test_wrong_quotient_is_caught_under_optimize():
     assert_caught_under_optimize(_WRONG_DIVIDE)
 
 
+# The multiply-back runs on cleared integer forms; a quotient that is off
+# by 1/scale in one coefficient, the least step those forms can see, must
+# still fail it under -O.
+_WRONG_COEFFICIENT = """
+import sys
+from fractions import Fraction
+import recurquot.quotient as quotient
+from recurquot.errors import VerificationFailed
+from recurquot.polys import UniPoly
+from recurquot.recurrences import ClearedRecurrence, LinearRecurrence, from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_from_group_ring = quotient.from_group_ring
+
+def off_by_one_over_scale(f):
+    result = real_from_group_ring(f)
+    (root, coeff), *rest = result.terms
+    bump = Fraction(1, ClearedRecurrence(result).scale)
+    return LinearRecurrence(((root, UniPoly([coeff.coeffs[0] + bump, *coeff.coeffs[1:]])), *rest))
+
+quotient.from_group_ring = off_by_one_over_scale
+q = from_closed_form([(2, Fraction(1, 3)), (3, [Fraction(5, 2), Fraction(-1, 4)])])
+v = from_closed_form([(2, 1), (1, -1)])
+try:
+    quotient.hadamard_quotient(q * v, v)
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("wrong quotient returned unchecked")
+"""
+
+
+def test_wrong_quotient_coefficient_is_caught_under_optimize():
+    assert_caught_under_optimize(_WRONG_COEFFICIENT)
+
+
 # The clearance certificate is re-checked as recurrences: P*U == Q*V and
 # V == P*(V/P).  "all" doubles every quotient, so Q is wrong; "v_over_p"
 # doubles only the division by P.  U = 2^n - 1, V = n*(2^n - 1), P = X.
@@ -381,6 +418,38 @@ def test_each_root_is_factored_once_per_solve(monkeypatch):
     assert isinstance(polynomial_clearance(u, v), NoClearance)
     assert sorted(x for x, _ in calls) == sorted(u.roots + v.roots)
     assert not any(in_conversion for _, in_conversion in calls)
+
+
+# q*v over v with -1 in the root group: (-2)^2 / (-4) = -1.  With "cancel",
+# 5^n - (-5)^n vanishes on the even section only, so the sections' roots
+# differ and each builds its own basis.
+@pytest.mark.parametrize("cancel", [False, True])
+@pytest.mark.parametrize("mode", ["hadamard", "clearance"])
+def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
+    calls, bases = [], []
+    real_factor = multiplicative.factor_rational
+    real_basis = quotient.compute_basis
+
+    def factor_rational(x):
+        calls.append(x)
+        return real_factor(x)
+
+    def compute_basis(values):
+        bases.append(real_basis(values))
+        return bases[-1]
+
+    monkeypatch.setattr(multiplicative, "factor_rational", factor_rational)
+    monkeypatch.setattr(quotient, "compute_basis", compute_basis)
+    q = from_closed_form([(F(2), F(1)), (F(-3), UniPoly([F(1), F(1)]))])
+    v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
+    u = q * v
+    if cancel:
+        u = u + geometric(5) - geometric(-5)
+    results = solve_with_torsion_fallback(u, v, mode, decimate=True)
+    assert [r.offsets for r in results] == [(0,), (1,)]
+    assert sorted(calls) == sorted(set(u.roots + v.roots))
+    assert len(bases) == 2
+    assert (bases[0] is bases[1]) is not cancel
 
 
 def test_large_clearance_builds_its_basis_quickly():

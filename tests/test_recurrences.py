@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decimate_oracle
+import product_oracle
 from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
 from recurquot.polys import BiPoly, UniPoly
@@ -86,6 +87,56 @@ def test_hadamard_product_pointwise():
 def test_scalar_scale():
     u = mersenne().scale(F(1, 3))
     assert u.evaluate(4) == F(5)
+
+
+# Signed and rational roots whose products collide (2*3 == 6*1,
+# (-2)*(-3) == 6, (1/2)*6 == 3*1), rational coefficients, and the zero
+# sequence among the operands.
+product_inputs = st.lists(
+    st.tuples(
+        st.sampled_from([F(1), F(-1), F(2), F(-2), F(3), F(-3), F(6), F(1, 2), F(-3, 2)]),
+        st.lists(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6),
+                 min_size=1, max_size=3).map(UniPoly),
+    ),
+    min_size=0, max_size=4,
+).map(from_closed_form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_inputs, product_inputs)
+def test_product_matches_fraction_oracle(u, v):
+    assert u * v == product_oracle.multiply(u, v)
+    assert v * u == product_oracle.multiply(u, v)
+
+
+def test_product_cancellations_match_fraction_oracle():
+    one, sign = constant(1), geometric(-1)
+    two, minus_two = geometric(2), geometric(-2)
+    n = polynomial([F(0), F(1)])
+    cases = [
+        # 2^n * 3^n and 6^n * 1 meet at the root 6.
+        (two + geometric(6), geometric(3) + one, None),
+        # (1 + (-1)^n)(1 - (-1)^n) = 1 - 1: the zero sequence.
+        (one + sign, one - sign, LinearRecurrence(())),
+        # The n-terms cancel at 4 and -4, leaving constant coefficients.
+        ((n + one) * two + n * minus_two, two - minus_two,
+         geometric(4) - geometric(-4)),
+        # Rational roots and coefficients: (1/2)^n * 6^n meets 3^n * 1.
+        (geometric(F(1, 2), F(2, 3)) + geometric(3, F(-1, 3)),
+         geometric(6) + geometric(1, F(5, 2)), None),
+        (LinearRecurrence(()), mersenne(), LinearRecurrence(())),
+    ]
+    for u, v, expected in cases:
+        assert u * v == product_oracle.multiply(u, v)
+        if expected is not None:
+            assert u * v == expected
+
+
+def test_scalar_product_rescales():
+    u = from_closed_form([(F(-3, 2), UniPoly([F(1, 2), F(2)])), (F(2), F(-1))])
+    for c in (3, F(-2, 5), 0):
+        assert u * c == c * u == u.scale(c)
+    assert (u * 0).is_zero
 
 
 @settings(max_examples=60)
