@@ -409,39 +409,41 @@ def to_group_ring(u: LinearRecurrence, basis: MultiplicativeBasis) -> GroupRingE
 
     The defining property: the result evaluates to u(n) for every n.
     Distinct roots have distinct T-exponents, so no two terms meet, and
-    the split is read off directly: low is the least T-exponents, the
-    poly the numerators over one common denominator, divided by their
-    content.
+    the split is read off the stored integer form: low is the least
+    T-exponents, the poly the integer coefficients over u's scale,
+    divided by their content.
     """
     if u.is_zero:
         return GroupRingElement.zero(basis)
     exponents = [basis.express(root) for root in u.roots]
     low = tuple(map(min, zip(*exponents)))
-    den = math.lcm(*(c.denominator for _, coeff in u.terms for c in coeff.coeffs))
     poly = {}
-    for te, (_, coeff) in zip(exponents, u.terms):
+    for te, (_, coeffs) in zip(exponents, u.cleared_terms):
         shifted = tuple(a - b for a, b in zip(te, low))
-        for d, c in enumerate(coeff.coeffs):
+        for d, c in enumerate(coeffs):
             if c:
-                poly[(d, *shifted)] = c.numerator * (den // c.denominator)
+                poly[(d, *shifted)] = c
     cont = _zz_content(poly)
     if cont != 1:
         poly = {e: c // cont for e, c in poly.items()}
-    return GroupRingElement._split(basis, Fraction(cont, den), low, poly)
+    return GroupRingElement._split(basis, Fraction(cont, u.scale), low, poly)
 
 
 def from_group_ring(f: GroupRingElement) -> LinearRecurrence:
-    """Inverse of to_group_ring: collect X-coefficients per T-monomial."""
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (x, te), c in f.terms.items():
-        groups.setdefault(te, {})[x] = c
-    pairs = []
-    for te, coeffs in groups.items():
-        root = f.basis.reconstruct(te)
-        top = max(coeffs)
-        poly = UniPoly([coeffs.get(d, Fraction(0)) for d in range(top + 1)])
-        pairs.append((root, poly))
-    return from_closed_form(pairs)
+    """Inverse of to_group_ring: collect X-coefficients per T-monomial.
+
+    Each T-monomial is one root, with integer coefficients over the
+    content's denominator.
+    """
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for (x, *te), c in f.poly.items():
+        groups.setdefault(tuple(a + b for a, b in zip(te, f.low)), {})[x] = c
+    num = f.content.numerator
+    return from_closed_form(
+        ((f.basis.reconstruct(te), [num * coeffs.get(d, 0) for d in range(max(coeffs) + 1)])
+         for te, coeffs in groups.items()),
+        f.content.denominator,
+    )
 
 
 # -- Laurent gcd and division --------------------------------------------------------

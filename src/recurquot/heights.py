@@ -26,7 +26,7 @@ from .errors import (
 from .factorization import factor_rational, is_probable_prime
 from .places import Place, place_abs, valuation
 from .polys import UniPoly, _render_sum
-from .recurrences import ClearedRecurrence, LinearRecurrence
+from .recurrences import LinearRecurrence
 
 
 class LogSum:
@@ -334,13 +334,12 @@ def decay_check(
     best: LogSum | None = None
     best_n: int | None = None
     # V(n) = W(n) / (c * B^n) for the cleared integer sequence W.
-    cleared = ClearedRecurrence(v)
-    clearing = cleared.scale * cleared.base**n_lo
+    clearing = v.scale * v.base**n_lo
     if not place.is_archimedean:
         p = place.prime
-        v_scale, v_base = valuation(cleared.scale, p), valuation(cleared.base, p)
-    for n, w in zip(range(n_lo, n_hi + 1), cleared.walk(n_lo)):
-        denominator, clearing = clearing, clearing * cleared.base
+        v_scale, v_base = valuation(v.scale, p), valuation(v.base, p)
+    for n, w in zip(range(n_lo, n_hi + 1), v.walk(n_lo)):
+        denominator, clearing = clearing, clearing * v.base
         if w == 0:
             skipped.append(n)
             continue

@@ -7,8 +7,9 @@ optional totient mode that also tries m = phi(V(n)).
 progression of n along which p | V(n) always while p never divides
 U(m), so no pair in that progression can be integral at all.
 
-Both read U and V as cleared integer sequences (``ClearedRecurrence``)
-and work with residues: no cell builds the exact value of U(m).
+Both read U and V through their stored cleared integer sequences
+(``LinearRecurrence.walk``) and work with residues: no cell builds the
+exact value of U(m).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import BadPrime, InputError, VerificationFailed, ZeroInput
 from .factorization import euler_phi, factor_int, is_probable_prime
 from .heights import SIntegerSpec, _outside_part
 from .places import valuation
-from .recurrences import ClearedRecurrence, LinearRecurrence
+from .recurrences import LinearRecurrence
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class SearchHit:
     d: int
 
 
-def _hit_check(cleared: ClearedRecurrence, primes_b, n: int, value: Fraction, s_primes):
+def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes):
     """A re-check that d * U(m)/V(n) is an S-integer, apart from the search.
 
     Only the clearing of U, with the factorization ``primes_b`` of its
@@ -75,7 +76,7 @@ def _hit_check(cleared: ClearedRecurrence, primes_b, n: int, value: Fraction, s_
     """
     if value == 0:
         raise VerificationFailed(f"a hit in row n={n}, where V(n) = 0")
-    rest = cleared.scale * abs(value.numerator)
+    rest = u.scale * abs(value.numerator)
     free = _outside_part(rest, [*s_primes, *primes_b])
     powers = [(p, k, valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
 
@@ -85,7 +86,7 @@ def _hit_check(cleared: ClearedRecurrence, primes_b, n: int, value: Fraction, s_
         for p, k, e in powers:
             need *= p ** max(0, e + k * m - valuation(cover, p))
         w = 0
-        for root, coeffs in cleared.terms:
+        for root, coeffs in u.cleared_terms:
             poly = 0
             for c in reversed(coeffs):
                 poly = poly * m + c
@@ -101,7 +102,7 @@ def _word_digits(p: int) -> int:
     return max(1, 63 // p.bit_length())
 
 
-def _capped_valuation(cleared: ClearedRecurrence, m: int, p: int, cap: int) -> int:
+def _capped_valuation(u: LinearRecurrence, m: int, p: int, cap: int) -> int:
     """min(v_p(W(m)), cap), or 0 when cap <= 0.
 
     Reads W(m) mod p^k from about a machine word on, doubling k until
@@ -110,7 +111,7 @@ def _capped_valuation(cleared: ClearedRecurrence, m: int, p: int, cap: int) -> i
     """
     k = min(cap, _word_digits(p))
     while k > 0:
-        residue = next(cleared.walk(m, modulus=p**k))
+        residue = next(u.walk(m, modulus=p**k))
         if residue:
             return valuation(residue, p)
         if k == cap:
@@ -152,19 +153,16 @@ def integrality_search(
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
     s_primes = s_spec.sorted() if s_spec is not None else []
-    cleared_u = ClearedRecurrence(u)
-    cleared_v = ClearedRecurrence(v)
-    scale_u = cleared_u.scale
     fixed = isinstance(policy, FixedDenominator)
-    primes_b = factor_int(cleared_u.base)
+    primes_b = factor_int(u.base)
     # (p, v_p(B), v_p(c)) for the primes of B outside S.
-    b_part = [(p, k, valuation(scale_u, p)) for p, k in primes_b.items() if p not in s_primes]
+    b_part = [(p, k, valuation(u.scale, p)) for p, k in primes_b.items() if p not in s_primes]
     outside = [*s_primes, *primes_b]
 
     rows = []  # (n, num, den) with V(n) = num/den != 0 in lowest terms
-    clearing_v = cleared_v.scale
-    for n, w_v in zip(range(1, n_max + 1), cleared_v.walk(1)):
-        clearing_v *= cleared_v.base
+    clearing_v = v.scale
+    for n, w_v in zip(range(1, n_max + 1), v.walk(1)):
+        clearing_v *= v.base
         if w_v:
             g = math.gcd(w_v, clearing_v)
             rows.append((n, w_v // g, clearing_v // g))
@@ -178,7 +176,7 @@ def integrality_search(
     # row's M: beyond that cap its exact value changes no d_min.
     top = [max(s) for s in zip(*(shifts(num, den) for _, num, den in rows))]
     grid_vals = [
-        [_capped_valuation(cleared_u, m, p, c_p + m * k + t) for m in range(1, m_max + 1)]
+        [_capped_valuation(u, m, p, c_p + m * k + t) for m in range(1, m_max + 1)]
         for (p, k, c_p), t in zip(b_part, top)
     ]
     vals_by_m = list(zip(*grid_vals)) if b_part else [()] * m_max
@@ -188,14 +186,14 @@ def integrality_search(
         check = None  # the row's re-verification, set up on its first hit
         bound = policy.d if fixed else n**policy.exponent
         width = bound.bit_length()
-        free = _outside_part(scale_u * num, outside)
+        free = _outside_part(u.scale * num, outside)
         row_shifts = shifts(num, den)
-        cells = zip(range(1, m_max + 1), cleared_u.walk(1, modulus=free), vals_by_m)
+        cells = zip(range(1, m_max + 1), u.walk(1, modulus=free), vals_by_m)
         if totient and den == 1 and num > 0:
             phi = euler_phi(num)
-            phi_vals = [_capped_valuation(cleared_u, phi, p, c_p + phi * k + s)
+            phi_vals = [_capped_valuation(u, phi, p, c_p + phi * k + s)
                         for (p, k, c_p), s in zip(b_part, row_shifts)]
-            cells = chain(cells, [(phi, next(cleared_u.walk(phi, modulus=free)), phi_vals)])
+            cells = chain(cells, [(phi, next(u.walk(phi, modulus=free)), phi_vals)])
         for m, residue, vals in cells:
             d_min = free // math.gcd(residue * den, free)
             if b_part:
@@ -209,7 +207,7 @@ def integrality_search(
             if not accepted:
                 continue
             if check is None:
-                check = _hit_check(cleared_u, primes_b, n, v.evaluate(n), s_primes)
+                check = _hit_check(u, primes_b, n, v.evaluate(n), s_primes)
             check(m, d_min)
             hits.add(SearchHit(m, n, d_min))
     return sorted(hits, key=lambda h: (h.n, h.m, h.d))
@@ -245,23 +243,6 @@ class ObstructionReport:
         return "certified" if self.certified else "not-an-obstruction"
 
 
-def _cleared_mod_p(rec: LinearRecurrence, p: int) -> ClearedRecurrence:
-    """Clear a recurrence whose roots and coefficients are p-integral.
-
-    Then p divides neither c nor B, so W(k) = c * B^k * V(k) vanishes
-    mod p exactly when V(k) does.  Roots divisible by p are allowed:
-    those terms vanish mod p at every index >= 1, and the scan never
-    reads index 0.
-    """
-    for root, coeff in rec.terms:
-        if root.denominator % p == 0:
-            raise BadPrime(f"{p} divides the denominator of root {root}")
-        for c in coeff.coeffs:
-            if c.denominator % p == 0:
-                raise BadPrime(f"{p} divides a coefficient denominator ({c})")
-    return ClearedRecurrence(rec)
-
-
 def _multiplicative_order(a: int, p: int) -> int:
     """Order of a unit a mod the prime p."""
     order = p - 1
@@ -271,7 +252,7 @@ def _multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-def _period_mod_p(cleared: ClearedRecurrence, p: int) -> int:
+def _period_mod_p(rec: LinearRecurrence, p: int) -> int:
     """A period of W(k) mod p over k >= 1 that divides p * (p - 1).
 
     The lcm of the orders of the roots that are units mod p, times p
@@ -279,7 +260,7 @@ def _period_mod_p(cleared: ClearedRecurrence, p: int) -> int:
     """
     period = 1
     polynomial = False
-    for root, coeffs in cleared.terms:
+    for root, coeffs in rec.cleared_terms:
         if root % p == 0:
             continue
         period = math.lcm(period, _multiplicative_order(root % p, p))
@@ -306,8 +287,12 @@ def obstruction_scan(
         raise BadPrime(f"{p} is not prime")
     if u.is_zero or v.is_zero:
         raise ZeroInput("obstructions need non-zero sequences")
-    cleared_u = _cleared_mod_p(u, p)
-    cleared_v = _cleared_mod_p(v, p)
+    # With p dividing neither c nor B, W(k) = c * B^k * V(k) vanishes mod p
+    # exactly when V(k) does.  Roots divisible by p are allowed: their terms
+    # vanish mod p at every index >= 1, and the scan never reads index 0.
+    for rec in (u, v):
+        if rec.base % p == 0 or rec.scale % p == 0:
+            raise BadPrime(f"{p} divides a root or coefficient denominator of {rec.render()}")
 
     def report(failing_side=None, failing_index=None) -> ObstructionReport:
         return ObstructionReport(
@@ -315,19 +300,19 @@ def obstruction_scan(
             prime=p,
             progression=(q, r),
             period=p * (p - 1),
-            clearing_constants=(cleared_u.scale, cleared_v.scale),
+            clearing_constants=(u.scale, v.scale),
             failing_side=failing_side,
             failing_index=failing_index,
         )
 
     first = r if r >= 1 else q
-    period_v = _period_mod_p(cleared_v, p)
+    period_v = _period_mod_p(v, p)
     steps = period_v // math.gcd(q, period_v)
-    for j, residue in zip(range(steps), cleared_v.walk(first, q, modulus=p)):
+    for j, residue in zip(range(steps), v.walk(first, q, modulus=p)):
         if residue != 0:
             return report("divisor", first + q * j)
-    period_u = _period_mod_p(cleared_u, p)
-    for m, residue in zip(range(1, period_u + 1), cleared_u.walk(1, modulus=p)):
+    period_u = _period_mod_p(u, p)
+    for m, residue in zip(range(1, period_u + 1), u.walk(1, modulus=p)):
         if residue == 0:
             return report("numerator", m)
     return report()

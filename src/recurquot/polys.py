@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import VerificationFailed, ZeroInput
+from .errors import InputError, VerificationFailed, ZeroInput
 from .factorization import divisors
 
 
@@ -57,10 +57,6 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
 
     @classmethod
     def one(cls) -> "UniPoly":
@@ -136,7 +132,8 @@ class UniPoly:
         return UniPoly(tuple(a * c for a in self.coeffs))
 
     def __pow__(self, k: int) -> "UniPoly":
-        assert k >= 0
+        if k < 0:
+            raise InputError(f"a polynomial power needs an exponent >= 0, got {k}")
         out = UniPoly.one()
         base = self
         while k:
@@ -251,7 +248,8 @@ class BiPoly:
 
     @classmethod
     def from_unipoly(cls, u: UniPoly, var_index: int) -> "BiPoly":
-        assert var_index in (0, 1)
+        if var_index not in (0, 1):
+            raise InputError(f"the variable index must be 0 or 1, got {var_index}")
         out = {}
         for d, c in enumerate(u.coeffs):
             if c != 0:

@@ -17,7 +17,6 @@ positive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
@@ -31,9 +30,9 @@ from .groupring import (
 from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors
 from .polys import BiPoly, UniPoly
 from .recurrences import (
-    ClearedRecurrence,
     LinearRecurrence,
     MultiRecurrence,
+    from_closed_form,
     multi_from_closed_form,
 )
 
@@ -138,7 +137,7 @@ def polynomial_clearance(
         raise VerificationFailed("divisor lost its own factor")
     quotient = from_group_ring(quotient_element)
     v_over_p = from_group_ring(v_over_p_element)
-    p_rec = LinearRecurrence(((Fraction(1), clearing),))
+    p_rec = from_closed_form([(1, clearing)])
     if p_rec * u != quotient * v:
         raise VerificationFailed("P*U differs from the quotient times V")
     if p_rec * v_over_p != v:
@@ -147,7 +146,7 @@ def polynomial_clearance(
         clearing_poly=clearing,
         quotient=quotient,
         v_over_p=v_over_p,
-        min_denominator=ClearedRecurrence(quotient).scale,
+        min_denominator=quotient.scale,
     )
 
 
@@ -165,7 +164,7 @@ def cross_quotient(
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
     combined_basis(u, v)
-    if len(v.terms) > 1:
+    if len(v.cleared_terms) > 1:
         return NoClearance(
             reason="multiple-roots",
             detail=(
@@ -177,8 +176,8 @@ def cross_quotient(
     beta, p = v.terms[0]
     clearing = p.monic()
     lead = p.lc
-    v_over_p = LinearRecurrence(((beta, UniPoly.constant(lead)),))
-    scaled = u.scale(1 / lead)
+    v_over_p = from_closed_form([(beta, lead)])
+    scaled = u * (1 / lead)
     quotient = multi_from_closed_form(
         (root, 1 / beta, BiPoly.from_unipoly(coeff, 0)) for root, coeff in scaled.terms
     )
@@ -186,7 +185,7 @@ def cross_quotient(
         clearing_poly=clearing,
         quotient=quotient,
         v_over_p=v_over_p,
-        min_denominator=ClearedRecurrence(scaled).scale,
+        min_denominator=scaled.scale,
     )
 
 

@@ -1,9 +1,10 @@
 """Closed-form linear recurrences over Q.
 
-A sequence is stored as a finite sum of terms coeff(n) * root^n with
-non-zero rational roots, pairwise distinct, and non-zero polynomial
-coefficients.  This representation is closed under addition, pointwise
-product, and decimation, and every operation here is exact.
+A sequence is a finite sum of terms coeff(n) * root^n with non-zero
+rational roots, pairwise distinct, and non-zero polynomial
+coefficients, stored cleared to integers (see ``LinearRecurrence``).
+This representation is closed under addition, pointwise product, and
+decimation, and every operation here is exact.
 """
 
 from __future__ import annotations
@@ -48,21 +49,66 @@ def _term_str(coeff: UniPoly, base: Fraction, var: str) -> str:
     return f"{poly}*{power}"
 
 
-class LinearRecurrence:
-    """Exact closed form: sum of coeff_i(n) * root_i^n.
+def _accumulate(merged: dict[int, list[int]], root: int, coeffs) -> None:
+    """Add the integer coefficients ``coeffs`` to the entry of ``root``."""
+    acc = merged.setdefault(root, [])
+    acc.extend([0] * (len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs):
+        acc[i] += c
 
-    Terms are kept sorted by root; the zero sequence has no terms.
-    Use ``from_closed_form`` to build one from unchecked pairs.
+
+def _value(coeffs: tuple[int, ...], m: int) -> int:
+    """The integer polynomial sum(coeffs[i] * X^i) at X = m."""
+    return sum(c * m**i for i, c in enumerate(coeffs))
+
+
+class LinearRecurrence:
+    """Exact closed form V(n) = sum of coeff_i(n) * root_i^n.
+
+    V is stored cleared to the integer sequence W(n) = scale * base^n *
+    V(n) = sum(C_i(n) * R_i^n): ``base`` B is the lcm of the root
+    denominators and ``scale`` c the lcm of the coefficient denominators,
+    so the roots R_i = B * root_i are distinct non-zero integers and the
+    coefficients C_i = c * coeff_i non-zero integer polynomials.
+    ``cleared_terms`` holds the pairs (R_i, coefficients of C_i, low degree
+    first) sorted by R_i, that is by root; the zero sequence has none.
+    The form is unique, so ``==`` and ``hash`` compare integers.  W
+    vanishes exactly where V does and has its sign, so index scans read V
+    through ``walk``.  ``terms`` and ``roots`` are the rational view; use
+    ``from_closed_form`` to build a sequence from rational pairs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("scale", "base", "cleared_terms")
 
-    def __init__(self, terms: tuple[tuple[Fraction, UniPoly], ...]):
-        roots = [r for r, _ in terms]
-        assert all(r != 0 for r in roots)
-        assert len(set(roots)) == len(roots)
-        assert all(not c.is_zero for _, c in terms)
-        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[0])))
+    def __init__(self, cleared_terms=(), scale: int = 1, base: int = 1):
+        """The sequence sum(C(n) * R^n) / (scale * base^n) over (R, C) pairs.
+
+        Trailing zero coefficients are trimmed and zero polynomials
+        dropped; the two gcds then bring scale and base down to the lcms
+        above.  A zero root raises ZeroRoot; a repeated root, or a scale
+        or base below 1, raises InputError.
+        """
+        if scale < 1 or base < 1:
+            raise InputError(f"scale and base must be >= 1, got {scale} and {base}")
+        kept: dict[int, tuple[int, ...]] = {}
+        for root, coeffs in cleared_terms:
+            if not root:
+                raise ZeroRoot("closed forms require non-zero roots")
+            if root in kept:
+                raise InputError(f"the root {root} is given twice")
+            top = len(coeffs)
+            while top and not coeffs[top - 1]:
+                top -= 1
+            if top:
+                kept[root] = tuple(coeffs[:top])
+        g = math.gcd(base, *kept)
+        h = math.gcd(scale, *(c for coeffs in kept.values() for c in coeffs))
+        object.__setattr__(self, "scale", scale // h)
+        object.__setattr__(self, "base", base // g)
+        object.__setattr__(self, "cleared_terms", tuple(sorted(
+            (root // g, coeffs if h == 1 else tuple(c // h for c in coeffs))
+            for root, coeffs in kept.items()
+        )))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearRecurrence is immutable")
@@ -71,98 +117,125 @@ class LinearRecurrence:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.cleared_terms
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, UniPoly], ...]:
+        """The (root, coefficient polynomial) pairs over Q, sorted by root."""
+        return tuple(
+            (Fraction(root, self.base), UniPoly([Fraction(c, self.scale) for c in coeffs]))
+            for root, coeffs in self.cleared_terms
+        )
 
     @property
     def roots(self) -> tuple[Fraction, ...]:
-        return tuple(r for r, _ in self.terms)
+        return tuple(Fraction(root, self.base) for root, _ in self.cleared_terms)
 
     @property
     def order(self) -> int:
         """Order of the minimal linear relation the sequence satisfies."""
-        return sum(c.degree + 1 for _, c in self.terms)
+        return sum(len(coeffs) for _, coeffs in self.cleared_terms)
 
     def evaluate(self, n: int) -> Fraction:
-        out = Fraction(0)
-        for root, coeff in self.terms:
-            out += coeff(n) * root**n
-        return out
+        """V(n) = W(n) / (scale * base^n); below 0, root^n = (base / R)^-n."""
+        terms = self.cleared_terms
+        if n < 0:
+            return sum((_value(cs, n) * Fraction(self.base, r) ** -n for r, cs in terms),
+                       Fraction(0)) / self.scale
+        return Fraction(sum(_value(cs, n) * r**n for r, cs in terms), self.scale * self.base**n)
+
+    def walk(self, start: int, step: int = 1, modulus: int | None = None) -> Iterator[int]:
+        """W(start), W(start + step), W(start + 2*step), ... without end.
+
+        Needs start, step >= 0.  The first value costs one ``pow`` per
+        root, every later one a single multiplication per root.  With a
+        modulus each value is the residue in [0, modulus).
+        """
+        if modulus is None:
+            powers = [r**start for r, _ in self.cleared_terms]
+            factors = [r**step for r, _ in self.cleared_terms]
+        else:
+            powers = [pow(r, start, modulus) for r, _ in self.cleared_terms]
+            factors = [pow(r, step, modulus) for r, _ in self.cleared_terms]
+        polys = [cs[::-1] for _, cs in self.cleared_terms]
+        indices = range(len(polys))
+        k = start
+        while True:
+            total = 0
+            for i in indices:
+                value = 0
+                for c in polys[i]:
+                    value = value * k + c
+                total += value * powers[i]
+                if modulus is None:
+                    powers[i] *= factors[i]
+                else:
+                    powers[i] = powers[i] * factors[i] % modulus
+            yield total if modulus is None else total % modulus
+            k += step
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LinearRecurrence") -> "LinearRecurrence":
-        merged: dict[Fraction, UniPoly] = {r: c for r, c in self.terms}
-        for r, c in other.terms:
-            merged[r] = merged.get(r, UniPoly.zero()) + c
-        return LinearRecurrence(
-            tuple((r, c) for r, c in merged.items() if not c.is_zero)
-        )
+        scale = math.lcm(self.scale, other.scale)
+        base = math.lcm(self.base, other.base)
+        merged: dict[int, list[int]] = {}
+        for rec in (self, other):
+            lift, widen = base // rec.base, scale // rec.scale
+            for root, coeffs in rec.cleared_terms:
+                _accumulate(merged, root * lift, [c * widen for c in coeffs])
+        return LinearRecurrence(merged.items(), scale, base)
 
     def __neg__(self) -> "LinearRecurrence":
-        return LinearRecurrence(tuple((r, -c) for r, c in self.terms))
+        return self * -1
 
     def __sub__(self, other: "LinearRecurrence") -> "LinearRecurrence":
         return self + (-other)
 
     def __mul__(self, other):
-        """Pointwise (Hadamard) product; scalars rescale.
+        """Pointwise (Hadamard) product; a rational scalar rescales.
 
-        Runs on the cleared integer forms: integer roots multiply, integer
-        coefficients convolve, and each output coefficient is one Fraction.
+        Integer roots multiply and integer coefficients convolve; the
+        scales and the bases multiply.
         """
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = ClearedRecurrence(self), ClearedRecurrence(other)
+            num = other.numerator
+            terms = ((root, [c * num for c in coeffs]) for root, coeffs in self.cleared_terms)
+            return LinearRecurrence(terms, self.scale * other.denominator, self.base)
+        if not isinstance(other, LinearRecurrence):
+            return NotImplemented
         merged: dict[int, list[int]] = {}
-        for r1, c1 in a.terms:
-            for r2, c2 in b.terms:
+        for r1, c1 in self.cleared_terms:
+            for r2, c2 in other.cleared_terms:
                 acc = merged.setdefault(r1 * r2, [])
                 acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
                 for i, x in enumerate(c1):
                     for j, y in enumerate(c2):
                         acc[i + j] += x * y
-        base, scale = a.base * b.base, a.scale * b.scale
-        return LinearRecurrence(tuple(
-            (Fraction(r, base), UniPoly([Fraction(c, scale) for c in acc]))
-            for r, acc in merged.items() if any(acc)
-        ))
+        return LinearRecurrence(merged.items(), self.scale * other.scale, self.base * other.base)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "LinearRecurrence":
-        c = _fr(c)
-        if c == 0:
-            return LinearRecurrence(())
-        return LinearRecurrence(tuple((r, coeff.scale(c)) for r, coeff in self.terms))
 
     def decimate(self, q: int, r: int) -> "LinearRecurrence":
         """The section m -> U(q*m + r); roots may merge (e.g. (-a)^q == a^q).
 
-        A term c(n) * root^n becomes root^r * c(q*m + r) * (root^q)^m.
-        With c = p / den for an integer polynomial p, the Taylor shift
-        p(X + r) and the scaling X -> q*X run on integers, and each output
-        coefficient is one Fraction.
+        W(q*m + r) = sum(C_i(q*m + r) * R_i^r * (R_i^q)^m), so the section
+        has the roots R_i^q over base^q and the coefficients R_i^r *
+        C_i(q*X + r) over scale * base^r: a Taylor shift C(X + r) and the
+        scaling X -> q*X, all on integers.
         """
         if q < 1 or not 0 <= r < q:
             raise InputError(f"decimation needs q >= 1 and 0 <= r < q, got q={q}, r={r}")
-        merged: dict[Fraction, UniPoly] = {}
-        for root, coeff in self.terms:
-            den = math.lcm(*(c.denominator for c in coeff.coeffs))
-            p = [c.numerator * (den // c.denominator) for c in coeff.coeffs]
+        merged: dict[int, list[int]] = {}
+        for root, coeffs in self.cleared_terms:
+            p = list(coeffs)
             if r:
                 for i in range(len(p) - 1):
                     for j in range(len(p) - 2, i - 1, -1):
                         p[j] += r * p[j + 1]
-            num = root.numerator**r
-            den *= root.denominator**r
-            new_coeff = UniPoly([Fraction(c * q**j * num, den) for j, c in enumerate(p)])
-            new_root = root**q
-            if new_root in merged:
-                new_coeff = merged[new_root] + new_coeff
-            merged[new_root] = new_coeff
-        return LinearRecurrence(
-            tuple((r_, c) for r_, c in merged.items() if not c.is_zero)
-        )
+            lift = root**r
+            _accumulate(merged, root**q, [c * q**j * lift for j, c in enumerate(p)])
+        return LinearRecurrence(merged.items(), self.scale * self.base**r, self.base**q)
 
     # -- rendering ----------------------------------------------------------
 
@@ -172,48 +245,56 @@ class LinearRecurrence:
     def __eq__(self, other):
         if not isinstance(other, LinearRecurrence):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.scale, self.base, self.cleared_terms) == (
+            other.scale, other.base, other.cleared_terms)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.scale, self.base, self.cleared_terms))
 
     def __repr__(self):
         return f"LinearRecurrence({self.render()})"
 
 
-def from_closed_form(pairs) -> LinearRecurrence:
-    """Build a recurrence from (root, coeff) pairs.
+def from_closed_form(pairs, scale: int = 1) -> LinearRecurrence:
+    """The sequence sum(coeff(n) * root^n) / scale from (root, coeff) pairs over Q.
 
+    A coeff is a UniPoly, a rational constant or a coefficient list.
     Duplicate roots merge by adding coefficients; zero coefficients are
     dropped; a zero root raises ZeroRoot.
     """
-    merged: dict[Fraction, UniPoly] = {}
+    rational = []
     for root, coeff in pairs:
         root = _fr(root)
         if root == 0:
             raise ZeroRoot("closed forms require non-zero roots")
         if not isinstance(coeff, UniPoly):
             coeff = UniPoly.constant(coeff) if isinstance(coeff, (int, Fraction)) else UniPoly(coeff)
-        merged[root] = merged.get(root, UniPoly.zero()) + coeff
-    return LinearRecurrence(tuple((r, c) for r, c in merged.items() if not c.is_zero))
+        rational.append((root, coeff.coeffs))
+    base = math.lcm(*(root.denominator for root, _ in rational))
+    lcm = math.lcm(*(c.denominator for _, coeffs in rational for c in coeffs))
+    merged: dict[int, list[int]] = {}
+    for root, coeffs in rational:
+        _accumulate(
+            merged,
+            root.numerator * (base // root.denominator),
+            [c.numerator * (lcm // c.denominator) for c in coeffs],
+        )
+    return LinearRecurrence(merged.items(), scale * lcm, base)
 
 
 def constant(c) -> LinearRecurrence:
     """The constant sequence n -> c."""
-    c = _fr(c)
-    if c == 0:
-        return LinearRecurrence(())
-    return from_closed_form([(Fraction(1), UniPoly.constant(c))])
+    return from_closed_form([(1, _fr(c))])
 
 
 def geometric(base, coeff=1) -> LinearRecurrence:
     """The sequence n -> coeff * base^n."""
-    return from_closed_form([(_fr(base), UniPoly.constant(coeff))])
+    return from_closed_form([(base, _fr(coeff))])
 
 
 def polynomial(coeffs) -> LinearRecurrence:
     """The sequence n -> p(n) for the given coefficient list."""
-    return from_closed_form([(Fraction(1), UniPoly(coeffs))])
+    return from_closed_form([(1, UniPoly(coeffs))])
 
 
 def from_relation(coeffs, initial) -> LinearRecurrence:
@@ -260,69 +341,6 @@ def from_relation(coeffs, initial) -> LinearRecurrence:
     return rec
 
 
-# -- cleared integer sequences --------------------------------------------------
-
-
-class ClearedRecurrence:
-    """V cleared to the integer sequence W(k) = scale * base^k * V(k).
-
-    ``base`` is the lcm of the root denominators and ``scale`` the lcm
-    of the coefficient denominators, so W(k) = sum(c_i(k) * R_i^k) with
-    integer roots R_i = base * root_i and integer coefficient
-    polynomials c_i = scale * coeff_i, stored in ``terms`` as (R_i,
-    coefficients of c_i, low degree first).  W vanishes exactly where V
-    does and has the same sign, so index scans read V through ``walk``
-    and the zero-set cutoff reads ``terms``, instead of evaluating
-    Fractions.
-    """
-
-    __slots__ = ("scale", "base", "terms")
-
-    def __init__(self, rec: LinearRecurrence):
-        base = scale = 1
-        for root, coeff in rec.terms:
-            base = math.lcm(base, root.denominator)
-            for c in coeff.coeffs:
-                scale = math.lcm(scale, c.denominator)
-        self.scale = scale
-        self.base = base
-        self.terms = tuple(
-            (root.numerator * (base // root.denominator),
-             tuple(c.numerator * (scale // c.denominator) for c in coeff.coeffs))
-            for root, coeff in rec.terms
-        )
-
-    def walk(self, start: int, step: int = 1, modulus: int | None = None) -> Iterator[int]:
-        """W(start), W(start + step), W(start + 2*step), ... without end.
-
-        Needs start, step >= 0.  The first value costs one ``pow`` per
-        root, every later one a single multiplication per root.  With a
-        modulus each value is the residue in [0, modulus).
-        """
-        if modulus is None:
-            powers = [r**start for r, _ in self.terms]
-            factors = [r**step for r, _ in self.terms]
-        else:
-            powers = [pow(r, start, modulus) for r, _ in self.terms]
-            factors = [pow(r, step, modulus) for r, _ in self.terms]
-        polys = [cs[::-1] for _, cs in self.terms]
-        indices = range(len(polys))
-        k = start
-        while True:
-            total = 0
-            for i in indices:
-                value = 0
-                for c in polys[i]:
-                    value = value * k + c
-                total += value * powers[i]
-                if modulus is None:
-                    powers[i] *= factors[i]
-                else:
-                    powers[i] = powers[i] * factors[i] % modulus
-            yield total if modulus is None else total % modulus
-            k += step
-
-
 # -- zero sets ---------------------------------------------------------------
 
 
@@ -343,12 +361,7 @@ class ZeroSetReport:
     dominance_from: int | None
 
 
-def _value(coeffs: tuple[int, ...], m: int) -> int:
-    """The integer polynomial sum(coeffs[i] * X^i) at X = m."""
-    return sum(c * m**i for i, c in enumerate(coeffs))
-
-
-def _section_cutoff(sec: ClearedRecurrence, cap: int) -> int | None:
+def _section_cutoff(sec: LinearRecurrence, cap: int) -> int | None:
     """Smallest verified index m0 <= cap + 1 with no zeros at m >= m0.
 
     Reads the cleared W in integers only; requires all roots positive.
@@ -361,16 +374,17 @@ def _section_cutoff(sec: ClearedRecurrence, cap: int) -> int | None:
     |c_beta(m)| R_beta^m, induction keeps the dominant term strictly ahead
     of the rest forever.
     """
-    assert sec.terms and all(r > 0 for r, _ in sec.terms)
-    if len(sec.terms) == 1:
-        _, coeffs = sec.terms[0]
+    terms = sec.cleared_terms
+    assert terms and all(r > 0 for r, _ in terms)
+    if len(terms) == 1:
+        _, coeffs = terms[0]
         cutoff = 0
         for root, _ in UniPoly(coeffs).rational_roots():
             if root.denominator == 1 and root >= 0:
                 cutoff = max(cutoff, int(root) + 1)
         return cutoff if cutoff <= cap + 1 else None
-    beta, c_beta = sec.terms[-1]
-    others = sec.terms[:-1]
+    beta, c_beta = terms[-1]
+    others = terms[:-1]
     rho = others[-1][0]
     majorants = [(root, tuple(abs(c) for c in coeffs)) for root, coeffs in others]
     env_degree = max(len(p) for _, p in majorants) - 1
@@ -412,11 +426,10 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
         if section.is_zero:
             progressions.append((2, residue))
             continue
-        cleared = ClearedRecurrence(section)
         cap = (search_bound - residue) // 2
-        cutoff = _section_cutoff(cleared, cap) if cap >= 0 else None
+        cutoff = _section_cutoff(section, cap) if cap >= 0 else None
         scan_to = cutoff - 1 if cutoff is not None else cap
-        for m, value in zip(range(scan_to + 1), cleared.walk(0)):
+        for m, value in zip(range(scan_to + 1), section.walk(0)):
             if value == 0:
                 sporadic.add(2 * m + residue)
         if cutoff is None:

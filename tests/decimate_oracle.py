@@ -7,21 +7,23 @@ arithmetic with the library's integer path, so the tests compare the
 two on small inputs.
 """
 
+from fraction_form import canonical_terms
+
 from recurquot.polys import UniPoly
-from recurquot.recurrences import LinearRecurrence, from_closed_form
+from recurquot.recurrences import LinearRecurrence
 
 
 def shift_compose(p: UniPoly, q, r) -> UniPoly:
     """p(q*X + r) by Horner's rule over the polynomial ring."""
     lin = UniPoly((r, q))
-    out = UniPoly.zero()
+    out = UniPoly()
     for c in reversed(p.coeffs):
         out = out * lin + UniPoly.constant(c)
     return out
 
 
-def decimate(u: LinearRecurrence, q: int, r: int) -> LinearRecurrence:
-    """The section m -> U(q*m + r); ``from_closed_form`` merges roots that meet."""
-    return from_closed_form(
+def decimate(u: LinearRecurrence, q: int, r: int):
+    """The terms of the section m -> U(q*m + r); ``canonical_terms`` merges roots that meet."""
+    return canonical_terms(
         (root**q, shift_compose(coeff, q, r).scale(root**r)) for root, coeff in u.terms
     )

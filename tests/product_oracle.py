@@ -7,11 +7,13 @@ arithmetic with the library's integer path, so the tests compare the
 two on small inputs.
 """
 
-from recurquot.recurrences import LinearRecurrence, from_closed_form
+from fraction_form import canonical_terms
+
+from recurquot.recurrences import LinearRecurrence
 
 
-def multiply(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence:
-    """U*V; ``from_closed_form`` sums the products that meet at one root."""
-    return from_closed_form(
+def multiply(u: LinearRecurrence, v: LinearRecurrence):
+    """The terms of U*V; ``canonical_terms`` sums the products that meet at one root."""
+    return canonical_terms(
         (r1 * r2, c1 * c2) for r1, c1 in u.terms for r2, c2 in v.terms
     )

@@ -79,6 +79,18 @@ def test_eval_relation_spec():
     assert text.splitlines()[1:] == ["  0: 0", "  1: 1", "  2: 3", "  3: 7", "  4: 15"]
 
 
+def test_eval_negative_indices():
+    # 2^n - 1 at n = -2, -1 is -3/4, -1/2.
+    code, text = run("eval", DATA / "mersenne2.json", "--from", -2, "--to", 1)
+    assert code == 0
+    assert text.splitlines()[1:] == ["  -2: -3/4", "  -1: -1/2", "  0: 0", "  1: 1"]
+    code, text = run("eval", DATA / "mersenne2.json", "--from", -2, "--to", 1, "--json")
+    assert code == 0
+    assert [(v["n"], v["value"]) for v in json.loads(text)["values"]] == [
+        (-2, "-3/4"), (-1, "-1/2"), (0, "0"), (1, "1")
+    ]
+
+
 def test_eval_zero_sequence():
     code, text = run("eval", DATA / "zero.json", "--from", 0, "--to", 2)
     assert code == 0
@@ -298,16 +310,16 @@ def test_run_via_subprocess():
 
 
 def test_internal_check_failure_exits_4(monkeypatch):
-    from recurquot.recurrences import ClearedRecurrence
+    from recurquot.recurrences import LinearRecurrence
 
-    real_walk = ClearedRecurrence.walk
+    real_walk = LinearRecurrence.walk
 
     def wrong_walk(self, start, step=1, modulus=None):
         # Every residue reads 0, so the search's hit re-check must fail.
         for value in real_walk(self, start, step, modulus):
             yield value if modulus is None else 0
 
-    monkeypatch.setattr(ClearedRecurrence, "walk", wrong_walk)
+    monkeypatch.setattr(LinearRecurrence, "walk", wrong_walk)
     code, text = run(
         "search", DATA / "mersenne3m.json", DATA / "mersenne2.json",
         "--m-max", 8, "--n-max", 4, "--d-policy", "fixed:1",

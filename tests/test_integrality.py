@@ -224,11 +224,11 @@ import sys
 from fractions import Fraction
 from recurquot.errors import VerificationFailed
 from recurquot.integrality import FixedDenominator, integrality_search
-from recurquot.recurrences import ClearedRecurrence, from_closed_form
+from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-real_walk = ClearedRecurrence.walk
+real_walk = LinearRecurrence.walk
 
 
 def wrong_walk(self, start, step=1, modulus=None):
@@ -237,7 +237,7 @@ def wrong_walk(self, start, step=1, modulus=None):
         yield value if modulus is None else 0
 
 
-ClearedRecurrence.walk = wrong_walk
+LinearRecurrence.walk = wrong_walk
 v = from_closed_form([(2, 1), (1, -1)])
 # 3^m - 1; and (3/2)^m - 1 over V(1) = 1, where only the powers of 2,
 # read as valuations, can be wrong.

@@ -152,3 +152,27 @@ else:
 
 def test_false_rational_root_is_caught_under_optimize():
     assert_caught_under_optimize(_FALSE_ROOT)
+
+
+# Under -O the old asserts on these arguments were gone: a negative power
+# looped forever (k >>= 1 stays -1) and any variable index other than 0
+# was read as 1.
+_BAD_ARGUMENTS = """
+import sys
+from recurquot.errors import InputError
+from recurquot.polys import BiPoly, UniPoly
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+for call in (lambda: UniPoly((1, 1)) ** -1, lambda: BiPoly.from_unipoly(UniPoly((1, 1)), 2)):
+    try:
+        call()
+    except InputError as exc:
+        print("InputError:", exc)
+    else:
+        print("a bad argument went unchecked")
+"""
+
+
+def test_bad_power_and_variable_index_raise_under_optimize():
+    assert_caught_under_optimize(_BAD_ARGUMENTS, count=2, error="InputError")

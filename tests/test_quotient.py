@@ -318,18 +318,17 @@ import sys
 from fractions import Fraction
 import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
-from recurquot.polys import UniPoly
-from recurquot.recurrences import ClearedRecurrence, LinearRecurrence, from_closed_form
+from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
 real_from_group_ring = quotient.from_group_ring
 
 def off_by_one_over_scale(f):
+    # Adds 1/scale to the constant coefficient of the smallest root.
     result = real_from_group_ring(f)
-    (root, coeff), *rest = result.terms
-    bump = Fraction(1, ClearedRecurrence(result).scale)
-    return LinearRecurrence(((root, UniPoly([coeff.coeffs[0] + bump, *coeff.coeffs[1:]])), *rest))
+    (root, (c0, *cs)), *rest = result.cleared_terms
+    return LinearRecurrence(((root, (c0 + 1, *cs)), *rest), result.scale, result.base)
 
 quotient.from_group_ring = off_by_one_over_scale
 q = from_closed_form([(2, Fraction(1, 3)), (3, [Fraction(5, 2), Fraction(-1, 4)])])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 
 import decimate_oracle
 import product_oracle
+from fraction_form import canonical_terms
 from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
 from recurquot.polys import BiPoly, UniPoly
 from recurquot.recurrences import (
-    ClearedRecurrence,
     LinearRecurrence,
     constant,
     from_closed_form,
@@ -85,7 +86,7 @@ def test_hadamard_product_pointwise():
 
 
 def test_scalar_scale():
-    u = mersenne().scale(F(1, 3))
+    u = mersenne() * F(1, 3)
     assert u.evaluate(4) == F(5)
 
 
@@ -105,8 +106,8 @@ product_inputs = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(product_inputs, product_inputs)
 def test_product_matches_fraction_oracle(u, v):
-    assert u * v == product_oracle.multiply(u, v)
-    assert v * u == product_oracle.multiply(u, v)
+    assert (u * v).terms == product_oracle.multiply(u, v)
+    assert (v * u).terms == product_oracle.multiply(u, v)
 
 
 def test_product_cancellations_match_fraction_oracle():
@@ -127,7 +128,7 @@ def test_product_cancellations_match_fraction_oracle():
         (LinearRecurrence(()), mersenne(), LinearRecurrence(())),
     ]
     for u, v, expected in cases:
-        assert u * v == product_oracle.multiply(u, v)
+        assert (u * v).terms == product_oracle.multiply(u, v)
         if expected is not None:
             assert u * v == expected
 
@@ -135,7 +136,9 @@ def test_product_cancellations_match_fraction_oracle():
 def test_scalar_product_rescales():
     u = from_closed_form([(F(-3, 2), UniPoly([F(1, 2), F(2)])), (F(2), F(-1))])
     for c in (3, F(-2, 5), 0):
-        assert u * c == c * u == u.scale(c)
+        assert (u * c).terms == (c * u).terms == canonical_terms(
+            (root, coeff * c) for root, coeff in u.terms
+        )
     assert (u * 0).is_zero
 
 
@@ -198,7 +201,7 @@ decimation_inputs = st.lists(
 @given(decimation_inputs, st.integers(min_value=1, max_value=4))
 def test_decimate_matches_fraction_horner(u, q):
     for r in range(q):
-        assert u.decimate(q, r) == decimate_oracle.decimate(u, q, r)
+        assert u.decimate(q, r).terms == decimate_oracle.decimate(u, q, r)
 
 
 def test_render_dominant_first():
@@ -333,22 +336,97 @@ def test_multi_render():
 
 def test_cleared_recurrence_of():
     rec = from_closed_form([(F(3, 2), UniPoly((F(1, 3), F(1, 2)))), (F(-1, 4), F(5))])
-    cleared = ClearedRecurrence(rec)
-    assert (cleared.scale, cleared.base) == (6, 4)
-    assert cleared.terms == ((-1, (30,)), (6, (2, 3)))
+    assert (rec.scale, rec.base) == (6, 4)
+    assert rec.cleared_terms == ((-1, (30,)), (6, (2, 3)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_recurrences, st.integers(0, 6), st.integers(0, 4), st.integers(1, 60))
 def test_cleared_walk_matches_evaluate(rec, start, step, modulus):
-    cleared = ClearedRecurrence(rec)
-    exact = cleared.walk(start, step)
-    residues = cleared.walk(start, step, modulus)
+    exact = rec.walk(start, step)
+    residues = rec.walk(start, step, modulus)
     for j in range(8):
         k = start + step * j
         w = next(exact)
-        assert w == cleared.scale * cleared.base**k * rec.evaluate(k)
+        assert w == rec.scale * rec.base**k * rec.evaluate(k)
         assert next(residues) == w % modulus
+
+
+def test_evaluate_at_negative_indices():
+    # 2^n - 1 at n = -1, -2, -3.
+    u = mersenne()
+    assert [u.evaluate(n) for n in (-1, -2, -3)] == [F(-1, 2), F(-3, 4), F(-7, 8)]
+    # (n + 1/3) * (-3/2)^n + 5 * (1/4)^n at n = -1 and -2.
+    v = from_closed_form([(F(-3, 2), UniPoly((F(1, 3), F(1)))), (F(1, 4), F(5))])
+    assert v.evaluate(-1) == F(-2, 3) * F(-2, 3) + 20
+    assert v.evaluate(-2) == F(-5, 3) * F(4, 9) + 80
+    assert LinearRecurrence(()).evaluate(-4) == 0
+
+
+# Repeated roots, zero coefficients and cancelling pairs, over signed
+# rational roots and coefficients.
+closed_form_pairs = st.lists(
+    st.tuples(
+        st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-3, 2), F(5, 4), F(2, 9)]),
+        st.lists(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6),
+                 min_size=0, max_size=3),
+    ),
+    min_size=0, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_form_pairs)
+def test_closed_form_matches_fraction_oracle(pairs):
+    rec = from_closed_form(pairs)
+    assert rec.terms == canonical_terms(pairs)
+    assert rec.roots == tuple(root for root, _ in rec.terms)
+    assert from_closed_form(rec.terms) == rec
+    assert rec.base == math.lcm(*(root.denominator for root in rec.roots))
+    assert rec.scale == math.lcm(
+        *(c.denominator for _, coeff in rec.terms for c in coeff.coeffs)
+    )
+    assert rec.cleared_terms == tuple(
+        (root * rec.base, tuple(c * rec.scale for c in coeff.coeffs))
+        for root, coeff in rec.terms
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(-12, 12).filter(bool),
+        st.lists(st.integers(-20, 20), max_size=3),
+        max_size=4,
+    ),
+    st.integers(1, 36),
+    st.integers(1, 36),
+)
+def test_constructor_normalizes_to_the_closed_form(terms, scale, base):
+    rec = LinearRecurrence(terms.items(), scale, base)
+    assert rec == from_closed_form(
+        (F(root, base), [F(c, scale) for c in coeffs]) for root, coeffs in terms.items()
+    )
+    assert hash(rec) == hash(from_closed_form(rec.terms))
+
+
+def test_constructor_rejects_bad_forms():
+    with pytest.raises(ZeroRoot):
+        LinearRecurrence([(0, (1,))])
+    with pytest.raises(InputError):
+        LinearRecurrence([(2, (1,)), (2, (3,))])
+    for scale, base in ((0, 1), (1, 0), (-2, 1), (1, -3)):
+        with pytest.raises(InputError):
+            LinearRecurrence([(2, (1,))], scale, base)
+
+
+def test_constructor_drops_zero_terms_and_divides_out_gcds():
+    rec = LinearRecurrence([(4, (6, 0)), (6, (0, 0)), (-2, (3, 9, 0))], 12, 8)
+    assert (rec.scale, rec.base) == (4, 4)
+    assert rec.cleared_terms == ((-1, (1, 3)), (2, (2,)))
+    assert rec == from_closed_form([(F(1, 2), F(1, 2)), (F(-1, 4), [F(1, 4), F(3, 4)])])
+    zero = LinearRecurrence([(3, (0,))], 5, 7)
+    assert zero.is_zero and (zero.scale, zero.base) == (1, 1)
 
 
 # from_relation re-derives the initial values and the relation from the
