@@ -192,7 +192,8 @@ class FactoredRational:
     __slots__ = ("sign", "exponents")
 
     def __init__(self, sign: int, exponents: dict[int, int]):
-        assert sign in (1, -1)
+        if sign not in (1, -1):
+            raise InputError(f"the sign must be 1 or -1, got {sign!r}")
         self.sign = sign
         self.exponents = {p: e for p, e in sorted(exponents.items()) if e != 0}
 

@@ -14,12 +14,13 @@ stored P and convert nothing.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import BasisMismatch, BothZero, InputError, VerificationFailed, ZeroInput
 from .multiplicative import MultiplicativeBasis
 from .polys import UniPoly, _monomial, _render_sum
-from .recurrences import LinearRecurrence, from_closed_form
+from .recurrences import LinearRecurrence
 
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
 #
@@ -404,22 +405,30 @@ class GroupRingElement:
 # -- the correspondence ------------------------------------------------------------
 
 
-def to_group_ring(u: LinearRecurrence, basis: MultiplicativeBasis) -> GroupRingElement:
+def to_group_ring(
+    u: LinearRecurrence, basis: MultiplicativeBasis, exponents=None
+) -> GroupRingElement:
     """Laurent form of a recurrence; every root must lie in the basis span.
 
     The defining property: the result evaluates to u(n) for every n.
-    Distinct roots have distinct T-exponents, so no two terms meet, and
-    the split is read off the stored integer form: low is the least
-    T-exponents, the poly the integer coefficients over u's scale,
-    divided by their content.
+    ``exponents`` gives each root's exponents over the basis, in the
+    order of ``u.cleared_terms``; without it each root is expressed by
+    ``basis.express``.  Distinct roots have distinct T-exponents, so no
+    two terms meet, and the split is read off the stored integer form:
+    low is the least T-exponents, the poly the integer coefficients over
+    u's scale, divided by their content.
     """
     if u.is_zero:
         return GroupRingElement.zero(basis)
-    exponents = [basis.express(root) for root in u.roots]
+    if exponents is None:
+        exponents = [basis.express(Fraction(r, u.base)) for r, _ in u.cleared_terms]
+    elif len(exponents) != len(u.cleared_terms):
+        raise InputError(f"need one exponent tuple per root, {len(u.cleared_terms)}, "
+                         f"got {len(exponents)}")
     low = tuple(map(min, zip(*exponents)))
     poly = {}
     for te, (_, coeffs) in zip(exponents, u.cleared_terms):
-        shifted = tuple(a - b for a, b in zip(te, low))
+        shifted = tuple(map(operator.sub, te, low))
         for d, c in enumerate(coeffs):
             if c:
                 poly[(d, *shifted)] = c
@@ -432,17 +441,22 @@ def to_group_ring(u: LinearRecurrence, basis: MultiplicativeBasis) -> GroupRingE
 def from_group_ring(f: GroupRingElement) -> LinearRecurrence:
     """Inverse of to_group_ring: collect X-coefficients per T-monomial.
 
-    Each T-monomial is one root, with integer coefficients over the
-    content's denominator.
+    Each T-monomial T^e is the root prod(g_i^e_i) = N/D in integers
+    (``reconstruct_pair``); over the lcm B of the D it is the integer root
+    N * (B / D), and its coefficients are integers over the content's
+    denominator.
     """
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for (x, *te), c in f.poly.items():
         groups.setdefault(tuple(a + b for a, b in zip(te, f.low)), {})[x] = c
+    roots = [f.basis.reconstruct_pair(te) for te in groups]
+    base = math.lcm(*(den for _, den in roots))
     num = f.content.numerator
-    return from_closed_form(
-        ((f.basis.reconstruct(te), [num * coeffs.get(d, 0) for d in range(max(coeffs) + 1)])
-         for te, coeffs in groups.items()),
+    return LinearRecurrence(
+        ((r * (base // d), [num * coeffs.get(x, 0) for x in range(max(coeffs) + 1)])
+         for (r, d), coeffs in zip(roots, groups.values())),
         f.content.denominator,
+        base,
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import VerificationFailed
+from .errors import InputError, VerificationFailed
 
 
 def row_hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -17,8 +17,8 @@ def row_hnf(rows: list[list[int]]) -> list[list[int]]:
     k = len(rows)
     m = len(rows[0]) if rows else 0
     a = [list(map(int, r)) for r in rows]
-    for r in a:
-        assert len(r) == m
+    if any(len(r) != m for r in a):
+        raise InputError(f"every row must have length {m}, as the first does")
     rank = 0
     for col in range(m):
         pivot_row = None

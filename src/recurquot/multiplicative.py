@@ -2,28 +2,31 @@
 
 A non-zero rational is sign * prod(p^e); a finite set of them spans a
 subgroup of Q*.  This module decides whether the span contains -1
-(torsion) and produces a canonical free basis when it does not,
-factoring each input once.  All lattice work happens on exponent
-vectors over the union of primes, with the sign as one more column
-taken mod 2.
+(torsion) and produces a canonical free basis when it does not.  Each
+input enters as an integer pair (R, B) standing for R/B, and each
+distinct |R| and B is factored once.  All lattice work happens on
+exponent vectors over the union of primes, with the sign as one more
+column taken mod 2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
+from . import factorization
 from .errors import InputError, RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
-from .factorization import FactoredRational, factor_rational
+from .factorization import factor_rational
 from .linalg import hnf_express, left_kernel, row_hnf
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(NamedTuple):
     """One rational in coordinates: sign bit (1 means negative) and
     exponents over an agreed prime list."""
 
@@ -31,24 +34,24 @@ class ExponentVector:
     exponents: tuple[int, ...]
 
 
-# (factorizations by value, bases by value tuple) of the innermost
+# (factorizations by integer, bases by input pairs) of the innermost
 # ``shared_factors()`` block; None outside any block.
 _SHARED: ContextVar[tuple[dict, dict] | None] = ContextVar("shared_factors", default=None)
 
 
 @contextmanager
 def shared_factors():
-    """Inside the block each rational is factored once and each basis built once.
+    """Inside the block each integer is factored once and each basis built once.
 
-    Yields ``add_powers(q)``, which serves x^q from every factorization
-    kept so far (exponents times q, sign to the q-th power), as the
-    sections mod q need.
+    Yields ``add_powers(q)``, which serves n^q from every factorization
+    kept so far (exponents times q), as the sections mod q need: their
+    roots are R^q over B^q.
     """
-    factors: dict[Fraction, FactoredRational] = {}
+    factors: dict[int, dict[int, int]] = {}
 
     def add_powers(q: int) -> None:
-        for x, f in list(factors.items()):
-            factors[x**q] = FactoredRational(f.sign**q, {p: e * q for p, e in f.exponents.items()})
+        for n, f in list(factors.items()):
+            factors[n**q] = {p: e * q for p, e in f.items()}
 
     token = _SHARED.set((factors, {}))
     try:
@@ -57,26 +60,36 @@ def shared_factors():
         _SHARED.reset(token)
 
 
-def exponent_table(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], list[ExponentVector]]:
-    """Factor every value over the union of their primes.
+def exponent_table(pairs) -> tuple[tuple[int, ...], list[ExponentVector]]:
+    """Coordinates of each R/B, for integer pairs (R, B) with B >= 1.
 
-    Returns (sorted prime tuple, one ExponentVector per input value).
+    Each distinct |R| and B is factored once (once per ``shared_factors``
+    block inside one).  The exponents of R/B are e(|R|) - e(B) over the
+    sorted union of the primes that occur, and its sign bit is R < 0.
+    Returns (that prime tuple, one ExponentVector per pair).
     """
     shared = _SHARED.get()
     known = {} if shared is None else shared[0]
-    facts = []
-    for x in values:
-        if not x:
-            raise ZeroInput("zero has no multiplicative coordinates")
-        if x not in known:
-            known[x] = factor_rational(x)
-        facts.append(known[x])
-    primes = tuple(sorted({p for f in facts for p in f.exponents}))
-    vectors = [
-        ExponentVector(int(f.sign < 0), tuple(f.exponents.get(p, 0) for p in primes))
-        for f in facts
-    ]
-    return primes, vectors
+    if any(not r for r, _ in pairs):
+        raise ZeroInput("zero has no multiplicative coordinates")
+    integers = dict.fromkeys(n for r, b in pairs for n in (abs(r), b))
+    for n in integers:
+        if n not in known:
+            known[n] = factorization.factor_int(n)
+    primes = sorted({p for n in integers for p in known[n]})
+    coords = {n: [known[n].get(p, 0) for p in primes] for n in integers}
+    rows = [tuple(map(operator.sub, coords[abs(r)], coords[b])) for r, b in pairs]
+    # A prime of R that B cancels in every row is not a coordinate.
+    kept = [j for j, column in enumerate(zip(*rows)) if any(column)]
+    if len(kept) < len(primes):
+        primes = [primes[j] for j in kept]
+        rows = [tuple(row[j] for j in kept) for row in rows]
+    return tuple(primes), [ExponentVector(int(r < 0), row) for (r, _), row in zip(pairs, rows)]
+
+
+def _pairs(values) -> tuple[tuple[int, int], ...]:
+    """Each rational x as the pair (numerator, denominator)."""
+    return tuple((x.numerator, x.denominator) for x in map(Fraction, values))
 
 
 def _torsion_witness(vectors: list[ExponentVector]) -> tuple[int, ...] | None:
@@ -98,7 +111,7 @@ def torsion_status(values) -> tuple[int, ...] | None:
     None means the span is torsion-free: -1 lies in the span iff some
     magnitude relation has odd sign parity.
     """
-    _, vectors = exponent_table(tuple(Fraction(v) for v in values))
+    _, vectors = exponent_table(_pairs(values))
     return _torsion_witness(vectors)
 
 
@@ -106,12 +119,13 @@ def torsion_status(values) -> tuple[int, ...] | None:
 class MultiplicativeBasis:
     """Free generators of the group spanned by ``values``.
 
-    ``matrix`` holds the generators' prime-exponent rows in HNF, so the
-    basis depends only on the spanned group, not on the input order.
+    ``pairs`` are the inputs as integer pairs (R, B), one per value
+    R/B.  ``matrix`` holds the generators' prime-exponent rows in HNF, so
+    the basis depends only on the spanned group, not on the input order.
     ``expressions[i]`` writes values[i] in the generators.
     """
 
-    values: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...]
     primes: tuple[int, ...]
     generators: tuple[Fraction, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -123,10 +137,18 @@ class MultiplicativeBasis:
         return len(self.generators)
 
     @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r, b) for r, b in self.pairs)
+
+    @cached_property
     def _stored(self) -> dict[Fraction, tuple[int, ...]]:
         return dict(zip(self.values, self.expressions))
 
     def reconstruct(self, exponents: tuple[int, ...]) -> Fraction:
+        return Fraction(*self.reconstruct_pair(exponents))
+
+    def reconstruct_pair(self, exponents: tuple[int, ...]) -> tuple[int, int]:
+        """Integers (N, D), D > 0, with N/D = prod(g_i^e_i), not reduced."""
         if len(exponents) != self.rank:
             raise InputError(f"need {self.rank} exponents, one per generator, got {len(exponents)}")
         num = den = 1
@@ -137,7 +159,7 @@ class MultiplicativeBasis:
             elif e < 0:
                 num *= g.denominator**-e
                 den *= g.numerator**-e
-        return Fraction(num, den)
+        return (-num, -den) if den < 0 else (num, den)
 
     def express(self, x) -> tuple[int, ...]:
         """Exponents of x over the generators; RootNotInGroup if x is outside.
@@ -175,25 +197,30 @@ class MultiplicativeBasis:
         )
 
 
-def compute_basis(values) -> MultiplicativeBasis:
+def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     """Canonical free basis of the span; TorsionGroup if -1 is inside.
 
-    One HNF of the rows [exponents | sign bit] plus [0 ... 0 | 2]: the
-    span contains -1 exactly when the sign column's pivot is 1.
-    Otherwise the other rows' prime parts are the HNF of the exponent
-    lattice, so any input list spanning the same group yields the same
-    generators, and each row's sign entry (reduced mod 2) is the sign of
-    its generator.  Each expression e of an input is checked in
-    integers: sum(e_i * row_i) must give back its exponents, and the
-    e_i on negative generators must add up to its sign bit mod 2.
+    The inputs are the rationals ``values`` and then the integer
+    ``pairs`` (R, B), B >= 1, each standing for R/B; a rational x enters
+    as (x.numerator, x.denominator).  One HNF of the rows
+    [exponents | sign bit] plus [0 ... 0 | 2]: the span contains -1
+    exactly when the sign column's pivot is 1.  Otherwise the other rows'
+    prime parts are the HNF of the exponent lattice, so any input list
+    spanning the same group yields the same generators, and each row's
+    sign entry (reduced mod 2) is the sign of its generator.  Each
+    expression e of an input is checked in integers: sum(e_i * row_i)
+    must give back its exponents, and the e_i on negative generators must
+    add up to its sign bit mod 2.  Equal inputs share one row.
     """
-    vals = tuple(Fraction(v) for v in values)
+    pairs = _pairs(values) + tuple(pairs)
     shared = _SHARED.get()
-    if shared is not None and vals in shared[1]:
-        return shared[1][vals]
-    primes, vectors = exponent_table(vals)
+    if shared is not None and pairs in shared[1]:
+        return shared[1][pairs]
+    primes, vectors = exponent_table(pairs)
     m = len(primes)
-    *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in vectors] + [[0] * m + [2]])
+    # The HNF depends only on the lattice, so a repeated row adds nothing.
+    distinct = dict(zip(vectors, pairs))
+    *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in distinct] + [[0] * m + [2]])
     if last[m] == 1:
         # The kernel HNF costs more than the basis, and callers that retry
         # on sections never read the witness, so TorsionGroup finds it on
@@ -204,7 +231,7 @@ def compute_basis(values) -> MultiplicativeBasis:
                 raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
             return found
 
-        raise TorsionGroup(vals, witness)
+        raise TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
     h = [r[:m] for r in rows]
     gen_signs = [-1 if r[m] else 1 for r in rows]
     generators = []
@@ -212,26 +239,27 @@ def compute_basis(values) -> MultiplicativeBasis:
         num = math.prod(p**e for p, e in zip(primes, row) if e > 0)
         den = math.prod(p**-e for p, e in zip(primes, row) if e < 0)
         generators.append(Fraction(sign * num, den))
-    expressions = []
-    for x, vec in zip(vals, vectors):
+    columns = list(zip(*h))
+    negative = [i for i, s in enumerate(gen_signs) if s < 0]
+    found: dict[ExponentVector, tuple[int, ...]] = {}
+    for vec, (r, b) in distinct.items():
         coeffs = hnf_express(h, list(vec.exponents))
         if coeffs is None:
-            raise VerificationFailed(f"input {x} escaped its own lattice")
-        exps = [0] * m
-        for c, row in zip(coeffs, h):
-            exps = [a + c * b for a, b in zip(exps, row)]
-        odd = sum(c for c, s in zip(coeffs, gen_signs) if s < 0) % 2
-        if tuple(exps) != vec.exponents or odd != vec.sign_bit:
-            raise VerificationFailed(f"the expression of {x} does not give back its exponents and sign")
-        expressions.append(tuple(coeffs))
+            raise VerificationFailed(f"input {Fraction(r, b)} escaped its own lattice")
+        exps = tuple(sum(map(operator.mul, coeffs, column)) for column in columns)
+        odd = sum(coeffs[i] for i in negative) % 2
+        if exps != vec.exponents or odd != vec.sign_bit:
+            raise VerificationFailed(
+                f"the expression of {Fraction(r, b)} does not give back its exponents and sign")
+        found[vec] = tuple(coeffs)
     basis = MultiplicativeBasis(
-        values=vals,
+        pairs=pairs,
         primes=primes,
         generators=tuple(generators),
         matrix=tuple(tuple(r) for r in h),
         generator_signs=tuple(gen_signs),
-        expressions=tuple(expressions),
+        expressions=tuple(found[vec] for vec in vectors),
     )
     if shared is not None:
-        shared[1][vals] = basis
+        shared[1][pairs] = basis
     return basis

@@ -68,8 +68,23 @@ class NoClearance:
 
 
 def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBasis:
-    """Canonical basis of the group spanned by all roots of u and v."""
-    return compute_basis(tuple(u.roots) + tuple(v.roots))
+    """Canonical basis of the group spanned by all roots of u and v.
+
+    The inputs are the integer roots over their bases, u's and then v's,
+    so ``expressions`` lists u's roots first.
+    """
+    return compute_basis(pairs=[(r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms])
+
+
+def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
+    """u and v in the group ring of their combined basis.
+
+    Each root's exponents are read by position from the basis.
+    """
+    basis = combined_basis(u, v)
+    k = len(u.cleared_terms)
+    return (to_group_ring(u, basis, basis.expressions[:k]),
+            to_group_ring(v, basis, basis.expressions[k:]))
 
 
 def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
@@ -82,9 +97,7 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
         raise DivisorZero("cannot divide by the zero sequence")
     if u.is_zero:
         return LinearRecurrence(())
-    basis = combined_basis(u, v)
-    fu = to_group_ring(u, basis)
-    fv = to_group_ring(v, basis)
+    fu, fv = _laurent_forms(u, v)
     quo = laurent_divide(fu, fv)
     if quo is None:
         return None
@@ -107,9 +120,7 @@ def polynomial_clearance(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    basis = combined_basis(u, v)
-    fu = to_group_ring(u, basis)
-    fv = to_group_ring(v, basis)
+    fu, fv = _laurent_forms(u, v)
     gcd = laurent_gcd(fu, fv)
     v_reduced = laurent_divide(fv, gcd)
     if v_reduced is None:

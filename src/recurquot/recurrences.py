@@ -453,10 +453,15 @@ class MultiRecurrence:
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Fraction, Fraction, BiPoly], ...]):
+        """A zero base raises ZeroRoot; a repeated (base_m, base_n) pair or a
+        zero coefficient raises InputError."""
         bases = [(a, b) for a, b, _ in terms]
-        assert all(a != 0 and b != 0 for a, b in bases)
-        assert len(set(bases)) == len(bases)
-        assert all(not c.is_zero for _, _, c in terms)
+        if not all(a and b for a, b in bases):
+            raise ZeroRoot("closed forms require non-zero bases")
+        if len(set(bases)) != len(bases):
+            raise InputError("a (base_m, base_n) pair is given twice")
+        if any(c.is_zero for _, _, c in terms):
+            raise InputError("a coefficient is the zero polynomial")
         object.__setattr__(
             self, "terms", tuple(sorted(terms, key=lambda t: (t[0], t[1])))
         )

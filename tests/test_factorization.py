@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import FactorizationLimit, InputError, ZeroInput
 from recurquot.factorization import (
     FactoredRational,
@@ -168,3 +169,24 @@ def test_divisors_divide(n):
     assert ds == sorted(ds)
     assert all(n % d == 0 for d in ds)
     assert len(ds) == len(set(ds))
+
+
+# Under -O the old assert on the sign was gone, and FactoredRational(2, {})
+# stood for 2 with no prime.
+_BAD_SIGN = """
+import sys
+from recurquot.errors import InputError
+from recurquot.factorization import FactoredRational
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+for sign in (2, 0):
+    try:
+        print("built", FactoredRational(sign, {}).value())
+    except InputError as exc:
+        print("InputError:", exc)
+"""
+
+
+def test_factored_rational_checks_its_sign_under_optimize():
+    assert_caught_under_optimize(_BAD_SIGN, count=2, error="InputError")

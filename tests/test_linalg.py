@@ -4,6 +4,7 @@ import basis_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.linalg import (
     hnf_express,
     left_kernel,
@@ -109,3 +110,24 @@ def test_solve_rational_property(entries, xs):
     x = [Fraction(v) for v in xs]
     rhs = [m[0][0] * x[0] + m[0][1] * x[1], m[1][0] * x[0] + m[1][1] * x[1]]
     assert solve_rational(m, rhs) == x
+
+
+# Under -O the old assert on the row lengths was gone, and zip cut the
+# longer rows down to the first row's length.
+_RAGGED_ROWS = """
+import sys
+from recurquot.errors import InputError
+from recurquot.linalg import row_hnf
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+for rows in ([[2, 0], [1, 1, 1]], [[2, 0, 1], [1, 1]]):
+    try:
+        print("returned", row_hnf(rows))
+    except InputError as exc:
+        print("InputError:", exc)
+"""
+
+
+def test_row_hnf_checks_row_lengths_under_optimize():
+    assert_caught_under_optimize(_RAGGED_ROWS, count=2, error="InputError")

@@ -24,17 +24,22 @@ rationals = st.builds(
 
 
 def test_exponent_table():
-    primes, vectors = exponent_table((F(6), F(-5, 4)))
+    # The pairs (R, B) stand for R/B: 6, -5/4, and 12/8 = 3/2 unreduced.
+    primes, vectors = exponent_table(((6, 1), (-5, 4), (12, 8)))
     assert primes == (2, 3, 5)
     assert vectors[0].sign_bit == 0
     assert vectors[0].exponents == (1, 1, 0)
     assert vectors[1].sign_bit == 1
     assert vectors[1].exponents == (-2, 0, 1)
+    assert vectors[2].sign_bit == 0
+    assert vectors[2].exponents == (-1, 1, 0)
+    # 6/6 = 1 and 10/2 = 5: the primes 2 and 3 cancel in every row.
+    assert exponent_table(((6, 6), (10, 2))) == ((5,), [(0, (0,)), (0, (1,))])
 
 
 def test_exponent_table_rejects_zero():
     with pytest.raises(ZeroInput):
-        exponent_table((F(0),))
+        exponent_table(((0, 1),))
 
 
 def test_torsion_status_witness():

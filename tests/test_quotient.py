@@ -4,14 +4,17 @@ import random
 import time
 from fractions import Fraction
 
+import basis_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
-from recurquot import multiplicative, quotient
+from recurquot import factorization, multiplicative, quotient
 from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
 from recurquot.factorization import factor_limit
+from recurquot.groupring import GroupRingElement, from_group_ring, to_group_ring
+from recurquot.multiplicative import compute_basis
 from recurquot.polys import UniPoly
 from recurquot.quotient import (
     NoClearance,
@@ -384,6 +387,52 @@ def test_wrong_clearance_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_WRONG_CLEARANCE, mode)
 
 
+# Each root's exponents are read by position from the basis; a basis whose
+# expressions of u's two roots are swapped turns U = 10^n + 2*15^n into
+# 15^n + 2*10^n.  Both still divide by V = 5^n, so only the multiply-back
+# can catch the swap, and it must under -O.
+_SWAPPED_POSITIONS = """
+import dataclasses
+import sys
+import recurquot.quotient as quotient
+from recurquot.errors import VerificationFailed
+from recurquot.recurrences import from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_basis = quotient.compute_basis
+
+def swapped_basis(*args, **kwargs):
+    basis = real_basis(*args, **kwargs)
+    first, second, *rest = basis.expressions
+    return dataclasses.replace(basis, expressions=(second, first, *rest))
+
+quotient.compute_basis = swapped_basis
+solve = getattr(quotient, sys.argv[1])
+try:
+    solve(from_closed_form([(10, 1), (15, 2)]), from_closed_form([(5, 1)]))
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("swapped positions went unchecked")
+"""
+
+
+@pytest.mark.parametrize("solver", ["hadamard_quotient", "polynomial_clearance"])
+def test_swapped_root_positions_are_caught_under_optimize(solver):
+    assert_caught_under_optimize(_SWAPPED_POSITIONS, solver)
+
+
+def test_case_of_the_swapped_positions_test():
+    u = from_closed_form([(F(10), F(1)), (F(15), F(2))])
+    v = geometric(5)
+    q = from_closed_form([(F(2), F(1)), (F(3), F(2))])
+    assert hadamard_quotient(u, v) == q
+    out = polynomial_clearance(u, v)
+    assert isinstance(out, QuotientCertificate)
+    assert out.clearing_poly == UniPoly([F(1)]) and out.quotient == q
+
+
 def test_clearance_case_of_the_optimize_test():
     u = mersenne()
     v = from_closed_form([(F(2), UniPoly([F(0), F(1)])), (F(1), UniPoly([F(0), F(-1)]))])
@@ -393,30 +442,55 @@ def test_clearance_case_of_the_optimize_test():
     assert out.quotient == constant(1) and out.v_over_p == u
 
 
+def _integers_of(*recs):
+    """Each distinct |R| of the recurrences' integer roots, and their bases."""
+    roots = {abs(r) for rec in recs for r, _ in rec.cleared_terms}
+    return sorted(roots | {rec.base for rec in recs})
+
+
 def test_each_root_is_factored_once_per_solve(monkeypatch):
     calls = []
     converting = []
-    real_factor = multiplicative.factor_rational
+    real_factor = factorization.factor_int
     real_to_group_ring = quotient.to_group_ring
 
-    def factor_rational(x):
-        calls.append((x, bool(converting)))
-        return real_factor(x)
+    def factor_int(n):
+        calls.append((n, bool(converting)))
+        return real_factor(n)
 
-    def to_group_ring(rec, basis):
-        converting.append(rec)
+    def to_group_ring(*args):
+        converting.append(args)
         try:
-            return real_to_group_ring(rec, basis)
+            return real_to_group_ring(*args)
         finally:
             converting.pop()
 
-    monkeypatch.setattr(multiplicative, "factor_rational", factor_rational)
+    monkeypatch.setattr(factorization, "factor_int", factor_int)
     monkeypatch.setattr(quotient, "to_group_ring", to_group_ring)
-    u = from_closed_form([(F(10), F(1)), (F(6), F(-1)), (F(5), F(-3)), (F(3), F(3))])
-    v = from_closed_form([(F(2), F(1)), (F(1), F(-1))])
+    # The integer roots 40, 24, 5, 12 over the base 4 and 2, 3 over the
+    # base 3: v's root 1 = 3/3 and its base are one integer, factored once.
+    u = from_closed_form([(F(10), F(1)), (F(6), F(-1)), (F(5, 4), F(-3)), (F(3), F(3))])
+    v = from_closed_form([(F(2, 3), F(1)), (F(1), F(-1))])
     assert isinstance(polynomial_clearance(u, v), NoClearance)
-    assert sorted(x for x, _ in calls) == sorted(u.roots + v.roots)
+    assert sorted(n for n, _ in calls) == _integers_of(u, v) == [2, 3, 4, 5, 12, 24, 40]
     assert not any(in_conversion for _, in_conversion in calls)
+
+
+def test_solvers_never_read_the_rational_roots(monkeypatch):
+    def roots(self):
+        raise AssertionError("a solver read the rational roots")
+
+    monkeypatch.setattr(LinearRecurrence, "roots", property(roots))
+    q = from_closed_form([(F(2, 3), F(1)), (F(3), UniPoly([F(1), F(1)]))])
+    v = from_closed_form([(F(2), F(1)), (F(3, 5), F(2))])
+    assert hadamard_quotient(q * v, v) == q
+    assert isinstance(polynomial_clearance(q * v, mersenne()), NoClearance)
+    # -1 = (-2)^2 / (-4) is in the root group of the next pair.
+    q = from_closed_form([(F(2), F(1)), (F(-3), UniPoly([F(1), F(1)]))])
+    v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
+    sections = solve_with_torsion_fallback(q * v, v, "hadamard", decimate=True)
+    assert [r.offsets for r in sections] == [(0,), (1,)]
+    assert [r.outcome for r in sections] == [q.decimate(2, 0), q.decimate(2, 1)]
 
 
 # q*v over v with -1 in the root group: (-2)^2 / (-4) = -1.  With "cancel",
@@ -426,29 +500,92 @@ def test_each_root_is_factored_once_per_solve(monkeypatch):
 @pytest.mark.parametrize("mode", ["hadamard", "clearance"])
 def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
     calls, bases = [], []
-    real_factor = multiplicative.factor_rational
+    real_factor = factorization.factor_int
     real_basis = quotient.compute_basis
 
-    def factor_rational(x):
-        calls.append(x)
-        return real_factor(x)
+    def factor_int(n):
+        calls.append(n)
+        return real_factor(n)
 
-    def compute_basis(values):
-        bases.append(real_basis(values))
+    def compute_basis(*args, **kwargs):
+        bases.append(real_basis(*args, **kwargs))
         return bases[-1]
 
-    monkeypatch.setattr(multiplicative, "factor_rational", factor_rational)
+    monkeypatch.setattr(factorization, "factor_int", factor_int)
     monkeypatch.setattr(quotient, "compute_basis", compute_basis)
-    q = from_closed_form([(F(2), F(1)), (F(-3), UniPoly([F(1), F(1)]))])
+    q = from_closed_form([(F(2), F(1)), (F(-3, 2), UniPoly([F(1), F(1)]))])
     v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
     u = q * v
     if cancel:
         u = u + geometric(5) - geometric(-5)
     results = solve_with_torsion_fallback(u, v, mode, decimate=True)
     assert [r.offsets for r in results] == [(0,), (1,)]
-    assert sorted(calls) == sorted(set(u.roots + v.roots))
+    assert sorted(calls) == _integers_of(u, v)
     assert len(bases) == 2
     assert (bases[0] is bases[1]) is not cancel
+
+
+# Signed roots +-2^a * 3^b * 5^c with a, b, c in -2..2, so roots share
+# denominators and -1 is often in the span; v takes some of u's roots.
+signed_roots = st.builds(
+    lambda sign, a, b, c: sign * F(2) ** a * F(3) ** b * F(5) ** c,
+    st.sampled_from((1, -1)),
+    *(st.integers(min_value=-2, max_value=2) for _ in range(3)),
+)
+coefficients = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=2).filter(any)
+
+
+@st.composite
+def recurrence_pairs(draw, roots=signed_roots):
+    u_roots = draw(st.lists(roots, min_size=1, max_size=5, unique=True))
+    shared = draw(st.lists(st.sampled_from(u_roots), max_size=2, unique=True))
+    v_roots = draw(st.lists(roots, max_size=4, unique=True).map(lambda xs: list({*xs, *shared})))
+    if not v_roots:
+        v_roots = [u_roots[0]]
+    u, v = (
+        from_closed_form([(root, draw(coefficients)) for root in rs]) for rs in (u_roots, v_roots)
+    )
+    return u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(recurrence_pairs())
+def test_combined_basis_matches_the_fraction_oracle(pair):
+    # The integer rows (each |R| and base factored once) against the oracle
+    # that factors every rational root by trial division.
+    u, v = pair
+    values = u.roots + v.roots
+    try:
+        expected = basis_oracle.compute_basis(values)
+    except basis_oracle.Torsion as torsion:
+        with pytest.raises(TorsionGroup) as info:
+            quotient.combined_basis(u, v)
+        assert info.value.roots == values
+        assert info.value.exponents == torsion.exponents
+        return
+    for basis in (quotient.combined_basis(u, v), compute_basis(values)):
+        assert basis.values == values
+        assert (basis.primes, basis.generators, basis.matrix, basis.generator_signs,
+                basis.expressions) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrence_pairs(roots=signed_roots.map(abs)))
+def test_group_ring_forms_by_position_match_the_express_map(pair):
+    u, v = pair
+    basis = quotient.combined_basis(u, v)
+    fu, fv = quotient._laurent_forms(u, v)
+    for rec, f in ((u, fu), (v, fv)):
+        terms = {
+            (d, basis.express(root)): c
+            for root, coeff in rec.terms
+            for d, c in enumerate(coeff.coeffs)
+            if c
+        }
+        assert f == GroupRingElement(basis, terms)
+        assert f.terms == GroupRingElement(basis, terms).terms
+        assert f == to_group_ring(rec, basis)
+        assert from_group_ring(f) == rec
 
 
 def test_large_clearance_builds_its_basis_quickly():

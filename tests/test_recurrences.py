@@ -13,6 +13,7 @@ from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
 from recurquot.polys import BiPoly, UniPoly
 from recurquot.recurrences import (
     LinearRecurrence,
+    MultiRecurrence,
     constant,
     from_closed_form,
     from_relation,
@@ -466,3 +467,44 @@ else:
 @pytest.mark.parametrize("mode", ["initial", "relation", "singular"])
 def test_broken_relation_form_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_BROKEN_RELATION, mode)
+
+
+# Under -O the old asserts in MultiRecurrence were gone: a zero base was
+# kept and rendered as 0^m*3^n, and a repeated (base_m, base_n) pair was
+# kept twice.
+_BAD_MULTI_TERMS = """
+import sys
+from recurquot.errors import InputError, ZeroRoot
+from recurquot.polys import BiPoly
+from recurquot.recurrences import MultiRecurrence
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+one = BiPoly({(0, 0): 1})
+cases = {
+    "zero": (((0, 3, one),), ZeroRoot),
+    "repeated": (((2, 3, one), (2, 3, one)), InputError),
+    "zero-coefficient": (((2, 3, BiPoly()),), InputError),
+}
+terms, error = cases[sys.argv[1]]
+try:
+    print("built", MultiRecurrence(terms).render())
+except error as exc:
+    print(f"{type(exc).__name__}:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, error",
+    [("zero", "ZeroRoot"), ("repeated", "InputError"), ("zero-coefficient", "InputError")],
+)
+def test_bad_multi_terms_raise_under_optimize(mode, error):
+    assert_caught_under_optimize(_BAD_MULTI_TERMS, mode, error=error)
+
+
+def test_bad_multi_terms_raise():
+    one = BiPoly({(0, 0): 1})
+    with pytest.raises(ZeroRoot):
+        MultiRecurrence(((F(2), F(0), one),))
+    with pytest.raises(InputError, match="twice"):
+        MultiRecurrence(((F(2), F(3), one), (F(2), F(3), one + one)))
