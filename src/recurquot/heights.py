@@ -23,31 +23,46 @@ from .errors import (
     VerificationFailed,
     ZeroInput,
 )
-from .factorization import factor_rational, is_probable_prime
+from .factorization import _CAP, factor_limit, factor_rational, is_probable_prime
 from .places import Place, place_abs, valuation
 from .polys import UniPoly, _render_sum
 from .recurrences import LinearRecurrence
 
 
 class LogSum:
-    """An exact real number of the form sum(c_p * log p) over primes."""
+    """An exact real number of the form sum(c_p * log p) over primes.
+
+    A key that is not a prime raises BadPrime.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
         for p, c in (coeffs or {}).items():
-            c = Fraction(c)
+            p, c = int(p), Fraction(c)
+            if not is_probable_prime(p):
+                raise BadPrime(f"{p} is not prime")
             if c != 0:
-                clean[int(p)] = c
+                clean[p] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+
+    @classmethod
+    def _of(cls, coeffs: dict) -> "LogSum":
+        """Trusted: prime keys in increasing order, non-zero Fraction values."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LogSum is immutable")
 
+    def __reduce__(self):
+        return LogSum, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "LogSum":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def log_of(cls, x) -> "LogSum":
@@ -56,7 +71,7 @@ class LogSum:
         if x <= 0:
             raise ZeroInput("log needs a positive rational")
         fact = factor_rational(x)
-        return cls({p: Fraction(e) for p, e in fact.exponents.items()})
+        return cls._of({p: Fraction(e) for p, e in fact.exponents.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -66,17 +81,17 @@ class LogSum:
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out.get(p, Fraction(0)) + c
-        return LogSum(out)
+        return LogSum._of({p: c for p, c in sorted(out.items()) if c})
 
     def __neg__(self) -> "LogSum":
-        return LogSum({p: -c for p, c in self.coeffs.items()})
+        return LogSum._of({p: -c for p, c in self.coeffs.items()})
 
     def __sub__(self, other: "LogSum") -> "LogSum":
         return self + (-other)
 
     def scale(self, c) -> "LogSum":
         c = Fraction(c)
-        return LogSum({p: v * c for p, v in self.coeffs.items()})
+        return LogSum._of({p: v * c for p, v in self.coeffs.items()} if c else {})
 
     def _sign(self) -> int:
         """Exact sign: compare prod(p^(N c_p)) against 1."""
@@ -294,6 +309,28 @@ def s_membership(x, spec: SIntegerSpec) -> SMembership:
 # -- decay of |V(n)| at one place --------------------------------------------------
 
 
+class _DeferredLog(LogSum):
+    """log(num/den) / n, factored on the first read of ``coeffs`` under
+    the factoring cap in force when it was made."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, num: int, den: int, n: int, cap: int):
+        object.__setattr__(self, "_args", (num, den, n, cap))
+
+    @property
+    def coeffs(self):
+        try:
+            return LogSum.coeffs.__get__(self)
+        except AttributeError:
+            num, den, n, cap = self._args
+            with factor_limit(cap):
+                fact = factor_rational(Fraction(num, den))
+            coeffs = {p: Fraction(e, n) for p, e in fact.exponents.items()}
+            LogSum.coeffs.__set__(self, coeffs)
+            return coeffs
+
+
 @dataclass(frozen=True)
 class DecayReport:
     """Per-index ratios (-log^- |V(n)|_place) / n on a range.
@@ -319,6 +356,10 @@ def decay_check(
     Requires some root to satisfy |root|_place >= 1; otherwise the
     whole sequence tends to 0 at that place and the premise of the
     decay bound is violated.
+
+    The maximum is found in integers.  At the archimedean place only it
+    is factored here; each other sample is factored when first read,
+    under the factoring cap in force at this call.
     """
     if v.is_zero:
         raise ZeroInput("the zero sequence has no decay profile")
@@ -332,37 +373,52 @@ def decay_check(
     samples = []
     skipped = []
     best: LogSum | None = None
-    best_n: int | None = None
-    # V(n) = W(n) / (c * B^n) for the cleared integer sequence W.
-    clearing = v.scale * v.base**n_lo
-    if not place.is_archimedean:
+    values = zip(range(n_lo, n_hi + 1), v.walk(n_lo))
+    if place.is_archimedean:
+        # V(n) = W(n) / (c * B^n) for the cleared integer sequence W, so the
+        # ratio at n is log(x)/n with x = c * B^n / |W(n)|, and
+        # log(x)/n > log(y)/m exactly when x^m > y^n.
+        clearing, cap = v.scale * v.base**n_lo, _CAP.get()
+        for n, w in values:
+            num, clearing, den = clearing, clearing * v.base, abs(w)
+            if den == 0:
+                skipped.append(n)
+                continue
+            if den >= num:
+                continue
+            ratio = _DeferredLog(num, den, n, cap)
+            samples.append((n, ratio))
+            if best is not None:
+                g = math.gcd(n, best_n)
+                m, k = best_n // g, n // g
+                if num**m * best_den**k <= best_num**k * den**m:
+                    continue
+            best, best_num, best_den, best_n = ratio, num, den, n
+        if best is not None:  # a FactorizationLimit on the maximum raises here
+            best = LogSum._of(best.coeffs)
+    else:
         p = place.prime
         v_scale, v_base = valuation(v.scale, p), valuation(v.base, p)
-    for n, w in zip(range(n_lo, n_hi + 1), v.walk(n_lo)):
-        denominator, clearing = clearing, clearing * v.base
-        if w == 0:
-            skipped.append(n)
-            continue
-        if place.is_archimedean:
-            if abs(w) >= denominator:
+        for n, w in values:
+            if w == 0:
+                skipped.append(n)
                 continue
-            ratio = key = LogSum.log_of(Fraction(denominator, abs(w))).scale(Fraction(1, n))
-        else:
-            val = valuation(w, p) - v_scale - n * v_base
+            if w % p:  # v_p(V(n)) <= v_p(W(n)) = 0
+                continue
+            val = -v_scale - n * v_base
+            while w % p == 0:
+                w //= p
+                val += 1
             if val <= 0:
                 continue
-            # One prime: ratios compare as rationals.
-            key = Fraction(val, n)
-            ratio = LogSum({p: key})
-        samples.append((n, ratio))
-        if best is None or key > best_key:
-            best, best_key, best_n = ratio, key, n
-    if best is None:
-        best = LogSum.zero()
+            ratio = LogSum._of({p: Fraction(val, n)})
+            samples.append((n, ratio))
+            if best is None or val * best_n > best_val * n:
+                best, best_val, best_n = ratio, val, n
     return DecayReport(
         place=place,
-        max_ratio=best,
-        argmax_n=best_n,
+        max_ratio=LogSum.zero() if best is None else best,
+        argmax_n=None if best is None else best_n,
         samples=tuple(samples),
         skipped_zeros=tuple(skipped),
     )

@@ -197,6 +197,33 @@ class MultiplicativeBasis:
         )
 
 
+def sign_pivot_hnf(pairs):
+    """The HNF of the rows [exponents | sign bit] of the integer pairs
+    (R, B), plus [0 ... 0 | 2]; TorsionGroup if the sign column's pivot
+    is 1, that is if -1 lies in the span.
+
+    Returns (primes, one ExponentVector per pair, the distinct vectors
+    mapped to their pairs, the HNF rows without the last one).
+    """
+    primes, vectors = exponent_table(pairs)
+    m = len(primes)
+    # The HNF depends only on the lattice, so a repeated row adds nothing.
+    distinct = dict(zip(vectors, pairs))
+    *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in distinct] + [[0] * m + [2]])
+    if last[m] == 1:
+        # The kernel HNF costs more than the basis, and callers that retry
+        # on sections never read the witness, so TorsionGroup finds it on
+        # first read.
+        def witness() -> tuple[int, ...]:
+            found = _torsion_witness(vectors)
+            if found is None:
+                raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
+            return found
+
+        raise TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
+    return primes, vectors, distinct, rows
+
+
 def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     """Canonical free basis of the span; TorsionGroup if -1 is inside.
 
@@ -216,22 +243,8 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     shared = _SHARED.get()
     if shared is not None and pairs in shared[1]:
         return shared[1][pairs]
-    primes, vectors = exponent_table(pairs)
+    primes, vectors, distinct, rows = sign_pivot_hnf(pairs)
     m = len(primes)
-    # The HNF depends only on the lattice, so a repeated row adds nothing.
-    distinct = dict(zip(vectors, pairs))
-    *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in distinct] + [[0] * m + [2]])
-    if last[m] == 1:
-        # The kernel HNF costs more than the basis, and callers that retry
-        # on sections never read the witness, so TorsionGroup finds it on
-        # first read.
-        def witness() -> tuple[int, ...]:
-            found = _torsion_witness(vectors)
-            if found is None:
-                raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
-            return found
-
-        raise TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
     h = [r[:m] for r in rows]
     gen_signs = [-1 if r[m] else 1 for r in rows]
     generators = []

@@ -63,7 +63,9 @@ class Place:
 
 
 def valuation(x, p: int) -> int:
-    """Exact p-adic valuation of a non-zero rational."""
+    """Exact p-adic valuation of a non-zero rational; BadPrime if p < 2."""
+    if p < 2:
+        raise BadPrime(f"{p} is not prime")
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("the zero rational has no finite valuation")

@@ -27,7 +27,7 @@ from .groupring import (
     strip_x_content,
     to_group_ring,
 )
-from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors
+from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
 from .polys import BiPoly, UniPoly
 from .recurrences import (
     LinearRecurrence,
@@ -73,7 +73,11 @@ def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBa
     The inputs are the integer roots over their bases, u's and then v's,
     so ``expressions`` lists u's roots first.
     """
-    return compute_basis(pairs=[(r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms])
+    return compute_basis(pairs=_root_pairs(u, v))
+
+
+def _root_pairs(u: LinearRecurrence, v: LinearRecurrence) -> tuple[tuple[int, int], ...]:
+    return tuple((r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms)
 
 
 def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
@@ -174,7 +178,7 @@ def cross_quotient(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    combined_basis(u, v)
+    sign_pivot_hnf(_root_pairs(u, v))  # TorsionGroup if -1 is in the roots' span
     if len(v.cleared_terms) > 1:
         return NoClearance(
             reason="multiple-roots",

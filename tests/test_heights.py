@@ -1,3 +1,4 @@
+import pickle
 import time
 from fractions import Fraction
 from math import log
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
+from recurquot import factorization
 from recurquot.errors import (
     BadPrime,
     FactorizationLimit,
@@ -93,6 +95,21 @@ def test_logsum_render():
     assert LogSum.log_of(F(12)).render() == "2*log 2 + log 3"
     assert LogSum.zero().render() == "0"
     assert LogSum({3: F(1, 27)}).render() == "1/27*log 3"
+
+
+# A key that is not prime breaks the invariants: {4: 1} would compare <= and
+# >= with {2: 2} but not ==, {1: 3} would be non-zero with sign 0, and
+# {-2: 1} would render "log -2".
+@pytest.mark.parametrize("key", [4, 1, 0, -2, 9])
+def test_logsum_rejects_keys_that_are_not_prime(key):
+    with pytest.raises(BadPrime):
+        LogSum({key: F(1)})
+
+
+def test_logsum_pickles():
+    a = LogSum({2: F(-3, 2), 3: 1})
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(pickle.loads(pickle.dumps(a))) == "LogSum(-3/2*log 2 + log 3)"
 
 
 def test_weil_height_scalars():
@@ -260,6 +277,46 @@ def test_decay_check_skips_zeros():
     v = from_closed_form([(F(4), F(1)), (F(1), F(-64))])
     report = decay_check(v, Place.finite(3), 1, 10)
     assert report.skipped_zeros == (3,)
+
+
+def test_decay_at_infinity_factors_only_the_maximum(monkeypatch):
+    calls = []
+    real = factorization.factor_int
+    monkeypatch.setattr(factorization, "factor_int", lambda n: calls.append(n) or real(n))
+    # |V(n)| = |20 - n| / 20 peaks in log(1/|V(n)|)/n at n = 19, where it is log(20)/19.
+    v = from_closed_form([(F(1), UniPoly((F(1), F(-1, 20))))])
+    report = decay_check(v, Place.archimedean(), 1, 40)
+    assert (report.argmax_n, len(report.samples), report.skipped_zeros) == (19, 38, (20,))
+    assert report.max_ratio == LogSum({2: F(2, 19), 5: F(1, 19)})
+    assert sorted(calls) == [1, 20]
+    # Each other sample is factored when it is read, and only once.
+    assert dict(report.samples)[10] == LogSum({2: F(1, 10)})
+    dict(report.samples)[10].render()
+    assert sorted(calls) == [1, 1, 2, 20]
+
+
+def test_decay_at_infinity_past_the_factoring_cap():
+    # 3^n - 1 has prime factors above any fixed cap as n grows; only the
+    # maximum, at n = 2, is factored by the call.
+    v = from_closed_form([(F(1), F(1)), (F(1, 3), F(-1))])
+    with factor_limit(10**6):
+        report = decay_check(v, Place.archimedean(), 2, 300)
+    assert (report.argmax_n, len(report.samples)) == (2, 299)
+    assert report.max_ratio == LogSum.log_of(F(9, 8)).scale(F(1, 2))
+    # A sample read later is factored under the cap of the call.
+    n, ratio = report.samples[-1]
+    assert n == 300
+    with pytest.raises(FactorizationLimit):
+        ratio.render()
+    assert report.samples[2][1] == LogSum.log_of(F(81, 80)).scale(F(1, 4))
+
+
+def test_decay_report_pickles():
+    v = from_closed_form([(F(1), UniPoly((F(1), F(-1, 20))))])
+    report = decay_check(v, Place.archimedean(), 1, 30)
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert repr(copy) == repr(report)
 
 
 def test_decay_check_rejects_small_roots():

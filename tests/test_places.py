@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optimized import assert_caught_under_optimize
 from recurquot.errors import BadPrime, ZeroInput
 from recurquot.places import Place, place_abs, valuation
 
@@ -49,6 +50,23 @@ def test_valuation(x, p, v):
 def test_valuation_of_zero():
     with pytest.raises(ZeroInput):
         valuation(F(0), 2)
+
+
+# p = 1 and p = -1 divide every integer, so the division loop never ended;
+# a subprocess with a timeout keeps a regression from hanging the suite.
+_BAD_P = """
+from recurquot.errors import BadPrime
+from recurquot.places import valuation
+for p in (1, 0, -1, -3):
+    try:
+        valuation(12, p)
+    except BadPrime as exc:
+        print(f"BadPrime: {exc}")
+"""
+
+
+def test_valuation_rejects_p_below_2_under_optimize():
+    assert_caught_under_optimize(_BAD_P, count=4, error="BadPrime")
 
 
 def test_place_abs():

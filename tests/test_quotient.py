@@ -209,6 +209,27 @@ def test_cross_torsion_still_checked():
         cross_quotient(geometric(-2), geometric(2))
 
 
+def test_cross_quotient_builds_no_basis(monkeypatch):
+    # Only the sign pivot of the exponent HNF is read: no generator is
+    # expressed, and the torsion witness is still found when read.
+    calls = []
+    real = multiplicative.hnf_express
+
+    def hnf_express(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multiplicative, "hnf_express", hnf_express)
+    v = from_closed_form([(F(2), UniPoly([F(0), F(2)]))])
+    assert isinstance(cross_quotient(mersenne(3), v), QuotientCertificate)
+    assert isinstance(cross_quotient(mersenne(3), mersenne(2)), NoClearance)
+    with pytest.raises(TorsionGroup) as caught:
+        cross_quotient(geometric(-2), geometric(2))
+    torsion = caught.value
+    assert math.prod(F(r) ** e for r, e in zip(torsion.roots, torsion.exponents)) == -1
+    assert calls == []
+
+
 def test_sections_split_torsion():
     u = from_closed_form([(F(2), F(1)), (F(-2), F(1))])
     v = geometric(2)

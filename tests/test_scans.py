@@ -149,6 +149,8 @@ def test_obstruction_certificates_match_window_oracle(p):
 @example(from_closed_form([(F(2), F(1)), (F(1), F(-8))]), 7, 1, 20)
 # (n - 4) * 3^n vanishes at n = 4.
 @example(from_closed_form([(F(3), UniPoly((F(-4), F(1))))]), 3, 1, 12)
+# v_2(n)/n is 1/2 at n = 2 and at n = 4: the first index must win the tie.
+@example(from_closed_form([(F(1), UniPoly((F(0), F(1))))]), 2, 1, 4)
 def test_decay_at_p_matches_fraction_oracle(v, p, lo, length):
     place = Place.finite(p)
     assert outcome(decay_check, v, place, lo, lo + length) == outcome(
@@ -163,6 +165,9 @@ def test_decay_at_p_matches_fraction_oracle(v, p, lo, length):
        st.integers(1, 6), st.integers(0, 8))
 # 1 - 8 * (1/2)^n vanishes at n = 3 and has |V(n)| < 1 from n = 4 on.
 @example(from_closed_form([(F(1), F(1)), (F(1, 2), F(-8))]), 1, 11)
+# |V(n)| = |3 - n| / 4 is 1/2 at n = 1 and 1/4 at n = 2: the ratios tie at
+# log 2, and the first index must win.
+@example(from_closed_form([(F(1), UniPoly((F(3, 4), F(-1, 4))))]), 1, 5)
 def test_decay_at_infinity_matches_fraction_oracle(v, lo, length):
     place = Place.archimedean()
     assert outcome(decay_check, v, place, lo, lo + length) == outcome(
