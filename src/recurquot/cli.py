@@ -50,6 +50,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED = 5
 
 
 def _load_spec(path: str):
@@ -475,6 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    try:
+        code = _run(argv, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`).  Point the stream at
+        # devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_CLOSED
+    return code
+
+
+def _run(argv, out) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cap = args.factor_limit

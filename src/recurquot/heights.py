@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     BadPrime,
+    FactorizationLimit,
     HypothesisViolated,
     InputError,
     PointOnHyperplane,
@@ -24,7 +25,7 @@ from .errors import (
     ZeroInput,
 )
 from .factorization import _CAP, factor_limit, factor_rational, is_probable_prime
-from .places import Place, place_abs, valuation
+from .places import Place, _int_valuation, place_abs, valuation
 from .polys import UniPoly, _render_sum
 from .recurrences import LinearRecurrence
 
@@ -348,6 +349,43 @@ class DecayReport:
     skipped_zeros: tuple[int, ...]
 
 
+def _divisible_indices(v: LinearRecurrence, p: int, n_lo: int, n_hi: int):
+    """(n, v_p(W(n))) for the n in [n_lo, n_hi] with p | W(n), in order,
+    with None for v_p where W(n) = 0.
+
+    When p divides B, W is walked exactly.  Otherwise, when the period t
+    of W mod p is at most the range length, only the indices in the zero
+    classes of W mod p are walked, and else every index; either walk runs
+    modulo a word-sized p^k, and W(n) is evaluated exactly only where
+    that residue is 0.  The period is sought only for p up to the range
+    length, so the p - 1 it factors stays small.
+    """
+    walks, modulus = [(n_lo, 1)], None
+    if v.base % p:
+        # Imported here: integrality imports this module.
+        from .integrality import _period_mod_p, _word_digits, zero_classes
+
+        modulus = p ** _word_digits(p)
+        length = n_hi - n_lo + 1
+        try:
+            t = _period_mod_p(v, p) if p <= length else length + 1
+        except FactorizationLimit:  # p - 1 factored under a low cap
+            t = length + 1
+        if t <= length:
+            walks = [(n_lo + (r - n_lo) % t, t) for r in zero_classes(v, p, t)[1]]
+    out = []
+    for start, step in walks:
+        for n, w in zip(range(start, n_hi + 1, step), v.walk(start, step, modulus)):
+            if w == 0 and modulus is not None:
+                w = next(v.walk(n))
+            if w == 0:
+                out.append((n, None))
+            elif w % p == 0:
+                out.append((n, _int_valuation(w, p)))
+    out.sort()
+    return out
+
+
 def decay_check(
     v: LinearRecurrence, place: Place, n_lo: int, n_hi: int
 ) -> DecayReport:
@@ -359,7 +397,8 @@ def decay_check(
 
     The maximum is found in integers.  At the archimedean place only it
     is factored here; each other sample is factored when first read,
-    under the factoring cap in force at this call.
+    under the factoring cap in force at this call.  At a prime p only
+    the indices with p | W(n) are visited (``_divisible_indices``).
     """
     if v.is_zero:
         raise ZeroInput("the zero sequence has no decay profile")
@@ -373,13 +412,12 @@ def decay_check(
     samples = []
     skipped = []
     best: LogSum | None = None
-    values = zip(range(n_lo, n_hi + 1), v.walk(n_lo))
     if place.is_archimedean:
         # V(n) = W(n) / (c * B^n) for the cleared integer sequence W, so the
         # ratio at n is log(x)/n with x = c * B^n / |W(n)|, and
         # log(x)/n > log(y)/m exactly when x^m > y^n.
         clearing, cap = v.scale * v.base**n_lo, _CAP.get()
-        for n, w in values:
+        for n, w in zip(range(n_lo, n_hi + 1), v.walk(n_lo)):
             num, clearing, den = clearing, clearing * v.base, abs(w)
             if den == 0:
                 skipped.append(n)
@@ -399,16 +437,11 @@ def decay_check(
     else:
         p = place.prime
         v_scale, v_base = valuation(v.scale, p), valuation(v.base, p)
-        for n, w in values:
-            if w == 0:
+        for n, val in _divisible_indices(v, p, n_lo, n_hi):
+            if val is None:
                 skipped.append(n)
                 continue
-            if w % p:  # v_p(V(n)) <= v_p(W(n)) = 0
-                continue
-            val = -v_scale - n * v_base
-            while w % p == 0:
-                w //= p
-                val += 1
+            val -= v_scale + n * v_base
             if val <= 0:
                 continue
             ratio = LogSum._of({p: Fraction(val, n)})

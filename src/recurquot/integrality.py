@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from heapq import merge
+from itertools import chain, compress
 
-from .errors import BadPrime, InputError, VerificationFailed, ZeroInput
+from .errors import BadPrime, FactorizationLimit, InputError, VerificationFailed, ZeroInput
 from .factorization import euler_phi, factor_int, is_probable_prime
 from .heights import SIntegerSpec, _outside_part
-from .places import valuation
+from .places import _int_valuation
 from .recurrences import LinearRecurrence
 
 
@@ -78,13 +79,15 @@ def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes)
         raise VerificationFailed(f"a hit in row n={n}, where V(n) = 0")
     rest = u.scale * abs(value.numerator)
     free = _outside_part(rest, [*s_primes, *primes_b])
-    powers = [(p, k, valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
+    powers = [(p, k, _int_valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
+
+    den = value.denominator
 
     def check(m: int, d: int) -> None:
-        cover = d * value.denominator
+        cover = d * den
         need = free // math.gcd(cover, free)
         for p, k, e in powers:
-            need *= p ** max(0, e + k * m - valuation(cover, p))
+            need *= p ** max(0, e + k * m - _int_valuation(cover, p))
         w = 0
         for root, coeffs in u.cleared_terms:
             poly = 0
@@ -113,11 +116,40 @@ def _capped_valuation(u: LinearRecurrence, m: int, p: int, cap: int) -> int:
     while k > 0:
         residue = next(u.walk(m, modulus=p**k))
         if residue:
-            return valuation(residue, p)
+            return _int_valuation(residue, p)
         if k == cap:
             return cap
         k = min(2 * k, cap)
     return 0
+
+
+def _primes_below(bound: int) -> list[int]:
+    """The primes p < bound, by the sieve of Eratosthenes."""
+    if bound < 3:
+        return []
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return list(compress(range(bound), sieve))
+
+
+def _trial_primes_of(n: int, trial: list[int]) -> list[int]:
+    """The primes of n >= 1 among ``trial`` (increasing), and the cofactor
+    left by them when it is provably prime: below the square of the
+    prime where the division stopped."""
+    found, p = [], 1
+    for p in trial:
+        if p * p > n:
+            break
+        if n % p == 0:
+            found.append(p)
+            while n % p == 0:
+                n //= p
+    if 1 < n < p * p:
+        found.append(n)
+    return found
 
 
 def integrality_search(
@@ -129,7 +161,7 @@ def integrality_search(
     s_spec: SIntegerSpec | None = None,
     totient: bool = False,
 ) -> list[SearchHit]:
-    """All hits on the grid [1, m_max] x [1, n_max], sorted by (n, m, d).
+    """All hits on the grid [1, m_max] x [1, n_max], sorted by (n, m).
 
     ``d`` in a hit is the minimal clearing denominator outside S.  With
     a FixedDenominator policy a pair is accepted iff that minimal d
@@ -147,8 +179,18 @@ def integrality_search(
     M splits into a part coprime to B, which does not depend on m and
     serves as the row's modulus, and the powers of the primes of B,
     whose exponents grow with m and are read from capped valuations of
-    W_u(m).  Every hit is re-verified by ``_hit_check`` before it is
-    returned.
+    W_u(m).
+
+    A prime q of the row modulus that divides neither den nor, under a
+    FixedDenominator, d, and under a PolynomialDenominatorBound exceeds
+    n^exponent, stays in the denominator unless q | W_u(m).  So when
+    W_u mod q has a period t with few zero classes (``zero_classes``),
+    the row walks only the indices in those classes.  The primes tried
+    are those below m_max (and below 2^20), by trial division, and the
+    cofactor they leave when it is provably prime.  The row keeps the q
+    with the least t + (number of classes) * ceil(m_max / t), and walks
+    every cell when that is not below m_max.  Every hit is re-verified by
+    ``_hit_check`` before it is returned.
     """
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
@@ -156,7 +198,8 @@ def integrality_search(
     fixed = isinstance(policy, FixedDenominator)
     primes_b = factor_int(u.base)
     # (p, v_p(B), v_p(c)) for the primes of B outside S.
-    b_part = [(p, k, valuation(u.scale, p)) for p, k in primes_b.items() if p not in s_primes]
+    b_part = [(p, k, _int_valuation(u.scale, p)) for p, k in primes_b.items()
+              if p not in s_primes]
     outside = [*s_primes, *primes_b]
 
     rows = []  # (n, num, den) with V(n) = num/den != 0 in lowest terms
@@ -170,47 +213,92 @@ def integrality_search(
         return []
 
     def shifts(num, den):
-        return [valuation(num, p) - valuation(den, p) for p, _, _ in b_part]
+        return [_int_valuation(num, p) - _int_valuation(den, p) for p, _, _ in b_part]
 
     # Per grid m, v_p(W_u(m)) capped at the largest exponent of p in any
-    # row's M: beyond that cap its exact value changes no d_min.
+    # row's M: beyond that cap its exact value changes no d_min.  Read on
+    # first use.
     top = [max(s) for s in zip(*(shifts(num, den) for _, num, den in rows))]
-    grid_vals = [
-        [_capped_valuation(u, m, p, c_p + m * k + t) for m in range(1, m_max + 1)]
-        for (p, k, c_p), t in zip(b_part, top)
-    ]
-    vals_by_m = list(zip(*grid_vals)) if b_part else [()] * m_max
+    grid_vals: dict[int, list[int]] = {}
 
-    hits: set[SearchHit] = set()
+    def vals_at(m):
+        vals = grid_vals.get(m)
+        if vals is None:
+            vals = grid_vals[m] = [_capped_valuation(u, m, p, c_p + m * k + t)
+                                   for (p, k, c_p), t in zip(b_part, top)]
+        return vals
+
+    # A sieve prime helps only if its period is below m_max; 2^20 bounds
+    # the memory the primes take when m_max is huge.
+    trial = _primes_below(min(m_max, 1 << 20))
+    periods: dict[int, int] = {}  # q -> the period of W_u mod q
+    classes_of: dict[int, list[int]] = {}  # q -> its zero classes
+
+    def period(q):
+        if q not in periods:
+            try:
+                periods[q] = _period_mod_p(u, q)
+            except FactorizationLimit:  # a root's order needs q - 1 factored
+                periods[q] = m_max
+        return periods[q]
+
+    def row_cells(free, den, bound):
+        """(m, W_u(m) mod free) for every m <= m_max that can be a hit."""
+        sieve_primes = [q for q in _trial_primes_of(free, trial)
+                        if den % q and (bound % q if fixed else q > bound)]
+        best, chosen = m_max, None
+        for q in sorted(sieve_primes, key=period):
+            t = period(q)
+            if t >= best:
+                break
+            if q not in classes_of:
+                classes_of[q] = zero_classes(u, q, t)[1]
+            cost = t + len(classes_of[q]) * -(-m_max // t)
+            if cost < best:
+                best, chosen = cost, (t, classes_of[q])
+        if chosen is None:
+            return zip(range(1, m_max + 1), u.walk(1, modulus=free))
+        t, classes = chosen
+        return merge(*(zip(range(r, m_max + 1, t), u.walk(r, t, modulus=free))
+                       for r in classes))
+
+    hits: list[SearchHit] = []
     for n, num, den in rows:
         check = None  # the row's re-verification, set up on its first hit
         bound = policy.d if fixed else n**policy.exponent
         width = bound.bit_length()
         free = _outside_part(u.scale * num, outside)
         row_shifts = shifts(num, den)
-        cells = zip(range(1, m_max + 1), u.walk(1, modulus=free), vals_by_m)
+        cells = row_cells(free, den, bound)
         if totient and den == 1 and num > 0:
             phi = euler_phi(num)
-            phi_vals = [_capped_valuation(u, phi, p, c_p + phi * k + s)
-                        for (p, k, c_p), s in zip(b_part, row_shifts)]
-            cells = chain(cells, [(phi, next(u.walk(phi, modulus=free)), phi_vals)])
-        for m, residue, vals in cells:
+            if phi > m_max:
+                cells = chain(cells, [(phi, next(u.walk(phi, modulus=free)))])
+        for m, residue in cells:
             d_min = free // math.gcd(residue * den, free)
+            # Rejected here, d_min stays rejected: the B-part only
+            # multiplies it by primes outside free.
+            if bound % d_min if fixed else d_min > bound:
+                continue
             if b_part:
+                if m > m_max:
+                    vals = [_capped_valuation(u, m, p, c_p + m * k + s)
+                            for (p, k, c_p), s in zip(b_part, row_shifts)]
+                else:
+                    vals = vals_at(m)
                 for (p, k, c_p), s, t in zip(b_part, row_shifts, vals):
                     e = c_p + m * k + s - t
                     if e > 0:
                         # p^width > bound already rejects, so larger
                         # powers of p are never built.
                         d_min *= p ** min(e, width)
-            accepted = bound % d_min == 0 if fixed else d_min <= bound
-            if not accepted:
-                continue
+                if bound % d_min if fixed else d_min > bound:
+                    continue
             if check is None:
                 check = _hit_check(u, primes_b, n, v.evaluate(n), s_primes)
             check(m, d_min)
-            hits.add(SearchHit(m, n, d_min))
-    return sorted(hits, key=lambda h: (h.n, h.m, h.d))
+            hits.append(SearchHit(m, n, d_min))
+    return hits
 
 
 # -- modular obstruction certificates -------------------------------------------
@@ -268,6 +356,17 @@ def _period_mod_p(rec: LinearRecurrence, p: int) -> int:
     return period * p if polynomial else period
 
 
+def zero_classes(rec: LinearRecurrence, q: int, period: int | None = None):
+    """(t, classes): the period t of W(k) mod the prime q from
+    ``_period_mod_p``, and the residues r in 1..t with W(r) = 0 mod q.
+
+    For k >= 1, q | W(k) exactly when k = r mod t for one of the
+    classes.  A caller that already holds the period passes it.
+    """
+    t = _period_mod_p(rec, q) if period is None else period
+    return t, [r for r, w in zip(range(1, t + 1), rec.walk(1, modulus=q)) if w == 0]
+
+
 def obstruction_scan(
     u: LinearRecurrence,
     v: LinearRecurrence,
@@ -311,8 +410,5 @@ def obstruction_scan(
     for j, residue in zip(range(steps), v.walk(first, q, modulus=p)):
         if residue != 0:
             return report("divisor", first + q * j)
-    period_u = _period_mod_p(u, p)
-    for m, residue in zip(range(1, period_u + 1), u.walk(1, modulus=p)):
-        if residue == 0:
-            return report("numerator", m)
-    return report()
+    _, classes = zero_classes(u, p)
+    return report("numerator", classes[0]) if classes else report()

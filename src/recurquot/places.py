@@ -63,21 +63,21 @@ class Place:
 
 
 def valuation(x, p: int) -> int:
-    """Exact p-adic valuation of a non-zero rational; BadPrime if p < 2."""
-    if p < 2:
+    """Exact p-adic valuation of a non-zero rational; BadPrime unless p is prime."""
+    if not is_probable_prime(p):
         raise BadPrime(f"{p} is not prime")
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("the zero rational has no finite valuation")
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+def _int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a non-zero integer n and a prime p, unchecked."""
     v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -88,4 +88,5 @@ def place_abs(x, place: Place) -> Fraction:
         return Fraction(0)
     if place.is_archimedean:
         return abs(x)
-    return Fraction(place.prime) ** (-valuation(x, place.prime))
+    p = place.prime
+    return Fraction(p) ** (_int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))

@@ -309,6 +309,26 @@ def test_run_via_subprocess():
     assert "log 3" in result.stdout
 
 
+def test_closed_stdout_exits_5_without_a_traceback():
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # About 1 MB of JSON, more than a pipe holds, so the write meets the
+    # closed pipe while the command is still printing.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "recurquot", "search", str(DATA / "mersenne3m.json"),
+         str(DATA / "mersenne2.json"), "--m-max", "20000", "--n-max", "1", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.read(10) == b'{\n  "comma'
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 5
+    assert stderr == ""
+
+
 def test_internal_check_failure_exits_4(monkeypatch):
     from recurquot.recurrences import LinearRecurrence
 

@@ -69,6 +69,13 @@ def test_valuation_rejects_p_below_2_under_optimize():
     assert_caught_under_optimize(_BAD_P, count=4, error="BadPrime")
 
 
+@pytest.mark.parametrize("x, p", [(16, 4), (12, 6), (F(1, 9), 9), (2**61 - 1, 2**61 + 1)])
+def test_valuation_rejects_a_composite_p(x, p):
+    # Counting how often 4 divides 16 gives 2, which is no valuation.
+    with pytest.raises(BadPrime):
+        valuation(x, p)
+
+
 def test_place_abs():
     assert place_abs(F(-3, 2), Place.archimedean()) == F(3, 2)
     assert place_abs(F(12), Place.finite(2)) == F(1, 4)

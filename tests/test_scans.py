@@ -13,6 +13,7 @@ from scan_oracles import (
 )
 
 from recurquot.errors import RecurquotError
+from recurquot.factorization import factor_limit
 from recurquot.heights import SIntegerSpec, decay_check
 from recurquot.integrality import (
     FixedDenominator,
@@ -22,7 +23,7 @@ from recurquot.integrality import (
 )
 from recurquot.places import Place
 from recurquot.polys import UniPoly
-from recurquot.recurrences import from_closed_form, geometric, zero_set
+from recurquot.recurrences import LinearRecurrence, constant, from_closed_form, geometric, zero_set
 
 F = Fraction
 
@@ -103,6 +104,58 @@ def test_totient_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_sp
     assert outcome(integrality_search, *args) == outcome(fraction_search, *args)
 
 
+# Divisors whose values have small prime factors, so that rows of m_max up
+# to 40 find a sieve prime below m_max; U's roots include denominators.
+SIEVE_ROOTS = [F(1), F(-1), F(2), F(-2), F(3), F(4), F(5), F(7), F(10), F(1, 2), F(3, 2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(recurrences(SIEVE_ROOTS, max_terms=2), recurrences([F(1), F(2), F(3), F(4), F(-2)]),
+       st.integers(10, 40), st.integers(1, 6), policies, s_specs, st.booleans())
+# V(n) = 7: phi(7) = 6 is a grid cell, so the totient cell must not add a
+# second hit at m = 6; 7 sieves with period 6 and the one class r = 6.
+@example(mersenne(3), constant(7), 40, 2, FixedDenominator(1), None, True)
+# 5^n - 1 has the prime 3 for even n and 2 is in S; (3/2)^m - 1 has B = 2.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]), mersenne(5), 40, 6,
+         FixedDenominator(2), SIntegerSpec([2]), False)
+# Under poly:1 only primes above n sieve: 13 | 3^3 - 1 = 26 at n = 3.
+@example(mersenne(3), mersenne(3), 40, 6, PolynomialDenominatorBound(1), None, True)
+def test_sieved_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_spec, totient):
+    args = (u, v, m_max, n_max, policy, s_spec, totient)
+    assert outcome(integrality_search, *args) == outcome(fraction_search, *args)
+
+
+def test_sieved_search_walks_few_cells(monkeypatch):
+    # (3^m - 1)/(2^n - 1): rows with n even are empty at q = 3, and most odd
+    # rows walk one class of ord_q(3).  Row 1 (V = 1) and rows 17 and 19,
+    # whose primes lie above m_max, walk every cell.
+    real_walk = LinearRecurrence.walk
+    walked = []
+
+    def counting_walk(self, start, step=1, modulus=None):
+        for value in real_walk(self, start, step, modulus):
+            walked.append(start)
+            yield value
+
+    monkeypatch.setattr(LinearRecurrence, "walk", counting_walk)
+    m_max, n_max = 300, 24
+    hits = integrality_search(mersenne(3), mersenne(2), m_max, n_max, FixedDenominator(1))
+    assert len(walked) < m_max * n_max // 4
+    monkeypatch.setattr(LinearRecurrence, "walk", real_walk)
+    assert hits == fraction_search(mersenne(3), mersenne(2), m_max, n_max,
+                                   FixedDenominator(1))
+
+
+def test_sieve_prime_past_the_factoring_cap_falls_back():
+    # The period of 3^m - 1 mod 23 needs 22 = 2 * 11 factored, and 11 is
+    # above the cap, so row V = 23 walks every cell instead of raising.
+    args = (mersenne(3), constant(23), 40, 1, FixedDenominator(1))
+    with factor_limit(10):
+        hits = integrality_search(*args)
+    assert hits == fraction_search(*args)
+    assert [h.m for h in hits] == list(range(11, 41, 11))
+
+
 # -- obstruction_scan ------------------------------------------------------------------
 
 progressions = st.integers(1, 6).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, q - 1)))
@@ -156,6 +209,54 @@ def test_decay_at_p_matches_fraction_oracle(v, p, lo, length):
     assert outcome(decay_check, v, place, lo, lo + length) == outcome(
         fraction_decay_check, v, place, lo, lo + length
     )
+
+
+# Ranges longer than the period of W mod p, so that only the zero classes
+# are walked; p = 2 or 3 against the denominators 2 and 3 takes the exact
+# walk, and p = 131 above the range walks every index modulo p^k.
+@settings(max_examples=120, deadline=None)
+@given(recurrences([F(1), F(-1), F(2), F(3), F(-3), F(5), F(7), F(1, 2), F(2, 3), F(5, 4)],
+                   max_degree=2),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 131]), st.integers(1, 40), st.integers(20, 120))
+# 2^n - 8 vanishes at n = 3, inside the zero class 0 mod 3 of W mod 7.
+@example(from_closed_form([(F(2), F(1)), (F(1), F(-8))]), 7, 1, 90)
+# (3/2)^n - 1 at p = 2, which divides B = 2: the exact walk.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]), 2, 1, 60)
+def test_decay_on_zero_classes_matches_fraction_oracle(v, p, lo, length):
+    place = Place.finite(p)
+    assert outcome(decay_check, v, place, lo, lo + length) == outcome(
+        fraction_decay_check, v, place, lo, lo + length
+    )
+
+
+@pytest.mark.parametrize("v", [
+    # v_3 = 40 at every n reaches the word modulus 3^31: each index is
+    # evaluated exactly.
+    constant(3**40),
+    # v_3 = 30 at odd n is read off the residue; at even n it is at least
+    # 31, and the exact value decides.
+    from_closed_form([(F(2), F(3**30)), (F(1), F(-3**30))]),
+])
+def test_decay_at_p_past_the_word_modulus(v):
+    report = decay_check(v, Place.finite(3), 1, 80)
+    assert report == fraction_decay_check(v, Place.finite(3), 1, 80)
+    assert report.argmax_n == 1 and len(report.samples) == 80
+
+
+def test_decay_at_p_past_the_factoring_cap_walks_every_index():
+    # The period of 2^n - 1 mod 23 needs 22 = 2 * 11 factored.
+    with factor_limit(10):
+        report = decay_check(mersenne(2), Place.finite(23), 1, 60)
+    assert report == fraction_decay_check(mersenne(2), Place.finite(23), 1, 60)
+    assert [n for n, _ in report.samples] == [11, 22, 33, 44, 55]
+
+
+def test_decay_at_p_skips_a_zero_inside_a_zero_class():
+    v = from_closed_form([(F(2), F(1)), (F(1), F(-8))])
+    report = decay_check(v, Place.finite(7), 1, 60)
+    assert report.skipped_zeros == (3,)
+    assert [n for n, _ in report.samples] == list(range(6, 61, 3))
+    assert report == fraction_decay_check(v, Place.finite(7), 1, 60)
 
 
 # Small roots and short ranges keep the values that log_of factors small.
