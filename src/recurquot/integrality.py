@@ -215,9 +215,9 @@ def integrality_search(
     def shifts(num, den):
         return [_int_valuation(num, p) - _int_valuation(den, p) for p, _, _ in b_part]
 
-    # Per grid m, v_p(W_u(m)) capped at the largest exponent of p in any
-    # row's M: beyond that cap its exact value changes no d_min.  Read on
-    # first use.
+    # Per m, v_p(W_u(m)) capped at the largest exponent of p in any row's
+    # M: beyond that cap its exact value changes no d_min.  Read on first
+    # use, for the m that pass the row's modulus.
     top = [max(s) for s in zip(*(shifts(num, den) for _, num, den in rows))]
     grid_vals: dict[int, list[int]] = {}
 
@@ -281,12 +281,7 @@ def integrality_search(
             if bound % d_min if fixed else d_min > bound:
                 continue
             if b_part:
-                if m > m_max:
-                    vals = [_capped_valuation(u, m, p, c_p + m * k + s)
-                            for (p, k, c_p), s in zip(b_part, row_shifts)]
-                else:
-                    vals = vals_at(m)
-                for (p, k, c_p), s, t in zip(b_part, row_shifts, vals):
+                for (p, k, c_p), s, t in zip(b_part, row_shifts, vals_at(m)):
                     e = c_p + m * k + s - t
                     if e > 0:
                         # p^width > bound already rejects, so larger
