@@ -238,7 +238,8 @@ def integrality_search(
         if q not in periods:
             try:
                 periods[q] = _period_mod_p(u, q)
-            except FactorizationLimit:  # a root's order needs q - 1 factored
+            except FactorizationLimit:
+                # A root's order needs q - 1 factored; m_max rules q out.
                 periods[q] = m_max
         return periods[q]
 
