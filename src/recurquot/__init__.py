@@ -72,7 +72,7 @@ from .multiplicative import (
 )
 from .parsing import RecurrenceSpec, parse_polynomial, parse_rational, parse_spec
 from .places import Place, place_abs, valuation
-from .polys import BiPoly, UniPoly
+from .polys import UniPoly
 from .quotient import (
     NoClearance,
     QuotientCertificate,
@@ -90,7 +90,6 @@ from .recurrences import (
     from_closed_form,
     from_relation,
     geometric,
-    multi_from_closed_form,
     polynomial,
     zero_set,
 )

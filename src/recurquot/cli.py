@@ -89,8 +89,8 @@ def _multi_doc(rec: MultiRecurrence) -> dict:
     return {
         "rendered": rec.render(("m", "n")),
         "terms": [
-            {"base_m": str(a), "base_n": str(b), "coeff": c.render(("M", "N"))}
-            for a, b, c in rec.terms
+            {"base_m": str(root), "base_n": str(rec.n_root), "coeff": coeff.render("M")}
+            for root, coeff in rec.m_part.terms
         ],
     }
 

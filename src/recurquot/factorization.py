@@ -16,6 +16,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import compress
 
 from .errors import FactorizationLimit, InputError, ZeroInput
 
@@ -43,16 +44,19 @@ def factor_limit(cap: int):
 _TRIAL_BOUND = 10_000
 
 
-def _sieve(bound: int) -> list[int]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [p for p in range(bound + 1) if flags[p]]
+def primes_below(bound: int) -> list[int]:
+    """The primes p < bound, by the sieve of Eratosthenes."""
+    if bound < 3:
+        return []
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return list(compress(range(bound), sieve))
 
 
-_TRIAL_PRIMES = _sieve(_TRIAL_BOUND)
+_TRIAL_PRIMES = primes_below(_TRIAL_BOUND + 1)
 
 # Sufficient witness set for every n < 3.3 * 10**24 (covers the default limit).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

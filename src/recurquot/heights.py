@@ -27,7 +27,7 @@ from .errors import (
 from .factorization import _CAP, factor_limit, factor_rational, is_probable_prime
 from .places import Place, _int_valuation, place_abs, valuation
 from .polys import UniPoly, _render_sum
-from .recurrences import LinearRecurrence
+from .recurrences import LinearRecurrence, _period_mod_p, _word_digits, zero_classes
 
 
 class LogSum:
@@ -362,9 +362,6 @@ def _divisible_indices(v: LinearRecurrence, p: int, n_lo: int, n_hi: int):
     """
     walks, modulus = [(n_lo, 1)], None
     if v.base % p:
-        # Imported here: integrality imports this module.
-        from .integrality import _period_mod_p, _word_digits, zero_classes
-
         modulus = p ** _word_digits(p)
         length = n_hi - n_lo + 1
         try:

@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
-from itertools import chain, compress
+from itertools import chain
 
 from .errors import BadPrime, FactorizationLimit, InputError, VerificationFailed, ZeroInput
-from .factorization import euler_phi, factor_int, is_probable_prime
+from .factorization import euler_phi, factor_int, is_probable_prime, primes_below
 from .heights import SIntegerSpec, _outside_part
 from .places import _int_valuation
-from .recurrences import LinearRecurrence
+from .recurrences import LinearRecurrence, _period_mod_p, _word_digits, zero_classes
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,6 @@ def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes)
     return check
 
 
-def _word_digits(p: int) -> int:
-    """The largest k >= 1 with p^k below 2^63, or 1."""
-    return max(1, 63 // p.bit_length())
-
-
 def _capped_valuation(u: LinearRecurrence, m: int, p: int, cap: int) -> int:
     """min(v_p(W(m)), cap), or 0 when cap <= 0.
 
@@ -121,18 +116,6 @@ def _capped_valuation(u: LinearRecurrence, m: int, p: int, cap: int) -> int:
             return cap
         k = min(2 * k, cap)
     return 0
-
-
-def _primes_below(bound: int) -> list[int]:
-    """The primes p < bound, by the sieve of Eratosthenes."""
-    if bound < 3:
-        return []
-    sieve = bytearray([1]) * bound
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
-    return list(compress(range(bound), sieve))
 
 
 def _trial_primes_of(n: int, trial: list[int]) -> list[int]:
@@ -230,7 +213,7 @@ def integrality_search(
 
     # A sieve prime helps only if its period is below m_max; 2^20 bounds
     # the memory the primes take when m_max is huge.
-    trial = _primes_below(min(m_max, 1 << 20))
+    trial = primes_below(min(m_max, 1 << 20))
     periods: dict[int, int] = {}  # q -> the period of W_u mod q
     classes_of: dict[int, list[int]] = {}  # q -> its zero classes
 
@@ -325,42 +308,6 @@ class ObstructionReport:
     @property
     def verdict(self) -> str:
         return "certified" if self.certified else "not-an-obstruction"
-
-
-def _multiplicative_order(a: int, p: int) -> int:
-    """Order of a unit a mod the prime p."""
-    order = p - 1
-    for q in factor_int(order):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
-
-
-def _period_mod_p(rec: LinearRecurrence, p: int) -> int:
-    """A period of W(k) mod p over k >= 1 that divides p * (p - 1).
-
-    The lcm of the orders of the roots that are units mod p, times p
-    when a coefficient of such a root is non-constant mod p.
-    """
-    period = 1
-    polynomial = False
-    for root, coeffs in rec.cleared_terms:
-        if root % p == 0:
-            continue
-        period = math.lcm(period, _multiplicative_order(root % p, p))
-        polynomial = polynomial or any(c % p for c in coeffs[1:])
-    return period * p if polynomial else period
-
-
-def zero_classes(rec: LinearRecurrence, q: int, period: int | None = None):
-    """(t, classes): the period t of W(k) mod the prime q from
-    ``_period_mod_p``, and the residues r in 1..t with W(r) = 0 mod q.
-
-    For k >= 1, q | W(k) exactly when k = r mod t for one of the
-    classes.  A caller that already holds the period passes it.
-    """
-    t = _period_mod_p(rec, q) if period is None else period
-    return t, [r for r, w in zip(range(1, t + 1), rec.walk(1, modulus=q)) if w == 0]
 
 
 def obstruction_scan(

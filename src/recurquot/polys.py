@@ -1,4 +1,4 @@
-"""Dense univariate and sparse bivariate polynomials over exact rationals."""
+"""Dense univariate polynomials over exact rationals."""
 
 from __future__ import annotations
 
@@ -229,61 +229,3 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({self.render()})"
 
-
-class BiPoly:
-    """Sparse polynomial in two variables over Q, keyed by (deg_first, deg_second)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = _fr(c)
-            if c != 0:
-                clean[(int(key[0]), int(key[1]))] = c
-        object.__setattr__(self, "terms", dict(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def from_unipoly(cls, u: UniPoly, var_index: int) -> "BiPoly":
-        if var_index not in (0, 1):
-            raise InputError(f"the variable index must be 0 or 1, got {var_index}")
-        out = {}
-        for d, c in enumerate(u.coeffs):
-            if c != 0:
-                out[(d, 0) if var_index == 0 else (0, d)] = c
-        return cls(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiPoly(out)
-
-    def __call__(self, m, n) -> Fraction:
-        out = Fraction(0)
-        for (i, j), c in self.terms.items():
-            out += c * Fraction(m) ** i * Fraction(n) ** j
-        return out
-
-    def render(self, vars: tuple[str, str] = ("M", "N")) -> str:
-        return _render_sum(
-            (c, _monomial(zip(vars, key))) for key, c in sorted(self.terms.items(), reverse=True)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self):
-        return f"BiPoly({self.render()})"

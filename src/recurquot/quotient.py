@@ -28,13 +28,8 @@ from .groupring import (
     to_group_ring,
 )
 from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
-from .polys import BiPoly, UniPoly
-from .recurrences import (
-    LinearRecurrence,
-    MultiRecurrence,
-    from_closed_form,
-    multi_from_closed_form,
-)
+from .polys import UniPoly
+from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,9 @@ def cross_quotient(
     U(m) and V(n) occupy disjoint variable blocks of the two-index
     group ring, so no cancellation between them is possible: a clearing
     P exists iff V(n) = p(n) * beta^n has a single root.  Then P is p
-    made monic, the quotient is U(m) * beta^(-n) / lc(p), and
-    V/P = lc(p) * beta^n.
+    made monic, the quotient is U(m) * beta^(-n) / lc(p), stored as the
+    product of its m-part U / lc(p) and its n-root 1 / beta, and
+    V/P = lc(p) * beta^n.  All three are multiplied back.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
@@ -191,16 +187,21 @@ def cross_quotient(
     beta, p = v.terms[0]
     clearing = p.monic()
     lead = p.lc
-    v_over_p = from_closed_form([(beta, lead)])
-    scaled = u * (1 / lead)
-    quotient = multi_from_closed_form(
-        (root, 1 / beta, BiPoly.from_unipoly(coeff, 0)) for root, coeff in scaled.terms
-    )
+    quotient = MultiRecurrence(u * (1 / lead), 1 / beta)
+    v_over_p = geometric(beta, lead)
+    p_rec = from_closed_form([(1, clearing)])
+    # U = lc(p) * m_part and n_root^n * V = lc(p) * P give P*U = Q*V.
+    if quotient.m_part * lead != u:
+        raise VerificationFailed("lc(p) times the quotient's m-part does not give back U")
+    if geometric(quotient.n_root) * v != p_rec * lead:
+        raise VerificationFailed("the quotient's n-root times V differs from lc(p) * P")
+    if p_rec * v_over_p != v:
+        raise VerificationFailed("P times V/P does not give back V")
     return QuotientCertificate(
         clearing_poly=clearing,
         quotient=quotient,
         v_over_p=v_over_p,
-        min_denominator=scaled.scale,
+        min_denominator=quotient.m_part.scale,
     )
 
 

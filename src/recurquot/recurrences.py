@@ -13,10 +13,12 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
+from .factorization import factor_int
 from .linalg import solve_rational
-from .polys import BiPoly, UniPoly, _render_sum
+from .polys import UniPoly, _render_sum
 
 
 def _fr(x) -> Fraction:
@@ -35,18 +37,19 @@ def _signed(term: str) -> tuple[int, list[str]]:
     return (-1, [term[1:]]) if term.startswith("-") else (1, [term])
 
 
-def _term_str(coeff: UniPoly, base: Fraction, var: str) -> str:
+def _term_str(coeff: UniPoly, var: str, powers) -> str:
+    """coeff(var) times base^v over the (base, v) pairs ``powers``.
+
+    A base of 1 is left out, and a coefficient of 1 or -1 before a power
+    is a bare sign.
+    """
+    factors = [_pow_str(base, v) for base, v in powers if base != 1]
     poly = coeff.render(var)
-    if base == 1:
-        return f"({poly})" if " " in poly else poly
-    power = _pow_str(base, var)
-    if poly == "1":
-        return power
-    if poly == "-1":
-        return f"-{power}"
     if " " in poly:
-        return f"({poly})*{power}"
-    return f"{poly}*{power}"
+        poly = f"({poly})"
+    if factors and poly in ("1", "-1"):
+        return poly[:-1] + "*".join(factors)
+    return "*".join([poly, *factors])
 
 
 def _accumulate(merged: dict[int, list[int]], root: int, coeffs) -> None:
@@ -240,7 +243,9 @@ class LinearRecurrence:
     # -- rendering ----------------------------------------------------------
 
     def render(self, var: str = "n") -> str:
-        return _render_sum(_signed(_term_str(c, r, var)) for r, c in reversed(self.terms))
+        return _render_sum(
+            _signed(_term_str(c, var, [(r, var)])) for r, c in reversed(self.terms)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LinearRecurrence):
@@ -255,8 +260,52 @@ class LinearRecurrence:
         return f"LinearRecurrence({self.render()})"
 
 
-def from_closed_form(pairs, scale: int = 1) -> LinearRecurrence:
-    """The sequence sum(coeff(n) * root^n) / scale from (root, coeff) pairs over Q.
+# -- residues modulo a prime ---------------------------------------------------
+
+
+def _word_digits(p: int) -> int:
+    """The largest k >= 1 with p^k below 2^63, or 1."""
+    return max(1, 63 // p.bit_length())
+
+
+def _multiplicative_order(a: int, p: int) -> int:
+    """Order of a unit a mod the prime p."""
+    order = p - 1
+    for q in factor_int(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
+
+
+def _period_mod_p(rec: LinearRecurrence, p: int) -> int:
+    """A period of W(k) mod p over k >= 1 that divides p * (p - 1).
+
+    The lcm of the orders of the roots that are units mod p, times p
+    when a coefficient of such a root is non-constant mod p.
+    """
+    period = 1
+    polynomial = False
+    for root, coeffs in rec.cleared_terms:
+        if root % p == 0:
+            continue
+        period = math.lcm(period, _multiplicative_order(root % p, p))
+        polynomial = polynomial or any(c % p for c in coeffs[1:])
+    return period * p if polynomial else period
+
+
+def zero_classes(rec: LinearRecurrence, q: int, period: int | None = None):
+    """(t, classes): the period t of W(k) mod the prime q from
+    ``_period_mod_p``, and the residues r in 1..t with W(r) = 0 mod q.
+
+    For k >= 1, q | W(k) exactly when k = r mod t for one of the
+    classes.  A caller that already holds the period passes it.
+    """
+    t = _period_mod_p(rec, q) if period is None else period
+    return t, [r for r, w in zip(range(1, t + 1), rec.walk(1, modulus=q)) if w == 0]
+
+
+def from_closed_form(pairs) -> LinearRecurrence:
+    """The sequence sum(coeff(n) * root^n) from (root, coeff) pairs over Q.
 
     A coeff is a UniPoly, a rational constant or a coefficient list.
     Duplicate roots merge by adding coefficients; zero coefficients are
@@ -279,7 +328,7 @@ def from_closed_form(pairs, scale: int = 1) -> LinearRecurrence:
             root.numerator * (base // root.denominator),
             [c.numerator * (lcm // c.denominator) for c in coeffs],
         )
-    return LinearRecurrence(merged.items(), scale * lcm, base)
+    return LinearRecurrence(merged.items(), lcm, base)
 
 
 def constant(c) -> LinearRecurrence:
@@ -447,73 +496,60 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
 # -- two-parameter closed forms ------------------------------------------------
 
 
+class MultiCoefficient(NamedTuple):
+    """A coefficient of ``MultiRecurrence.terms``: rational values keyed by
+    (deg_m, deg_n)."""
+
+    terms: dict[tuple[int, int], Fraction]
+
+
 class MultiRecurrence:
-    """Exact closed form in two indices: sum of c_i(m, n) a_i^m b_i^n."""
+    """Exact closed form in two indices: Q(m, n) = m_part(m) * n_root^n.
 
-    __slots__ = ("terms",)
+    ``m_part`` is a LinearRecurrence in m and ``n_root`` a non-zero
+    rational; the cross quotient U(m) * beta^(-n) / lc(p) has this form.
+    Two forms are equal when both fields are.  ``terms`` is the rational
+    view (base_m, base_n, coefficient) sorted by base_m.
+    """
 
-    def __init__(self, terms: tuple[tuple[Fraction, Fraction, BiPoly], ...]):
-        """A zero base raises ZeroRoot; a repeated (base_m, base_n) pair or a
-        zero coefficient raises InputError."""
-        bases = [(a, b) for a, b, _ in terms]
-        if not all(a and b for a, b in bases):
-            raise ZeroRoot("closed forms require non-zero bases")
-        if len(set(bases)) != len(bases):
-            raise InputError("a (base_m, base_n) pair is given twice")
-        if any(c.is_zero for _, _, c in terms):
-            raise InputError("a coefficient is the zero polynomial")
-        object.__setattr__(
-            self, "terms", tuple(sorted(terms, key=lambda t: (t[0], t[1])))
-        )
+    __slots__ = ("m_part", "n_root")
+
+    def __init__(self, m_part: LinearRecurrence, n_root):
+        """A zero n_root raises ZeroRoot."""
+        n_root = _fr(n_root)
+        if not n_root:
+            raise ZeroRoot("closed forms require non-zero roots")
+        object.__setattr__(self, "m_part", m_part)
+        object.__setattr__(self, "n_root", n_root)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiRecurrence is immutable")
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> tuple[tuple[Fraction, Fraction, MultiCoefficient], ...]:
+        return tuple(
+            (root, self.n_root,
+             MultiCoefficient({(d, 0): c for d, c in enumerate(coeff.coeffs) if c}))
+            for root, coeff in self.m_part.terms
+        )
 
     def evaluate(self, m: int, n: int) -> Fraction:
-        out = Fraction(0)
-        for base_m, base_n, coeff in self.terms:
-            out += coeff(m, n) * base_m**m * base_n**n
-        return out
+        return self.m_part.evaluate(m) * self.n_root**n
 
     def render(self, vars: tuple[str, str] = ("m", "n")) -> str:
-        parts = []
-        for base_m, base_n, coeff in self.terms:
-            powers = [_pow_str(b, var) for b, var in zip((base_m, base_n), vars) if b != 1]
-            if set(coeff.terms) == {(0, 0)}:
-                parts.append((coeff.terms[(0, 0)], powers))
-                continue
-            body = coeff.render(vars)
-            parts.append(_signed("*".join([f"({body})" if " " in body else body, *powers])))
-        return _render_sum(parts)
+        var_m, var_n = vars
+        return _render_sum(
+            _signed(_term_str(coeff, var_m, [(root, var_m), (self.n_root, var_n)]))
+            for root, coeff in self.m_part.terms
+        )
 
     def __eq__(self, other):
         if not isinstance(other, MultiRecurrence):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.m_part, self.n_root) == (other.m_part, other.n_root)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.m_part, self.n_root))
 
     def __repr__(self):
         return f"MultiRecurrence({self.render()})"
-
-
-def multi_from_closed_form(triples) -> MultiRecurrence:
-    """Build a two-index closed form from (base_m, base_n, coeff) triples."""
-    merged: dict[tuple[Fraction, Fraction], BiPoly] = {}
-    for base_m, base_n, coeff in triples:
-        base_m, base_n = _fr(base_m), _fr(base_n)
-        if base_m == 0 or base_n == 0:
-            raise ZeroRoot("closed forms require non-zero bases")
-        if not isinstance(coeff, BiPoly):
-            coeff = BiPoly({(0, 0): _fr(coeff)})
-        key = (base_m, base_n)
-        merged[key] = merged.get(key, BiPoly()) + coeff
-    return MultiRecurrence(
-        tuple((a, b, c) for (a, b), c in merged.items() if not c.is_zero)
-    )
-

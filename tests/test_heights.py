@@ -203,9 +203,14 @@ def test_weil_function_global_identity():
     assert total == vector_height(xs) + vector_height(form.coefficients)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(nonzero_rationals, min_size=2, max_size=3),
        st.lists(nonzero_rationals, min_size=2, max_size=3))
+# L(x) = 313422168565606686407/33852368723854438485: the numerator has
+# the prime factors 11237502803 and 27890731069, and Brent's rho takes
+# about 0.2 s to split them, past hypothesis's default 200 ms deadline.
+@example(xs=[F(-5021, 4539), F(1927, 5682), F(-1866, 169)],
+         coeffs=[F(-71, 8739), F(-8324, 5271), F(-8069, 9105)])
 # L(x) = 21837550951789428983/15872459492709820: the numerator is a prime
 # above the default 2^64 factoring cap.
 @example(xs=[F(21821678492296719163, 15872459492709820), F(1)], coeffs=[F(1), F(1)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from decimate_oracle import shift_compose
 from optimized import assert_caught_under_optimize
 from recurquot.errors import ZeroInput
-from recurquot.polys import BiPoly, UniPoly
+from recurquot.polys import UniPoly
 
 F = Fraction
 
@@ -114,21 +114,6 @@ def test_render():
     assert upoly(5).render("X") == "5"
 
 
-def test_bipoly_from_unipoly_and_evaluate():
-    p = upoly(1, 2)
-    bm = BiPoly.from_unipoly(p, 0)
-    bn = BiPoly.from_unipoly(p, 1)
-    assert bm(F(3), F(0)) == F(7)
-    assert bn(F(0), F(3)) == F(7)
-    assert (bm + bn)(F(3), F(3)) == F(14)
-
-
-def test_bipoly_render():
-    m = BiPoly({(1, 1): F(2), (0, 0): F(-1)})
-    assert m.render(("M", "N")) == "2*M*N - 1"
-    assert BiPoly({}).render(("M", "N")) == "0"
-
-
 # rational_roots divides out each root it finds; under -O a division that
 # leaves a remainder must still be caught.  Evaluation is patched to read
 # 0 everywhere, so the first candidate of X^2 + 1 looks like a root.
@@ -154,25 +139,23 @@ def test_false_rational_root_is_caught_under_optimize():
     assert_caught_under_optimize(_FALSE_ROOT)
 
 
-# Under -O the old asserts on these arguments were gone: a negative power
-# looped forever (k >>= 1 stays -1) and any variable index other than 0
-# was read as 1.
-_BAD_ARGUMENTS = """
+# Under -O the old assert on the exponent was gone: a negative power
+# looped forever (k >>= 1 stays -1).
+_BAD_POWER = """
 import sys
 from recurquot.errors import InputError
-from recurquot.polys import BiPoly, UniPoly
+from recurquot.polys import UniPoly
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-for call in (lambda: UniPoly((1, 1)) ** -1, lambda: BiPoly.from_unipoly(UniPoly((1, 1)), 2)):
-    try:
-        call()
-    except InputError as exc:
-        print("InputError:", exc)
-    else:
-        print("a bad argument went unchecked")
+try:
+    UniPoly((1, 1)) ** -1
+except InputError as exc:
+    print("InputError:", exc)
+else:
+    print("a bad argument went unchecked")
 """
 
 
-def test_bad_power_and_variable_index_raise_under_optimize():
-    assert_caught_under_optimize(_BAD_ARGUMENTS, count=2, error="InputError")
+def test_bad_power_raises_under_optimize():
+    assert_caught_under_optimize(_BAD_POWER, error="InputError")

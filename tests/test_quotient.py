@@ -408,6 +408,42 @@ def test_wrong_clearance_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_WRONG_CLEARANCE, mode)
 
 
+# The cross certificate is multiplied back too: U = lc(p) * m_part,
+# n_root^n * V = lc(p) * P and V = P * (V/P).  "n_root" doubles the
+# quotient's root in n, "m_part" doubles its m-part, and "v_over_p"
+# doubles V/P.  U = 3^m - 1, V = 2n * 2^n, P = X.
+_WRONG_CROSS = """
+import sys
+import recurquot.quotient as quotient
+from recurquot.errors import VerificationFailed
+from recurquot.recurrences import MultiRecurrence, from_closed_form, geometric
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+mode = sys.argv[1]
+if mode == "n_root":
+    quotient.MultiRecurrence = lambda m_part, n_root: MultiRecurrence(m_part, 2 * n_root)
+elif mode == "m_part":
+    quotient.MultiRecurrence = lambda m_part, n_root: MultiRecurrence(m_part * 2, n_root)
+else:
+    # Only V/P = 2 * 2^n is built with a coefficient.
+    quotient.geometric = lambda base, coeff=1: geometric(base, coeff * (1 if coeff == 1 else 2))
+try:
+    quotient.cross_quotient(
+        from_closed_form([(3, 1), (1, -1)]), from_closed_form([(2, [0, 2])])
+    )
+except VerificationFailed as exc:
+    print("VerificationFailed:", exc)
+else:
+    print("wrong certificate returned unchecked")
+"""
+
+
+@pytest.mark.parametrize("mode", ["n_root", "m_part", "v_over_p"])
+def test_wrong_cross_certificate_is_caught_under_optimize(mode):
+    assert_caught_under_optimize(_WRONG_CROSS, mode)
+
+
 # Each root's exponents are read by position from the basis; a basis whose
 # expressions of u's two roots are swapped turns U = 10^n + 2*15^n into
 # 15^n + 2*10^n.  Both still divide by V = 5^n, so only the multiply-back

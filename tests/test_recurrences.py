@@ -10,7 +10,7 @@ import product_oracle
 from fraction_form import canonical_terms
 from optimized import assert_caught_under_optimize
 from recurquot.errors import InputError, IrrationalRoots, ZeroRoot
-from recurquot.polys import BiPoly, UniPoly
+from recurquot.polys import UniPoly
 from recurquot.recurrences import (
     LinearRecurrence,
     MultiRecurrence,
@@ -18,7 +18,6 @@ from recurquot.recurrences import (
     from_closed_form,
     from_relation,
     geometric,
-    multi_from_closed_form,
     polynomial,
     zero_set,
 )
@@ -313,26 +312,49 @@ def test_zero_set_completeness_extends(u):
 
 
 def test_multi_recurrence_evaluate():
-    w = multi_from_closed_form([(F(3), F(1), F(1)), (F(1), F(2), F(-1))])
-    for m in range(4):
-        for n in range(4):
-            assert w.evaluate(m, n) == F(3) ** m - F(2) ** n
+    w = MultiRecurrence(mersenne() * 3, F(2, 3))
+    for m in range(-2, 4):
+        for n in range(-2, 4):
+            assert w.evaluate(m, n) == 3 * (F(2) ** m - 1) * F(2, 3) ** n
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_recurrences, st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4)
+       .filter(bool), st.integers(-3, 5), st.integers(-3, 5))
+def test_multi_recurrence_is_its_m_part_times_the_n_root_power(m_part, n_root, m, n):
+    w = MultiRecurrence(m_part, n_root)
+    assert w.evaluate(m, n) == m_part.evaluate(m) * n_root**n
+    # The rational terms view gives the same value.
+    assert w.evaluate(m, n) == sum(
+        (sum(c * F(m) ** i * F(n) ** j for (i, j), c in coeff.terms.items()) * a**m * b**n
+         for a, b, coeff in w.terms),
+        F(0),
+    )
+    assert w == MultiRecurrence(from_closed_form(m_part.terms), n_root)
+    assert hash(w) == hash(MultiRecurrence(from_closed_form(m_part.terms), n_root))
 
 
 def test_multi_render():
-    w = multi_from_closed_form([(F(3), F(1), F(1)), (F(1), F(1), F(-1))])
-    text = w.render()
-    assert "3^m" in text
-    # A constant coefficient of -1 is a bare sign, as in LinearRecurrence.render.
-    for triples, text in [
-        ([(2, 1, -1), (3, 1, 1)], "-2^m + 3^m"),
-        ([(2, 3, -1)], "-2^m*3^n"),
-        ([(1, 1, -1), (2, 1, 1)], "-1 + 2^m"),
-        ([(1, 2, F(-1, 2)), (3, 1, 1)], "-1/2*2^n + 3^m"),
-        ([(2, 1, BiPoly({(1, 0): F(-1)}))], "-m*2^m"),
-        ([(2, 1, BiPoly({(1, 0): F(1), (0, 0): F(-1)}))], "(m - 1)*2^m"),
+    # Terms run by increasing m-root; a root of 1 leaves its power out, and
+    # a coefficient of +-1 before a power is a bare sign.
+    for pairs, n_root, text in [
+        ([(3, 1), (1, -1)], 1, "-1 + 3^m"),
+        ([(2, -1), (3, 1)], 1, "-2^m + 3^m"),
+        ([(2, -1)], 3, "-2^m*3^n"),
+        ([(1, 1)], F(1, 2), "(1/2)^n"),
+        ([(1, -1)], -2, "-(-2)^n"),
+        ([(1, F(-1, 2)), (3, 1)], 2, "-1/2*2^n + 3^m*2^n"),
+        ([(2, [0, -1])], 1, "-m*2^m"),
+        ([(2, [-1, 1])], F(-3, 4), "(m - 1)*2^m*(-3/4)^n"),
+        ([(1, [0, 0, 2])], 5, "2*m^2*5^n"),
+        ([(1, [1, 1])], 1, "(m + 1)"),
+        ([], 2, "0"),
     ]:
-        assert multi_from_closed_form(triples).render() == text
+        w = MultiRecurrence(from_closed_form(pairs), n_root)
+        assert w.render() == text
+        assert repr(w) == f"MultiRecurrence({text})"
+    w = MultiRecurrence(from_closed_form([(2, [0, 1])]), 3)
+    assert w.render(("a", "b")) == "a*2^a*3^b"
 
 
 def test_cleared_recurrence_of():
@@ -441,7 +463,7 @@ import sys
 from fractions import Fraction
 import recurquot.recurrences as rec
 from recurquot.errors import VerificationFailed
-from recurquot.polys import BiPoly, UniPoly
+from recurquot.polys import UniPoly
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
@@ -469,42 +491,27 @@ def test_broken_relation_form_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_BROKEN_RELATION, mode)
 
 
-# Under -O the old asserts in MultiRecurrence were gone: a zero base was
-# kept and rendered as 0^m*3^n, and a repeated (base_m, base_n) pair was
-# kept twice.
-_BAD_MULTI_TERMS = """
+# A zero n-root is refused by an explicit check, so -O keeps it out too
+# (an assert would let it through, to render as 0^n).
+_ZERO_N_ROOT = """
 import sys
-from recurquot.errors import InputError, ZeroRoot
-from recurquot.polys import BiPoly
-from recurquot.recurrences import MultiRecurrence
+from recurquot.errors import ZeroRoot
+from recurquot.recurrences import MultiRecurrence, geometric
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-one = BiPoly({(0, 0): 1})
-cases = {
-    "zero": (((0, 3, one),), ZeroRoot),
-    "repeated": (((2, 3, one), (2, 3, one)), InputError),
-    "zero-coefficient": (((2, 3, BiPoly()),), InputError),
-}
-terms, error = cases[sys.argv[1]]
 try:
-    print("built", MultiRecurrence(terms).render())
-except error as exc:
-    print(f"{type(exc).__name__}:", exc)
+    print("built", MultiRecurrence(geometric(2), 0).render())
+except ZeroRoot as exc:
+    print("ZeroRoot:", exc)
 """
 
 
-@pytest.mark.parametrize(
-    "mode, error",
-    [("zero", "ZeroRoot"), ("repeated", "InputError"), ("zero-coefficient", "InputError")],
-)
-def test_bad_multi_terms_raise_under_optimize(mode, error):
-    assert_caught_under_optimize(_BAD_MULTI_TERMS, mode, error=error)
+def test_bad_multi_terms_raise_under_optimize():
+    assert_caught_under_optimize(_ZERO_N_ROOT, error="ZeroRoot")
 
 
 def test_bad_multi_terms_raise():
-    one = BiPoly({(0, 0): 1})
-    with pytest.raises(ZeroRoot):
-        MultiRecurrence(((F(2), F(0), one),))
-    with pytest.raises(InputError, match="twice"):
-        MultiRecurrence(((F(2), F(3), one), (F(2), F(3), one + one)))
+    for n_root in (0, F(0)):
+        with pytest.raises(ZeroRoot):
+            MultiRecurrence(geometric(2), n_root)
