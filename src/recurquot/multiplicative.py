@@ -2,7 +2,8 @@
 
 A non-zero rational is sign * prod(p^e); a finite set of them spans a
 subgroup of Q*.  This module decides whether the span contains -1
-(torsion) and produces a canonical free basis when it does not.  Each
+(torsion) and produces a canonical free basis when it does not; a set of
+positive rationals also has the primes themselves as a basis.  Each
 input enters as an integer pair (R, B) standing for R/B, and each
 distinct |R| and B is factored once.  All lattice work happens on
 exponent vectors over the union of primes, with the sign as one more
@@ -117,12 +118,14 @@ def torsion_status(values) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class MultiplicativeBasis:
-    """Free generators of the group spanned by ``values``.
+    """Free generators of a free group that contains ``values``.
 
     ``pairs`` are the inputs as integer pairs (R, B), one per value
-    R/B.  ``matrix`` holds the generators' prime-exponent rows in HNF, so
-    the basis depends only on the spanned group, not on the input order.
+    R/B.  ``matrix`` holds the generators' prime-exponent rows.
     ``expressions[i]`` writes values[i] in the generators.
+    ``compute_basis`` gives the canonical basis: generators of the
+    spanned group itself, with ``matrix`` in HNF, so it depends only on
+    that group, not on the input order.  ``prime_basis`` gives the primes.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -275,4 +278,32 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     )
     if shared is not None:
         shared[1][pairs] = basis
+    return basis
+
+
+def prime_basis(pairs) -> MultiplicativeBasis:
+    """The primes of the integer pairs (R, B), R, B >= 1, as a basis, with no HNF.
+
+    Positive rationals span no -1, so their group embeds in the lattice of
+    prime exponents (it need not fill it).  From one ``exponent_table``:
+    the primes are the generators, the matrix is the identity, every sign
+    is +1 and each expression is its input's exponent row, checked in
+    integers to give back its R/B.
+    """
+    pairs = tuple(pairs)
+    if any(r < 0 for r, _ in pairs):
+        raise InputError("the prime basis needs positive inputs")
+    primes, vectors = exponent_table(pairs)
+    basis = MultiplicativeBasis(
+        pairs=pairs,
+        primes=primes,
+        generators=tuple(map(Fraction, primes)),
+        matrix=tuple(tuple(int(p == q) for q in primes) for p in primes),
+        generator_signs=(1,) * len(primes),
+        expressions=tuple(v.exponents for v in vectors),
+    )
+    for (r, b), row in zip(pairs, basis.expressions):
+        num, den = basis.reconstruct_pair(row)
+        if num * b != r * den:
+            raise VerificationFailed(f"the exponent row of {Fraction(r, b)} does not give it back")
     return basis

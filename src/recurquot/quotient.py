@@ -27,7 +27,8 @@ from .groupring import (
     strip_x_content,
     to_group_ring,
 )
-from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
+from .multiplicative import (MultiplicativeBasis, compute_basis, prime_basis, shared_factors,
+                             sign_pivot_hnf)
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
@@ -75,12 +76,13 @@ def _root_pairs(u: LinearRecurrence, v: LinearRecurrence) -> tuple[tuple[int, in
     return tuple((r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms)
 
 
-def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
-    """u and v in the group ring of their combined basis.
+def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence, basis=None):
+    """u and v in the group ring of ``basis``, their combined basis by default.
 
     Each root's exponents are read by position from the basis.
     """
-    basis = combined_basis(u, v)
+    if basis is None:
+        basis = combined_basis(u, v)
     k = len(u.cleared_terms)
     return (to_group_ring(u, basis, basis.expressions[:k]),
             to_group_ring(v, basis, basis.expressions[k:]))
@@ -90,13 +92,17 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
     """The recurrence U/V if V divides U in the group ring, else None.
 
     None is a genuine negative verdict: no recurrence whose roots lie
-    in the span of u's and v's roots can equal U/V pointwise.
+    in the span of u's and v's roots can equal U/V pointwise.  With every
+    root positive their group G embeds in the prime lattice L, whose group
+    ring is a sum of G-modules, one per coset, so V | U over L (the
+    ``prime_basis``) exactly when V | U over G, with the same quotient.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
     if u.is_zero:
         return LinearRecurrence(())
-    fu, fv = _laurent_forms(u, v)
+    pairs = _root_pairs(u, v)
+    fu, fv = _laurent_forms(u, v, prime_basis(pairs) if all(r > 0 for r, _ in pairs) else None)
     quo = laurent_divide(fu, fv)
     if quo is None:
         return None
@@ -174,7 +180,9 @@ def cross_quotient(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    sign_pivot_hnf(_root_pairs(u, v))  # TorsionGroup if -1 is in the roots' span
+    pairs = _root_pairs(u, v)
+    if any(r < 0 for r, _ in pairs):  # positive roots cannot span -1
+        sign_pivot_hnf(pairs)  # TorsionGroup if -1 is in the roots' span
     if len(v.cleared_terms) > 1:
         return NoClearance(
             reason="multiple-roots",
@@ -278,7 +286,8 @@ def solve_with_torsion_fallback(
 
     Returns either the direct outcome or a list of SectionResult.  Each
     root is factored once per call: the sections' roots are squares of
-    the failing call's, and sections with equal roots share one basis.
+    the failing call's.  The sections' roots are positive, so only
+    clearance builds a basis there, shared by sections with equal roots.
     """
     solver = _solver(mode)
     with shared_factors() as add_powers:

@@ -13,7 +13,7 @@ from optimized import assert_caught_under_optimize
 from recurquot import factorization, multiplicative, quotient
 from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
 from recurquot.factorization import factor_limit
-from recurquot.groupring import GroupRingElement, from_group_ring, to_group_ring
+from recurquot.groupring import GroupRingElement, from_group_ring, laurent_divide, to_group_ring
 from recurquot.multiplicative import compute_basis
 from recurquot.polys import UniPoly
 from recurquot.quotient import (
@@ -228,6 +228,27 @@ def test_cross_quotient_builds_no_basis(monkeypatch):
     torsion = caught.value
     assert math.prod(F(r) ** e for r, e in zip(torsion.roots, torsion.exponents)) == -1
     assert calls == []
+
+
+def test_cross_quotient_on_positive_roots_factors_nothing(monkeypatch):
+    # 2^89 - 1 is a prime above the default factoring cap.  With every root
+    # positive there is no -1 to look for, so nothing is factored; a
+    # negative root still needs the sign pivot, which must factor it.
+    calls = []
+    real = factorization.factor_int
+
+    def factor_int(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(factorization, "factor_int", factor_int)
+    big = 2**89 - 1
+    out = cross_quotient(geometric(big), geometric(3))
+    assert isinstance(out, QuotientCertificate)
+    assert out.quotient.m_part == geometric(big) and out.quotient.n_root == F(1, 3)
+    assert calls == []
+    with pytest.raises(FactorizationLimit):
+        cross_quotient(geometric(-big), geometric(3))
 
 
 def test_sections_split_torsion():
@@ -447,7 +468,9 @@ def test_wrong_cross_certificate_is_caught_under_optimize(mode):
 # Each root's exponents are read by position from the basis; a basis whose
 # expressions of u's two roots are swapped turns U = 10^n + 2*15^n into
 # 15^n + 2*10^n.  Both still divide by V = 5^n, so only the multiply-back
-# can catch the swap, and it must under -O.
+# can catch the swap, and it must under -O.  The roots are positive, so
+# hadamard_quotient divides over the prime basis, and clearance over the
+# canonical one.
 _SWAPPED_POSITIONS = """
 import dataclasses
 import sys
@@ -457,14 +480,15 @@ from recurquot.recurrences import from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-real_basis = quotient.compute_basis
+builder = {"hadamard_quotient": "prime_basis", "polynomial_clearance": "compute_basis"}[sys.argv[1]]
+real_basis = getattr(quotient, builder)
 
 def swapped_basis(*args, **kwargs):
     basis = real_basis(*args, **kwargs)
     first, second, *rest = basis.expressions
     return dataclasses.replace(basis, expressions=(second, first, *rest))
 
-quotient.compute_basis = swapped_basis
+setattr(quotient, builder, swapped_basis)
 solve = getattr(quotient, sys.argv[1])
 try:
     solve(from_closed_form([(10, 1), (15, 2)]), from_closed_form([(5, 1)]))
@@ -552,7 +576,9 @@ def test_solvers_never_read_the_rational_roots(monkeypatch):
 
 # q*v over v with -1 in the root group: (-2)^2 / (-4) = -1.  With "cancel",
 # 5^n - (-5)^n vanishes on the even section only, so the sections' roots
-# differ and each builds its own basis.
+# differ and under clearance each builds its own basis.  The sections'
+# roots are positive, so Hadamard sections divide over the primes and build
+# no canonical basis.
 @pytest.mark.parametrize("cancel", [False, True])
 @pytest.mark.parametrize("mode", ["hadamard", "clearance"])
 def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
@@ -578,8 +604,11 @@ def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
     results = solve_with_torsion_fallback(u, v, mode, decimate=True)
     assert [r.offsets for r in results] == [(0,), (1,)]
     assert sorted(calls) == _integers_of(u, v)
-    assert len(bases) == 2
-    assert (bases[0] is bases[1]) is not cancel
+    if mode == "clearance":
+        assert len(bases) == 2
+        assert (bases[0] is bases[1]) is not cancel
+    else:
+        assert bases == []
 
 
 # Signed roots +-2^a * 3^b * 5^c with a, b, c in -2..2, so roots share
@@ -643,6 +672,81 @@ def test_group_ring_forms_by_position_match_the_express_map(pair):
         assert f.terms == GroupRingElement(basis, terms).terms
         assert f == to_group_ring(rec, basis)
         assert from_group_ring(f) == rec
+
+
+def _divide_over_combined_basis(u, v):
+    """U/V by division in the group ring of the canonical basis, or None."""
+    fu, fv = quotient._laurent_forms(u, v)
+    quo = laurent_divide(fu, fv)
+    return None if quo is None else from_group_ring(quo)
+
+
+# Positive roots in the span of one to three atoms.  The primes often
+# outnumber the atoms (6 and 10/3 span rank 2 over 2, 3, 5), and with 4 or
+# 9/5 among them the span does not fill the prime lattice.
+ATOMS = (F(6), F(4), F(9, 5), F(10, 3), F(7, 2))
+
+
+@st.composite
+def positive_pairs(draw):
+    atoms = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3, unique=True))
+    roots = st.tuples(*(st.integers(min_value=-1, max_value=2) for _ in atoms)).map(
+        lambda es: math.prod((a**e for a, e in zip(atoms, es)), start=F(1)))
+    return draw(recurrence_pairs(roots=roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_pairs())
+def test_hadamard_over_the_primes_matches_the_canonical_basis(pair):
+    q, v = pair
+    assert hadamard_quotient(q * v, v) == q
+    for u in (q * v, q):
+        assert repr(hadamard_quotient(u, v)) == repr(_divide_over_combined_basis(u, v))
+
+
+@pytest.mark.parametrize("u, v, expected", [
+    (mersenne(8), mersenne(2), from_closed_form([(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])),
+    (geometric(36), geometric(6), geometric(6)),
+    (mersenne(F(9, 4)), mersenne(F(3, 2)), from_closed_form([(F(3, 2), F(1)), (F(1), F(1))])),
+])
+def test_hadamard_over_the_primes_pinned(u, v, expected):
+    assert hadamard_quotient(u, v) == expected == _divide_over_combined_basis(u, v)
+
+
+@pytest.mark.parametrize("cancel", [False, True])
+def test_hadamard_sections_over_the_primes(cancel):
+    # -1 = (-2)^2 / (-4) is in the root group, so the division runs on the
+    # sections mod 2, whose roots are positive.  With "cancel" the odd
+    # section is no longer divisible.
+    q = from_closed_form([(F(2), F(1)), (F(-3, 2), UniPoly([F(1), F(1)]))])
+    v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
+    u = q * v
+    if cancel:
+        u = u + geometric(5) - geometric(-5)
+    sections = solve_with_torsion_fallback(u, v, "hadamard", decimate=True)
+    outcomes = [section.outcome for section in sections]
+    assert outcomes == [_divide_over_combined_basis(u.decimate(2, r), v.decimate(2, r))
+                        for r in (0, 1)]
+    assert outcomes == [q.decimate(2, 0), None if cancel else q.decimate(2, 1)]
+
+
+def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
+    calls = []
+    for name in ("row_hnf", "hnf_express"):
+        def traced(*args, real=getattr(multiplicative, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(multiplicative, name, traced)
+    assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
+        [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
+    assert hadamard_quotient(mersenne(3), mersenne(2)) is None
+    assert hadamard_quotient(geometric(36), geometric(6)) == geometric(6)
+    assert calls == []
+    # A signed root still takes the canonical basis, whose sign pivot finds -1.
+    with pytest.raises(TorsionGroup):
+        hadamard_quotient(geometric(-2), geometric(2))
+    assert calls == ["row_hnf"]
 
 
 def test_large_clearance_builds_its_basis_quickly():
