@@ -2,12 +2,12 @@
 
 A non-zero rational is sign * prod(p^e); a finite set of them spans a
 subgroup of Q*.  This module decides whether the span contains -1
-(torsion) and produces a canonical free basis when it does not; a set of
-positive rationals also has the primes themselves as a basis.  Each
-input enters as an integer pair (R, B) standing for R/B, and each
-distinct |R| and B is factored once.  All lattice work happens on
-exponent vectors over the union of primes, with the sign as one more
-column taken mod 2.
+(torsion) and produces a canonical free basis when it does not; the
+exponent table alone also bounds the prime exponents of a Hadamard
+quotient's roots.  Each input enters as an integer pair (R, B) standing
+for R/B, and each distinct |R| and B is factored once.  All lattice work
+happens on exponent vectors over the union of primes, with the sign as
+one more column taken mod 2.
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ class MultiplicativeBasis:
     ``expressions[i]`` writes values[i] in the generators.
     ``compute_basis`` gives the canonical basis: generators of the
     spanned group itself, with ``matrix`` in HNF, so it depends only on
-    that group, not on the input order.  ``prime_basis`` gives the primes.
+    that group, not on the input order.  Clearance, its refusal
+    witnesses and the ``basis`` subcommand use it; Hadamard quotients
+    divide on the roots themselves and build none.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -278,32 +280,4 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     )
     if shared is not None:
         shared[1][pairs] = basis
-    return basis
-
-
-def prime_basis(pairs) -> MultiplicativeBasis:
-    """The primes of the integer pairs (R, B), R, B >= 1, as a basis, with no HNF.
-
-    Positive rationals span no -1, so their group embeds in the lattice of
-    prime exponents (it need not fill it).  From one ``exponent_table``:
-    the primes are the generators, the matrix is the identity, every sign
-    is +1 and each expression is its input's exponent row, checked in
-    integers to give back its R/B.
-    """
-    pairs = tuple(pairs)
-    if any(r < 0 for r, _ in pairs):
-        raise InputError("the prime basis needs positive inputs")
-    primes, vectors = exponent_table(pairs)
-    basis = MultiplicativeBasis(
-        pairs=pairs,
-        primes=primes,
-        generators=tuple(map(Fraction, primes)),
-        matrix=tuple(tuple(int(p == q) for q in primes) for p in primes),
-        generator_signs=(1,) * len(primes),
-        expressions=tuple(v.exponents for v in vectors),
-    )
-    for (r, b), row in zip(pairs, basis.expressions):
-        num, den = basis.reconstruct_pair(row)
-        if num * b != r * den:
-            raise VerificationFailed(f"the exponent row of {Fraction(r, b)} does not give it back")
     return basis

@@ -27,8 +27,7 @@ from .groupring import (
     strip_x_content,
     to_group_ring,
 )
-from .multiplicative import (MultiplicativeBasis, compute_basis, prime_basis, shared_factors,
-                             sign_pivot_hnf)
+from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
@@ -76,37 +75,47 @@ def _root_pairs(u: LinearRecurrence, v: LinearRecurrence) -> tuple[tuple[int, in
     return tuple((r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms)
 
 
-def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence, basis=None):
-    """u and v in the group ring of ``basis``, their combined basis by default.
+def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
+    """u and v in the group ring of their combined basis.
 
     Each root's exponents are read by position from the basis.
     """
-    if basis is None:
-        basis = combined_basis(u, v)
+    basis = combined_basis(u, v)
     k = len(u.cleared_terms)
     return (to_group_ring(u, basis, basis.expressions[:k]),
             to_group_ring(v, basis, basis.expressions[k:]))
+
+
+def _require_torsion_free(u: LinearRecurrence, v: LinearRecurrence) -> None:
+    """TorsionGroup if -1 lies in the span of the roots of u and v.
+
+    Positive roots cannot span -1, so they factor nothing here.
+    """
+    pairs = _root_pairs(u, v)
+    if any(r < 0 for r, _ in pairs):
+        sign_pivot_hnf(pairs)
 
 
 def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
     """The recurrence U/V if V divides U in the group ring, else None.
 
     None is a genuine negative verdict: no recurrence whose roots lie
-    in the span of u's and v's roots can equal U/V pointwise.  With every
-    root positive their group G embeds in the prime lattice L, whose group
-    ring is a sum of G-modules, one per coset, so V | U over L (the
-    ``prime_basis``) exactly when V | U over G, with the same quotient.
+    in the span of u's and v's roots can equal U/V pointwise.  The
+    division is long division on the roots themselves, ordered by size
+    (``LinearRecurrence._divide``): it needs no basis, and it factors
+    nothing unless it runs past ``u.order`` quotient terms, when it
+    bounds the quotient's prime exponents.  Signed roots first run the
+    sign pivot, which raises TorsionGroup if -1 is in their span.  The
+    quotient is multiplied back before it is returned.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
     if u.is_zero:
         return LinearRecurrence(())
-    pairs = _root_pairs(u, v)
-    fu, fv = _laurent_forms(u, v, prime_basis(pairs) if all(r > 0 for r, _ in pairs) else None)
-    quo = laurent_divide(fu, fv)
-    if quo is None:
+    _require_torsion_free(u, v)
+    result = u._divide(v)
+    if result is None:
         return None
-    result = from_group_ring(quo)
     if result * v != u:
         raise VerificationFailed("quotient times divisor does not give back the dividend")
     return result
@@ -180,9 +189,7 @@ def cross_quotient(
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    pairs = _root_pairs(u, v)
-    if any(r < 0 for r, _ in pairs):  # positive roots cannot span -1
-        sign_pivot_hnf(pairs)  # TorsionGroup if -1 is in the roots' span
+    _require_torsion_free(u, v)
     if len(v.cleared_terms) > 1:
         return NoClearance(
             reason="multiple-roots",
@@ -286,8 +293,11 @@ def solve_with_torsion_fallback(
 
     Returns either the direct outcome or a list of SectionResult.  Each
     root is factored once per call: the sections' roots are squares of
-    the failing call's.  The sections' roots are positive, so only
-    clearance builds a basis there, shared by sections with equal roots.
+    the failing call's.  The sections' roots are positive, so under
+    hadamard they need no sign pivot and factor nothing: a division that
+    runs past u.order terms reads its exponent box from the squares'
+    factorizations.  Only clearance builds a basis there, shared by
+    sections with equal roots.
     """
     solver = _solver(mode)
     with shared_factors() as add_powers:

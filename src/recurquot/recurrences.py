@@ -18,6 +18,8 @@ from typing import NamedTuple
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
 from .factorization import factor_int
 from .linalg import solve_rational
+from .multiplicative import exponent_table
+from .places import _int_valuation
 from .polys import UniPoly, _render_sum
 
 
@@ -219,6 +221,99 @@ class LinearRecurrence:
 
     __rmul__ = __mul__
 
+    def _divide(self, other: "LinearRecurrence") -> "LinearRecurrence | None":
+        """self / other as a recurrence, or None when the quotient is not one.
+
+        Long division of W_self by W_other on the roots themselves; other
+        is non-zero and the group G spanned by the rational roots of both
+        must not contain -1.  Then |.| is injective on G and on each of
+        its cosets, so ordering terms by (|root|, X-degree) makes Z[X][G]
+        an ordered domain: lead(f*g) = lead(f) * lead(g), and the roots of
+        the quotient come out largest first.  The divisor is made
+        primitive, so by Gauss's lemma every quotient coefficient is an
+        integer, found by an exact ``divmod`` by lc(other); one that is not
+        exact refuses.  So do a quotient X-degree outside [0, deg_X(self)
+        - deg_X(other)] and a quotient root below min|R_self| /
+        min|R_other| in size: the least terms multiply as the leads do.
+        Those bounds alone need not end the loop on dense roots, so once
+        more than ``self.order`` quotient terms are out, every quotient
+        root must also lie in the prime exponent box [min_self -
+        min_other, max_self - max_other] from ``exponent_table`` (the
+        Newton polytopes add), which only finitely many elements of G do.
+        Roots are kept as reduced integer pairs (numerator, denominator)
+        and compared by cross-multiplication, exactly.
+        """
+        if not self.cleared_terms:
+            return LinearRecurrence(())
+        content = math.gcd(*(c for _, coeffs in other.cleared_terms for c in coeffs))
+        divisor = [(root, [c // content for c in coeffs]) for root, coeffs in other.cleared_terms]
+        lead_root, lead = max(divisor, key=lambda term: abs(term[0]))
+        others = [term for term in divisor if term[0] != lead_root]
+        lc, width = lead[-1], len(lead)
+        span = max(len(cs) for _, cs in self.cleared_terms) - max(len(cs) for _, cs in divisor)
+        low_u = min(abs(root) for root, _ in self.cleared_terms)
+        low_v = min(abs(root) for root, _ in divisor)
+        remainder = {(root, 1): list(coeffs) for root, coeffs in self.cleared_terms}
+        quotient: dict[tuple[int, int], list[int]] = {}
+        terms, order, box = 0, self.order, None
+        while remainder:
+            num, den = top = next(iter(remainder))
+            for key in remainder:
+                if abs(key[0]) * den > abs(num) * key[1]:
+                    num, den = top = key
+            g = math.gcd(num, lead_root)
+            num, den = num // g, den * (lead_root // g)
+            if den < 0:
+                num, den = -num, -den
+            coeffs = remainder.pop(top)
+            degree = len(coeffs) - width
+            if abs(num) * low_v < low_u * den or not 0 <= degree <= span:
+                return None
+            q = [0] * (degree + 1)
+            for k in range(degree, -1, -1):
+                c, inexact = divmod(coeffs[k + width - 1], lc)
+                if inexact:
+                    return None
+                if c:
+                    q[k] = c
+                    for i, x in enumerate(lead):
+                        coeffs[k + i] -= c * x
+            if any(coeffs[:width - 1]):
+                return None
+            quotient[num, den] = q
+            terms += sum(map(bool, q))
+            if terms > order:
+                if box is None:
+                    box = _exponent_box(self, other)
+                    if not all(map(box, quotient)):
+                        return None
+                elif not box((num, den)):
+                    return None
+            for root, cs in others:
+                g = math.gcd(root, den)
+                key = (num * (root // g), den // g)
+                acc = remainder.get(key, [])
+                acc.extend([0] * (len(q) + len(cs) - 1 - len(acc)))
+                for i, x in enumerate(q):
+                    for j, y in enumerate(cs):
+                        acc[i + j] -= x * y
+                while acc and not acc[-1]:
+                    acc.pop()
+                if acc:
+                    remainder[key] = acc
+                else:
+                    remainder.pop(key, None)
+        # With W = scale * base^n * V and W_other = content * (the primitive
+        # divisor), self / other is the quotient times other.scale /
+        # (self.scale * content) and (other.base / self.base)^n.
+        lcm = math.lcm(*(den for _, den in quotient))
+        return LinearRecurrence(
+            ((num * other.base * (lcm // den), [c * other.scale for c in q])
+             for (num, den), q in quotient.items()),
+            self.scale * content,
+            self.base * lcm,
+        )
+
     def decimate(self, q: int, r: int) -> "LinearRecurrence":
         """The section m -> U(q*m + r); roots may merge (e.g. (-a)^q == a^q).
 
@@ -258,6 +353,26 @@ class LinearRecurrence:
 
     def __repr__(self):
         return f"LinearRecurrence({self.render()})"
+
+
+def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
+    """A test that a root (num, den) of W_u / W_v lies in its exponent box.
+
+    For each prime p of the integer roots, the p-exponent of every root
+    of an exact quotient lies in [min_u - min_v, max_u - max_v], the
+    least and greatest p-exponents of u's and of v's roots.
+    """
+    k = len(u.cleared_terms)
+    primes, rows = exponent_table([(root, 1) for rec in (u, v) for root, _ in rec.cleared_terms])
+    bounds = [(p, min(col[:k]) - min(col[k:]), max(col[:k]) - max(col[k:]))
+              for p, col in zip(primes, zip(*(row.exponents for row in rows)))]
+
+    def inside(root: tuple[int, int]) -> bool:
+        num, den = root
+        return all(lo <= _int_valuation(num, p) - _int_valuation(den, p) <= hi
+                   for p, lo, hi in bounds)
+
+    return inside
 
 
 # -- residues modulo a prime ---------------------------------------------------

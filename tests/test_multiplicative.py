@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
-from recurquot.errors import InputError, RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
+from recurquot.errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
 from recurquot.multiplicative import (
     compute_basis,
     exponent_table,
-    prime_basis,
     torsion_status,
 )
 
@@ -76,27 +75,6 @@ def test_compute_basis_negative_generator():
     assert basis.generators == (F(-2),)
     assert basis.generator_signs == (-1,)
     assert basis.reconstruct((3,)) == F(-8)
-
-
-def test_prime_basis_is_the_exponent_table():
-    # 6 and 36 span a group of rank 1, but the prime basis has rank 2, and
-    # the span of 4 and 9/5 does not fill the exponent lattice of 2, 3, 5.
-    basis = prime_basis(((6, 1), (36, 1), (4, 1), (9, 5)))
-    assert basis.primes == (2, 3, 5)
-    assert basis.generators == (F(2), F(3), F(5))
-    assert basis.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert basis.generator_signs == (1, 1, 1)
-    assert basis.expressions == ((1, 1, 0), (2, 2, 0), (2, 0, 0), (0, 2, -1))
-    assert basis.express(F(15, 2)) == (-1, 1, 1)
-    assert basis.same_group(prime_basis(((30, 1),)))
-    assert not basis.same_group(compute_basis((F(4), F(3), F(5))))
-
-
-def test_prime_basis_refuses_negative_inputs():
-    with pytest.raises(InputError):
-        prime_basis(((2, 1), (-3, 1)))
-    with pytest.raises(ZeroInput):
-        prime_basis(((0, 1),))
 
 
 def test_compute_basis_torsion_raises():
@@ -263,44 +241,6 @@ for exponents in ((1,), (1, 1, 5)):
     except InputError as exc:
         print("InputError:", exc)
 """
-
-
-# The prime basis reads each expression off the exponent table; a row that
-# does not give back its root (here the first prime's exponent is one too
-# high) must be caught under -O, by prime_basis itself and on the path
-# hadamard_quotient takes for positive roots.
-_WRONG_PRIME_ROW = """
-import sys
-import recurquot.multiplicative as mult
-from recurquot.errors import VerificationFailed
-from recurquot.quotient import hadamard_quotient
-from recurquot.recurrences import from_closed_form
-
-if not sys.flags.optimize:
-    raise SystemExit("not running under -O")
-real_table = mult.exponent_table
-
-def shifted_table(pairs):
-    primes, vectors = real_table(pairs)
-    first, *rest = vectors
-    return primes, [first._replace(exponents=(first.exponents[0] + 1, *first.exponents[1:])), *rest]
-
-mult.exponent_table = shifted_table
-for call in (
-    lambda: mult.prime_basis(((12, 1), (5, 3))),
-    lambda: hadamard_quotient(from_closed_form([(8, 1), (1, -1)]), from_closed_form([(2, 1), (1, -1)])),
-):
-    try:
-        call()
-    except VerificationFailed as exc:
-        print("VerificationFailed:", exc)
-    else:
-        print("a wrong exponent row went unchecked")
-"""
-
-
-def test_wrong_prime_row_is_caught_under_optimize():
-    assert_caught_under_optimize(_WRONG_PRIME_ROW, count=2)
 
 
 def test_reconstruct_checks_the_exponent_count_under_optimize():

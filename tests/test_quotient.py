@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
-from recurquot import factorization, multiplicative, quotient
+from recurquot import factorization, multiplicative, quotient, recurrences
 from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
 from recurquot.factorization import factor_limit
 from recurquot.groupring import GroupRingElement, from_group_ring, laurent_divide, to_group_ring
@@ -331,19 +331,17 @@ def test_clearance_identity_property(v_terms, p_coeffs):
 # Under -O every assert is gone; the multiply-back check must still run.
 _WRONG_DIVIDE = """
 import sys
-import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
-from recurquot.recurrences import from_closed_form
+from recurquot.quotient import hadamard_quotient
+from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-real_divide = quotient.laurent_divide
+real_divide = LinearRecurrence._divide
 # Doubles the true quotient: 2*2^n + 2 for (4^n - 1)/(2^n - 1).
-quotient.laurent_divide = lambda f, g: real_divide(f, g) * 2
+LinearRecurrence._divide = lambda u, v: real_divide(u, v) * 2
 try:
-    quotient.hadamard_quotient(
-        from_closed_form([(4, 1), (1, -1)]), from_closed_form([(2, 1), (1, -1)])
-    )
+    hadamard_quotient(from_closed_form([(4, 1), (1, -1)]), from_closed_form([(2, 1), (1, -1)]))
 except VerificationFailed as exc:
     print("VerificationFailed:", exc)
 else:
@@ -361,25 +359,25 @@ def test_wrong_quotient_is_caught_under_optimize():
 _WRONG_COEFFICIENT = """
 import sys
 from fractions import Fraction
-import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
+from recurquot.quotient import hadamard_quotient
 from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-real_from_group_ring = quotient.from_group_ring
+real_divide = LinearRecurrence._divide
 
-def off_by_one_over_scale(f):
+def off_by_one_over_scale(u, v):
     # Adds 1/scale to the constant coefficient of the smallest root.
-    result = real_from_group_ring(f)
+    result = real_divide(u, v)
     (root, (c0, *cs)), *rest = result.cleared_terms
     return LinearRecurrence(((root, (c0 + 1, *cs)), *rest), result.scale, result.base)
 
-quotient.from_group_ring = off_by_one_over_scale
+LinearRecurrence._divide = off_by_one_over_scale
 q = from_closed_form([(2, Fraction(1, 3)), (3, [Fraction(5, 2), Fraction(-1, 4)])])
 v = from_closed_form([(2, 1), (1, -1)])
 try:
-    quotient.hadamard_quotient(q * v, v)
+    hadamard_quotient(q * v, v)
 except VerificationFailed as exc:
     print("VerificationFailed:", exc)
 else:
@@ -389,6 +387,40 @@ else:
 
 def test_wrong_quotient_coefficient_is_caught_under_optimize():
     assert_caught_under_optimize(_WRONG_COEFFICIENT)
+
+
+# A quotient root one prime too large: the division's largest root is
+# doubled, on (8^n - 1)/(2^n - 1), which ends within u.order terms, and on
+# ((2^50)^n - 1)/(2^n - 1), whose 50 terms build the exponent box first.
+# Each must fail the multiply-back under -O.
+_WRONG_ROOT = """
+import sys
+from recurquot.errors import VerificationFailed
+from recurquot.quotient import hadamard_quotient
+from recurquot.recurrences import LinearRecurrence, from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_divide = LinearRecurrence._divide
+
+def shifted_root(u, v):
+    result = real_divide(u, v)
+    *rest, (root, coeffs) = result.cleared_terms
+    return LinearRecurrence((*rest, (root * 2, coeffs)), result.scale, result.base)
+
+LinearRecurrence._divide = shifted_root
+for a in (8, 2**50):
+    try:
+        hadamard_quotient(from_closed_form([(a, 1), (1, -1)]), from_closed_form([(2, 1), (1, -1)]))
+    except VerificationFailed as exc:
+        print("VerificationFailed:", exc)
+    else:
+        print("a wrong quotient root went unchecked")
+"""
+
+
+def test_wrong_quotient_root_is_caught_under_optimize():
+    assert_caught_under_optimize(_WRONG_ROOT, count=2)
 
 
 # The clearance certificate is re-checked as recurrences: P*U == Q*V and
@@ -465,30 +497,39 @@ def test_wrong_cross_certificate_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_WRONG_CROSS, mode)
 
 
-# Each root's exponents are read by position from the basis; a basis whose
-# expressions of u's two roots are swapped turns U = 10^n + 2*15^n into
-# 15^n + 2*10^n.  Both still divide by V = 5^n, so only the multiply-back
-# can catch the swap, and it must under -O.  The roots are positive, so
-# hadamard_quotient divides over the prime basis, and clearance over the
-# canonical one.
+# U = 10^n + 2*15^n over V = 5^n has the quotient 2^n + 2*3^n.  Swapping
+# the coefficients of its two roots gives 3^n + 2*2^n, and under clearance
+# a basis whose expressions of u's two roots are swapped (each root's
+# exponents are read by position) turns U into 15^n + 2*10^n.  Both still
+# divide by V, so only the multiply-back can catch the swap, and it must
+# under -O.
 _SWAPPED_POSITIONS = """
 import dataclasses
 import sys
 import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
-from recurquot.recurrences import from_closed_form
+from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-builder = {"hadamard_quotient": "prime_basis", "polynomial_clearance": "compute_basis"}[sys.argv[1]]
-real_basis = getattr(quotient, builder)
+if sys.argv[1] == "hadamard_quotient":
+    real_divide = LinearRecurrence._divide
 
-def swapped_basis(*args, **kwargs):
-    basis = real_basis(*args, **kwargs)
-    first, second, *rest = basis.expressions
-    return dataclasses.replace(basis, expressions=(second, first, *rest))
+    def swapped_divide(u, v):
+        result = real_divide(u, v)
+        (r1, c1), (r2, c2), *rest = result.cleared_terms
+        return LinearRecurrence(((r1, c2), (r2, c1), *rest), result.scale, result.base)
 
-setattr(quotient, builder, swapped_basis)
+    LinearRecurrence._divide = swapped_divide
+else:
+    real_basis = quotient.compute_basis
+
+    def swapped_basis(*args, **kwargs):
+        basis = real_basis(*args, **kwargs)
+        first, second, *rest = basis.expressions
+        return dataclasses.replace(basis, expressions=(second, first, *rest))
+
+    quotient.compute_basis = swapped_basis
 solve = getattr(quotient, sys.argv[1])
 try:
     solve(from_closed_form([(10, 1), (15, 2)]), from_closed_form([(5, 1)]))
@@ -577,8 +618,8 @@ def test_solvers_never_read_the_rational_roots(monkeypatch):
 # q*v over v with -1 in the root group: (-2)^2 / (-4) = -1.  With "cancel",
 # 5^n - (-5)^n vanishes on the even section only, so the sections' roots
 # differ and under clearance each builds its own basis.  The sections'
-# roots are positive, so Hadamard sections divide over the primes and build
-# no canonical basis.
+# roots are positive, so Hadamard sections divide on the roots and build
+# no basis.
 @pytest.mark.parametrize("cancel", [False, True])
 @pytest.mark.parametrize("mode", ["hadamard", "clearance"])
 def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
@@ -675,7 +716,11 @@ def test_group_ring_forms_by_position_match_the_express_map(pair):
 
 
 def _divide_over_combined_basis(u, v):
-    """U/V by division in the group ring of the canonical basis, or None."""
+    """U/V by division in the group ring of the canonical basis, or None.
+
+    This is the division clearance keeps; hadamard_quotient divides on
+    the roots themselves and builds no basis.
+    """
     fu, fv = quotient._laurent_forms(u, v)
     quo = laurent_divide(fu, fv)
     return None if quo is None else from_group_ring(quo)
@@ -698,10 +743,35 @@ def positive_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(positive_pairs())
 def test_hadamard_over_the_primes_matches_the_canonical_basis(pair):
+    # Positive roots: the long division on the roots against the group ring
+    # of the canonical basis, on exact quotients and on refusals.
     q, v = pair
     assert hadamard_quotient(q * v, v) == q
-    for u in (q * v, q):
+    for u in (q * v, q, q * v + geometric(q.roots[0])):
         assert repr(hadamard_quotient(u, v)) == repr(_divide_over_combined_basis(u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recurrence_pairs())
+def test_hadamard_on_signed_roots_matches_the_canonical_basis(pair):
+    # Signed roots: both sides raise TorsionGroup when -1 is in the span,
+    # and otherwise agree.  A zero dividend (a pointwise product of two
+    # non-zero sequences can vanish when -1 is in the span) has the zero
+    # quotient before any torsion check.
+    q, v = pair
+    for u in (q * v, q, q * v + geometric(q.roots[-1])):
+        if u.is_zero:
+            assert hadamard_quotient(u, v) == LinearRecurrence(())
+            continue
+        try:
+            expected = _divide_over_combined_basis(u, v)
+        except TorsionGroup:
+            with pytest.raises(TorsionGroup):
+                hadamard_quotient(u, v)
+            continue
+        assert repr(hadamard_quotient(u, v)) == repr(expected)
+        if u == q * v:
+            assert hadamard_quotient(u, v) == q
 
 
 @pytest.mark.parametrize("u, v, expected", [
@@ -711,6 +781,54 @@ def test_hadamard_over_the_primes_matches_the_canonical_basis(pair):
 ])
 def test_hadamard_over_the_primes_pinned(u, v, expected):
     assert hadamard_quotient(u, v) == expected == _divide_over_combined_basis(u, v)
+
+
+def test_hadamard_refusal_on_dense_roots_is_fast():
+    # 1000 and 999 span a dense subgroup of the positive reals, so the
+    # size bounds alone let the division run on for minutes; the exponent
+    # box (3-exponents in [0, -3], which is empty) ends it at once.
+    u = from_closed_form([(F(10**6), F(1)), (F(1), F(1))])
+    v = from_closed_form([(F(1000), F(1)), (F(999), F(-1))])
+    start = time.perf_counter()
+    assert hadamard_quotient(u, v) is None
+    assert time.perf_counter() - start < 1
+    assert _divide_over_combined_basis(u, v) is None
+
+
+def test_hadamard_builds_the_exponent_box_past_u_order_terms(monkeypatch):
+    # (2^50)^n - 1 over 2^n - 1 has the 50 terms (2^k)^n, k < 50, and u has
+    # order 2, so the box is built and every term passes it.
+    boxes = []
+    real_box = recurrences._exponent_box
+
+    def exponent_box(u, v):
+        boxes.append((u, v))
+        return real_box(u, v)
+
+    monkeypatch.setattr(recurrences, "_exponent_box", exponent_box)
+    expected = from_closed_form([(F(2**k), F(1)) for k in range(50)])
+    assert hadamard_quotient(mersenne(2**50), mersenne(2)) == expected
+    assert boxes == [(mersenne(2**50), mersenne(2))]
+    assert _divide_over_combined_basis(mersenne(2**50), mersenne(2)) == expected
+    # (4^n - 1)/(2^n - 1) = 2^n + 1 ends within u.order terms.
+    boxes.clear()
+    assert hadamard_quotient(mersenne(4), mersenne(2)) == mersenne(2) + constant(2)
+    assert boxes == []
+
+
+def test_hadamard_lead_selection_is_exact():
+    # Roots above 2^1100 have no float: float() overflows past 2^1024.
+    with pytest.raises(OverflowError):
+        float(2**1101)
+    # 10^21 and 10^21 + 1 differ in ratio by 1e-21, so their floats are equal.
+    assert float(10**21) == float(10**21 + 1)
+    v = from_closed_form([(F(3), F(1)), (F(2), F(-1))])
+    for a, b in ((F(2**1101), F(3**695)), (F(10**21), F(10**21 + 1))):
+        q = from_closed_form([(a, F(1)), (b, F(2))])
+        w = from_closed_form([(b, F(1)), (a, F(-1))])
+        for divisor in (v, w):
+            assert hadamard_quotient(q * divisor, divisor) == q
+            assert hadamard_quotient(q * divisor + geometric(2 * a), divisor) is None
 
 
 @pytest.mark.parametrize("cancel", [False, True])
@@ -732,21 +850,47 @@ def test_hadamard_sections_over_the_primes(cancel):
 
 def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
     calls = []
-    for name in ("row_hnf", "hnf_express"):
-        def traced(*args, real=getattr(multiplicative, name), name=name):
+    for module, name in ((multiplicative, "row_hnf"), (multiplicative, "hnf_express"),
+                         (factorization, "factor_int")):
+        def traced(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(multiplicative, name, traced)
-    assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
-        [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
+        monkeypatch.setattr(module, name, traced)
+    assert hadamard_quotient(mersenne(4), mersenne(2)) == mersenne(2) + constant(2)
     assert hadamard_quotient(mersenne(3), mersenne(2)) is None
     assert hadamard_quotient(geometric(36), geometric(6)) == geometric(6)
     assert calls == []
-    # A signed root still takes the canonical basis, whose sign pivot finds -1.
+    # (8^n - 1)/(2^n - 1) has 3 terms, more than u.order = 2, so its
+    # exponent box factors the integer roots 8, 2 and 1, and builds no HNF.
+    assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
+        [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
+    assert calls == ["factor_int"] * 3
+    calls.clear()
+    # A signed root still runs the sign pivot, which factors the roots and
+    # finds -1 in their span.
     with pytest.raises(TorsionGroup):
         hadamard_quotient(geometric(-2), geometric(2))
-    assert calls == ["row_hnf"]
+    assert calls == ["factor_int", "factor_int", "row_hnf"]
+
+
+def test_positive_hadamard_factors_nothing_within_u_order_terms(monkeypatch):
+    # p = 2^89 - 1 is a prime above the default factoring cap.  The division
+    # ends after one term, within u.order, so it builds no exponent box and
+    # factors nothing; it used to factor every root and raise
+    # FactorizationLimit (CLI exit 3).
+    calls = []
+    real_factor = factorization.factor_int
+
+    def factor_int(n):
+        calls.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(factorization, "factor_int", factor_int)
+    p = 2**89 - 1
+    u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
+    assert hadamard_quotient(u, mersenne(p)) == geometric(2)
+    assert calls == []
 
 
 def test_large_clearance_builds_its_basis_quickly():
@@ -778,15 +922,19 @@ def test_large_clearance_builds_its_basis_quickly():
 
 
 def test_caller_limit_reaches_every_factorization():
-    # 2^89 - 1 is a prime above the default cap: the conversion to the group
-    # ring used to factor it again under that cap and ignore the caller's.
+    # 2^89 - 1 is a prime above the default cap.  A positive Hadamard call
+    # factors nothing (see above); the sign pivot of a signed input and the
+    # basis of clearance still factor every root, under the caller's cap.
     p = 2**89 - 1
-    u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
-    v = from_closed_form([(F(p), F(1)), (F(1), F(-1))])
+    u = from_closed_form([(F(-2 * p), F(1)), (F(-2), F(-1))])
+    v = mersenne(p)
     with factor_limit(2**90):
-        assert hadamard_quotient(u, v) == geometric(2)
-    with pytest.raises(FactorizationLimit):
-        hadamard_quotient(u, v)
+        assert hadamard_quotient(u, v) == geometric(-2)
+        out = polynomial_clearance(u, v)
+        assert isinstance(out, QuotientCertificate) and out.quotient == geometric(-2)
+    for solve in (hadamard_quotient, polynomial_clearance):
+        with pytest.raises(FactorizationLimit):
+            solve(u, v)
 
 
 def test_unknown_mode_names_the_valid_ones():
