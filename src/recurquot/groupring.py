@@ -24,10 +24,8 @@ from .recurrences import LinearRecurrence
 
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
 #
-# Gcd and division work in Z[v_0..v_{k-1}], v_0 = X and v_i = T_i, on the
-# primitive parts that group-ring elements store.  The gcd tries GCDHEU
-# first, and a primitive PRS over the integers takes over when it gives
-# up.  Every answer is exact.
+# Gcd and division work exactly in Z[v_0..v_{k-1}], v_0 = X and v_i = T_i,
+# on the primitive parts that group-ring elements store.
 
 
 def _zz_content(f: dict) -> int:
@@ -90,10 +88,10 @@ def _zz_mul(f: dict, g: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-# GCDHEU (Char, Geddes and Gonnet 1989).  Evaluating the main variable
-# at an integer xi maps the gcd problem to one variable fewer; the gcd
-# of the images, read back from its symmetric xi-adic digits and made
-# primitive, is a candidate h.  With xi >= 2 * min(|f|, |g|) + 3 a
+# GCDHEU (Char, Geddes and Gonnet 1989) is the only gcd.  Evaluating the
+# main variable at an integer xi maps the gcd problem to one variable fewer;
+# the gcd of the images, read back from its symmetric xi-adic digits and
+# made primitive, is a candidate h.  With xi >= 2 * min(|f|, |g|) + 3 a
 # candidate that divides both inputs is their gcd.  Write gcd(f, g) =
 # h * q: then q(xi) divides the content of the digits, an integer of size
 # at most xi / 2.  By Cauchy's bound every root of a coefficient of f
@@ -101,7 +99,16 @@ def _zz_mul(f: dict, g: dict) -> dict:
 # degree in any variable would be non-constant or larger than xi / 2 at
 # xi.  Hence q = +-1, and acceptance by exact trial division is a proof,
 # not a guess.
-_HEU_TRIES = 6
+#
+# The loop ends.  Write f = h * f' and g = h * g' with f', g' coprime.
+# Outside the roots in v_0 of the resultants Res_{v_j}(f', g') and of the
+# leading coefficients, f'(xi, .) and g'(xi, .) share no non-constant
+# factor; their gcd is an integer s_xi, which divides a fixed non-zero S
+# by Bezout over Q[v_0] on the coprime contents.  By induction on the
+# number of variables the recursive call returns +-s_xi * h(xi, .), and
+# once xi > 2 * S * |h|_inf its symmetric digits are exactly s_xi * h,
+# whose primitive part h passes the trial division.  xi grows strictly on
+# every retry, so some retry succeeds.  No budget bounds the loop yet.
 
 
 def _eval_main(f: dict, xi: int) -> dict:
@@ -132,8 +139,8 @@ def _interpolate(gamma: dict, xi: int) -> dict:
     return out
 
 
-def _heu_gcd(f: dict, g: dict, k: int) -> dict | None:
-    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by GCDHEU, or None when it gives up."""
+def _heu_gcd(f: dict, g: dict, k: int) -> dict:
+    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by GCDHEU, with positive lead."""
     cont = math.gcd(*f.values(), *g.values())
     if k == 0:
         return {(): cont}
@@ -142,99 +149,18 @@ def _heu_gcd(f: dict, g: dict, k: int) -> dict | None:
         g = {e: c // cont for e, c in g.items()}
     norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
     xi = 2 * norm + 29
-    for _ in range(_HEU_TRIES):
-        ff = _eval_main(f, xi)
-        gg = _eval_main(g, xi)
+    while True:
+        ff, gg = _eval_main(f, xi), _eval_main(g, xi)
         if ff and gg:
-            gamma = _heu_gcd(ff, gg, k - 1)
-            if gamma is None:
-                return None
-            h = _zz_primitive(_interpolate(gamma, xi))
+            h = _zz_primitive(_interpolate(_heu_gcd(ff, gg, k - 1), xi))
             if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
                 return {e: c * cont for e, c in h.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
-# The fallback: a recursive primitive PRS in v_0.  Contents are gcds in
-# one variable fewer, down to math.gcd of integers, so every remainder
-# is made primitive and coefficient size stays bounded by the gcd's.
-
-
-def _split_main(f: dict) -> dict[int, dict]:
-    """View a k-variable poly as main-variable map deg -> (k-1)-var coeff."""
-    out: dict[int, dict] = {}
-    for e, c in f.items():
-        out.setdefault(e[0], {})[e[1:]] = c
-    return out
-
-
-def _content(parts: dict[int, dict], k: int) -> dict:
-    polys = iter(parts.values())
-    out = next(polys)
-    for p in polys:
-        out = _prs_gcd(out, p, k)
-    return out
-
-
-def _primitive(parts: dict[int, dict], cont: dict) -> dict[int, dict]:
-    out = {}
-    for d, c in parts.items():
-        quo = _zz_divide(c, cont)
-        if quo is None:
-            raise VerificationFailed("content failed to divide its own polynomial")
-        out[d] = quo
-    return out
-
-
-def _prem(f_parts: dict[int, dict], g_parts: dict[int, dict]) -> dict[int, dict]:
-    """Pseudo-remainder in the main variable (premultipliers dropped;
-    callers take primitive parts, which absorbs them)."""
-    dg = max(g_parts)
-    lg = g_parts[dg]
-    r = f_parts
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        nxt = {d: _zz_mul(c, lg) for d, c in r.items()}
-        for d, c in g_parts.items():
-            key = d + dr - dg
-            merged = nxt.setdefault(key, {})
-            for e, v in _zz_mul(c, lr).items():
-                w = merged.get(e, 0) - v
-                if w:
-                    merged[e] = w
-                else:
-                    del merged[e]
-        r = {d: c for d, c in nxt.items() if c}
-    return r
-
-
-def _prs_gcd(f: dict, g: dict, k: int) -> dict:
-    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by a primitive PRS, up to sign."""
-    if k == 0:
-        return {(): math.gcd(f[()], g[()])}
-    fm = _split_main(f)
-    gm = _split_main(g)
-    f_cont = _content(fm, k - 1)
-    g_cont = _content(gm, k - 1)
-    cont = _prs_gcd(f_cont, g_cont, k - 1)
-    fp = _primitive(fm, f_cont)
-    gp = _primitive(gm, g_cont)
-    while gp:
-        rem = _prem(fp, gp)
-        fp, gp = gp, (_primitive(rem, _content(rem, k - 1)) if rem else {})
-    return {(d,) + e: c for d, sub in fp.items() for e, c in _zz_mul(sub, cont).items()}
 
 
 def _zz_gcd(f: dict, g: dict, k: int) -> dict:
     """Gcd of non-zero f, g in Z[v_0..v_{k-1}], primitive with positive lead."""
-    h = _heu_gcd(f, g, k)
-    if h is None:
-        h = _prs_gcd(f, g, k)
-        if _zz_divide(f, h) is None or _zz_divide(g, h) is None:
-            raise VerificationFailed("the PRS gcd does not divide its inputs")
-    return _zz_primitive(h)
+    return _zz_primitive(_heu_gcd(f, g, k))
 
 
 # -- group-ring elements -------------------------------------------------------
@@ -406,23 +332,21 @@ class GroupRingElement:
 
 
 def to_group_ring(
-    u: LinearRecurrence, basis: MultiplicativeBasis, exponents=None
+    u: LinearRecurrence, basis: MultiplicativeBasis, exponents
 ) -> GroupRingElement:
-    """Laurent form of a recurrence; every root must lie in the basis span.
+    """Laurent form of a recurrence whose roots lie in the basis span.
 
     The defining property: the result evaluates to u(n) for every n.
     ``exponents`` gives each root's exponents over the basis, in the
-    order of ``u.cleared_terms``; without it each root is expressed by
-    ``basis.express``.  Distinct roots have distinct T-exponents, so no
+    order of ``u.cleared_terms`` (``basis.expressions`` by position, or
+    ``basis.express``).  Distinct roots have distinct T-exponents, so no
     two terms meet, and the split is read off the stored integer form:
     low is the least T-exponents, the poly the integer coefficients over
     u's scale, divided by their content.
     """
     if u.is_zero:
         return GroupRingElement.zero(basis)
-    if exponents is None:
-        exponents = [basis.express(Fraction(r, u.base)) for r, _ in u.cleared_terms]
-    elif len(exponents) != len(u.cleared_terms):
+    if len(exponents) != len(u.cleared_terms):
         raise InputError(f"need one exponent tuple per root, {len(u.cleared_terms)}, "
                          f"got {len(exponents)}")
     low = tuple(map(min, zip(*exponents)))
@@ -467,7 +391,7 @@ def laurent_gcd(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
     """Gcd up to units, returned unit-normalized.
 
     Contents and T-powers are units, so the gcd is that of the primitive
-    parts, taken over the integers (GCDHEU, then a primitive PRS).  No
+    parts, taken over the integers by GCDHEU.  No
     T_i divides either part, hence none divides their gcd, which is
     therefore already in normal position.
     """

@@ -2,12 +2,11 @@
 
 A non-zero rational is sign * prod(p^e); a finite set of them spans a
 subgroup of Q*.  This module decides whether the span contains -1
-(torsion) and produces a canonical free basis when it does not; the
-exponent table alone also bounds the prime exponents of a Hadamard
-quotient's roots.  Each input enters as an integer pair (R, B) standing
-for R/B, and each distinct |R| and B is factored once.  All lattice work
-happens on exponent vectors over the union of primes, with the sign as
-one more column taken mod 2.
+(torsion) and produces a canonical free basis when it does not.  Each
+input enters as an integer pair (R, B) standing for R/B, and each
+distinct |R| and B is factored once.  All lattice work happens on
+exponent vectors over the union of primes, with the sign as one more
+column taken mod 2.
 """
 
 from __future__ import annotations
@@ -44,19 +43,19 @@ _SHARED: ContextVar[tuple[dict, dict] | None] = ContextVar("shared_factors", def
 def shared_factors():
     """Inside the block each integer is factored once and each basis built once.
 
-    Yields ``add_powers(q)``, which serves n^q from every factorization
-    kept so far (exponents times q), as the sections mod q need: their
-    roots are R^q over B^q.
+    Yields ``add_squares()``, which serves n^2 from every factorization
+    kept so far (exponents doubled), as the sections mod 2 need: their
+    roots are R^2 over B^2.  Over Q no other modulus is ever needed.
     """
     factors: dict[int, dict[int, int]] = {}
 
-    def add_powers(q: int) -> None:
+    def add_squares() -> None:
         for n, f in list(factors.items()):
-            factors[n**q] = {p: e * q for p, e in f.items()}
+            factors[n * n] = {p: 2 * e for p, e in f.items()}
 
     token = _SHARED.set((factors, {}))
     try:
-        yield add_powers
+        yield add_squares
     finally:
         _SHARED.reset(token)
 

@@ -73,7 +73,7 @@ def valuation(x, p: int) -> int:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    """v_p(n) for a non-zero integer n and a prime p, unchecked."""
+    """v_p(n) for a non-zero integer n: how often p >= 2 divides n, unchecked."""
     v = 0
     while n % p == 0:
         n //= p

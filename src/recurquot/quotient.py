@@ -6,12 +6,14 @@ Three entry points, all exact:
 * polynomial_clearance: find monic P with P(n)U(n)/V(n) and V(n)/P(n)
   both recurrences, or exhibit the factor of V that blocks clearance.
 * cross_quotient: the two-index variant U(m)/V(n), where the variable
-  blocks are independent, so clearance works iff V has a single root.
+  blocks are independent, so clearance works iff V has a single root
+  (or U is zero).
 
-All three require the combined root group to be torsion-free; callers
-hitting TorsionGroup can decimate into sections first (over Q the
-sections mod 2 always have torsion-free root groups, since squares are
-positive).
+Hadamard quotients and clearance require the roots of U and V to span a
+torsion-free group, the cross quotient only V's roots when V has
+several.  Callers hitting TorsionGroup can decimate into sections first
+(over Q the sections mod 2 have torsion-free root groups, since squares
+are positive).
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBa
     return compute_basis(pairs=_root_pairs(u, v))
 
 
-def _root_pairs(u: LinearRecurrence, v: LinearRecurrence) -> tuple[tuple[int, int], ...]:
-    return tuple((r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms)
+def _root_pairs(*recs: LinearRecurrence) -> tuple[tuple[int, int], ...]:
+    return tuple((r, rec.base) for rec in recs for r, _ in rec.cleared_terms)
 
 
 def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
@@ -86,12 +88,9 @@ def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
             to_group_ring(v, basis, basis.expressions[k:]))
 
 
-def _require_torsion_free(u: LinearRecurrence, v: LinearRecurrence) -> None:
-    """TorsionGroup if -1 lies in the span of the roots of u and v.
-
-    Positive roots cannot span -1, so they factor nothing here.
-    """
-    pairs = _root_pairs(u, v)
+def _require_torsion_free(*recs: LinearRecurrence) -> None:
+    """TorsionGroup if -1 lies in the span of ``recs``' roots; positive roots factor nothing."""
+    pairs = _root_pairs(*recs)
     if any(r < 0 for r, _ in pairs):
         sign_pivot_hnf(pairs)
 
@@ -102,9 +101,9 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
     None is a genuine negative verdict: no recurrence whose roots lie
     in the span of u's and v's roots can equal U/V pointwise.  The
     division is long division on the roots themselves, ordered by size
-    (``LinearRecurrence._divide``): it needs no basis, and it factors
-    nothing unless it runs past ``u.order`` quotient terms, when it
-    bounds the quotient's prime exponents.  Signed roots first run the
+    (``LinearRecurrence._divide``): it needs no basis and factors
+    nothing, even where it bounds the quotient's exponents over a
+    coprime base of the roots.  Signed roots first run the
     sign pivot, which raises TorsionGroup if -1 is in their span.  The
     quotient is multiplied back before it is returned.
     """
@@ -181,16 +180,21 @@ def cross_quotient(
     """Clearance for U(m)/V(n) with independent indices.
 
     U(m) and V(n) occupy disjoint variable blocks of the two-index
-    group ring, so no cancellation between them is possible: a clearing
-    P exists iff V(n) = p(n) * beta^n has a single root.  Then P is p
-    made monic, the quotient is U(m) * beta^(-n) / lc(p), stored as the
-    product of its m-part U / lc(p) and its n-root 1 / beta, and
-    V/P = lc(p) * beta^n.  All three are multiplied back.
+    group ring, so no cancellation between them is possible: for U != 0
+    a clearing P exists iff V(n) = p(n) * beta^n has a single root.  Then
+    P is p made monic, the quotient U(m) * beta^(-n) / lc(p) is stored as
+    its m-part U / lc(p) times its n-root 1 / beta, and V/P = lc(p) *
+    beta^n; all three are multiplied back, whatever the roots are.  So
+    only a V with several roots runs the sign pivot, on V's roots alone:
+    the refusal reads U at one m0 with U(m0) != 0.  A zero U over such
+    a V gets P = 1, the zero quotient and V/P = V.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    _require_torsion_free(u, v)
     if len(v.cleared_terms) > 1:
+        if u.is_zero:
+            return QuotientCertificate(UniPoly([1]), MultiRecurrence(u, 1), v, 1)
+        _require_torsion_free(v)
         return NoClearance(
             reason="multiple-roots",
             detail=(
@@ -255,31 +259,26 @@ def _solver(mode: str):
     return solvers[mode]
 
 
-def solve_on_sections(
-    u: LinearRecurrence,
-    v: LinearRecurrence,
-    mode: str,
-    q: int = 2,
-) -> list[SectionResult]:
-    """Split indices into progressions mod q and solve each section.
+def solve_on_sections(u: LinearRecurrence, v: LinearRecurrence, mode: str) -> list[SectionResult]:
+    """Split indices into progressions mod 2 and solve each section.
 
-    Over Q the only root of unity available to the root group is -1,
-    so q = 2 always removes torsion: decimated roots are squares times
-    a fixed sign pattern, and the section root groups are positive.
+    Over Q the only root of unity besides 1 is -1, so the modulus 2
+    always removes torsion: decimated roots are squares, and the section
+    root groups are positive.
     """
     solver = _solver(mode)
     if mode == "cross":
-        sections = [((ru, rv), ru, rv) for ru in range(q) for rv in range(q)]
+        sections = [((ru, rv), ru, rv) for ru in range(2) for rv in range(2)]
     else:
-        sections = [((r,), r, r) for r in range(q)]
+        sections = [((r,), r, r) for r in range(2)]
     results = []
     for offsets, ru, rv in sections:
-        u_sec = u.decimate(q, ru)
-        v_sec = v.decimate(q, rv)
+        u_sec = u.decimate(2, ru)
+        v_sec = v.decimate(2, rv)
         if v_sec.is_zero:
-            results.append(SectionResult(q, offsets, "divisor-vanishes"))
+            results.append(SectionResult(2, offsets, "divisor-vanishes"))
             continue
-        results.append(SectionResult(q, offsets, solver(u_sec, v_sec)))
+        results.append(SectionResult(2, offsets, solver(u_sec, v_sec)))
     return results
 
 
@@ -294,17 +293,16 @@ def solve_with_torsion_fallback(
     Returns either the direct outcome or a list of SectionResult.  Each
     root is factored once per call: the sections' roots are squares of
     the failing call's.  The sections' roots are positive, so under
-    hadamard they need no sign pivot and factor nothing: a division that
-    runs past u.order terms reads its exponent box from the squares'
-    factorizations.  Only clearance builds a basis there, shared by
-    sections with equal roots.
+    hadamard and cross they need no sign pivot and factor nothing (a
+    division's exponent box reads a coprime base, not primes).  Only
+    clearance builds a basis there, shared by sections with equal roots.
     """
     solver = _solver(mode)
-    with shared_factors() as add_powers:
+    with shared_factors() as add_squares:
         try:
             return solver(u, v)
         except TorsionGroup:
             if not decimate:
                 raise
-            add_powers(2)
-            return solve_on_sections(u, v, mode, 2)
+            add_squares()
+            return solve_on_sections(u, v, mode)

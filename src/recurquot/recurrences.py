@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
 from .factorization import factor_int
 from .linalg import solve_rational
-from .multiplicative import exponent_table
 from .places import _int_valuation
 from .polys import UniPoly, _render_sum
 
@@ -235,10 +234,12 @@ class LinearRecurrence:
         exact refuses.  So do a quotient X-degree outside [0, deg_X(self)
         - deg_X(other)] and a quotient root below min|R_self| /
         min|R_other| in size: the least terms multiply as the leads do.
-        Those bounds alone need not end the loop on dense roots, so once
-        more than ``self.order`` quotient terms are out, every quotient
-        root must also lie in the prime exponent box [min_self -
-        min_other, max_self - max_other] from ``exponent_table`` (the
+        Those bounds end the loop: every remainder root is a root of self
+        times ratios |R / R_lead| < 1 of other's roots, and only finitely
+        many such products stay above the refusal bound.  On dense roots
+        such as 1000 and 999 that can take very many steps, so once more
+        than ``self.order`` quotient terms are out, every quotient root
+        must also lie in the exponent box of ``_exponent_box`` (the
         Newton polytopes add), which only finitely many elements of G do.
         Roots are kept as reduced integer pairs (numerator, denominator)
         and compared by cross-multiplication, exactly.
@@ -355,22 +356,47 @@ class LinearRecurrence:
         return f"LinearRecurrence({self.render()})"
 
 
-def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
-    """A test that a root (num, den) of W_u / W_v lies in its exponent box.
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to each of ``numbers``.
 
-    For each prime p of the integer roots, the p-exponent of every root
-    of an exact quotient lies in [min_u - min_v, max_u - max_v], the
-    least and greatest p-exponents of u's and of v's roots.
+    Gcd refinement, no factoring: a pending x meeting a kept b in g =
+    gcd(x, b) > 1 replaces both by g, b / g and x / g, which lowers the
+    sum of the squared logarithms, so the loop ends.
+    """
+    base: list[int] = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [n for n in (g, b // g, x // g) if n > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
+    """A test that a reduced root (num, den) of W_u / W_v lies in its exponent box.
+
+    The integer roots, and so the numerator and denominator of every
+    reduced element of their group, are products of powers of a coprime
+    base b_1, .., b_t.  In a root of an exact quotient the exponent of
+    each b_j lies in [min_u - min_v, max_u - max_v] over u's and v's
+    roots.  A prime p divides one b_j only, and v_p = v_p(b_j) * (the
+    exponent of b_j) on the group: this is the box of the prime exponents.
     """
     k = len(u.cleared_terms)
-    primes, rows = exponent_table([(root, 1) for rec in (u, v) for root, _ in rec.cleared_terms])
-    bounds = [(p, min(col[:k]) - min(col[k:]), max(col[:k]) - max(col[k:]))
-              for p, col in zip(primes, zip(*(row.exponents for row in rows)))]
+    roots = [abs(root) for rec in (u, v) for root, _ in rec.cleared_terms]
+    columns = [(b, [_int_valuation(r, b) for r in roots]) for b in _coprime_base(roots)]
+    bounds = [(b, min(col[:k]) - min(col[k:]), max(col[:k]) - max(col[k:])) for b, col in columns]
 
     def inside(root: tuple[int, int]) -> bool:
         num, den = root
-        return all(lo <= _int_valuation(num, p) - _int_valuation(den, p) <= hi
-                   for p, lo, hi in bounds)
+        return all(lo <= _int_valuation(num, b) - _int_valuation(den, b) <= hi
+                   for b, lo, hi in bounds)
 
     return inside
 

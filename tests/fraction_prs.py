@@ -1,15 +1,21 @@
 """Test-only oracles: the recursive primitive PRS gcd, the exact
-division and the removal of X-content, all over Fractions.
+division and the removal of X-content, all over Fractions, and the
+primitive PRS gcd over the integers.
 
-These are the gcd, division and refusal witness that ``recurquot``
-computed before it moved to integer coefficients.  The gcd is slow (its
-innermost content is a gcd of constants, always 1, so remainders are
-never normalized and coefficients grow), but all three are simple and
-share no code with the library's integer core, so the tests compare the
-library against them on small inputs.  Polynomials are dicts mapping
-exponent tuples to Fractions.
+The Fraction oracles are the gcd, division and refusal witness that
+``recurquot`` computed before it moved to integer coefficients.  That
+gcd is slow (its innermost content is a gcd of constants, always 1, so
+remainders are never normalized and coefficients grow).  The integer PRS
+makes every remainder primitive, its contents being gcds in one variable
+fewer down to ``math.gcd``, so coefficient size stays bounded by the
+gcd's; ``recurquot`` used it as a fallback next to GCDHEU.  All of them
+are simple and share no code with the library's integer core, so the
+tests compare the library against them on small inputs.  Polynomials
+are dicts mapping exponent tuples to Fractions, or to ints for the
+integer PRS.
 """
 
+import math
 from fractions import Fraction
 
 from recurquot.polys import UniPoly
@@ -184,3 +190,74 @@ def fraction_strip_x_content(terms: dict) -> dict:
         raise AssertionError("X-content does not divide its own element")
     lead = quo[max(quo)]
     return {(e[0], e[1:]): c / lead for e, c in quo.items()}
+
+
+# -- the primitive PRS over the integers ---------------------------------------
+
+
+def _zz_mul(f: dict, g: dict) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _zz_exact(f: dict, g: dict) -> dict:
+    """f / g over the integers; g must divide f."""
+    quo = _mv_divide({e: Fraction(c) for e, c in f.items()}, g)
+    if quo is None or any(c.denominator != 1 for c in quo.values()):
+        raise AssertionError("content failed to divide its own polynomial")
+    return {e: int(c) for e, c in quo.items()}
+
+
+def _zz_content(parts: dict[int, dict], k: int) -> dict:
+    polys = iter(parts.values())
+    out = next(polys)
+    for p in polys:
+        out = integer_prs_gcd(out, p, k)
+    return out
+
+
+def _zz_primitive(parts: dict[int, dict], cont: dict) -> dict[int, dict]:
+    return {d: _zz_exact(c, cont) for d, c in parts.items()}
+
+
+def _zz_prem(f_parts: dict[int, dict], g_parts: dict[int, dict]) -> dict[int, dict]:
+    """Pseudo-remainder in the main variable (premultipliers dropped;
+    callers take primitive parts, which absorbs them)."""
+    dg = max(g_parts)
+    lg = g_parts[dg]
+    r = f_parts
+    while r and max(r) >= dg:
+        dr = max(r)
+        lr = r[dr]
+        nxt = {d: _zz_mul(c, lg) for d, c in r.items()}
+        for d, c in g_parts.items():
+            merged = nxt.setdefault(d + dr - dg, {})
+            for e, v in _zz_mul(c, lr).items():
+                w = merged.get(e, 0) - v
+                if w:
+                    merged[e] = w
+                else:
+                    del merged[e]
+        r = {d: c for d, c in nxt.items() if c}
+    return r
+
+
+def integer_prs_gcd(f: dict, g: dict, k: int) -> dict:
+    """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by a primitive PRS, up to sign."""
+    if k == 0:
+        return {(): math.gcd(f[()], g[()])}
+    fm = _split_main(f)
+    gm = _split_main(g)
+    f_cont = _zz_content(fm, k - 1)
+    g_cont = _zz_content(gm, k - 1)
+    cont = integer_prs_gcd(f_cont, g_cont, k - 1)
+    fp = _zz_primitive(fm, f_cont)
+    gp = _zz_primitive(gm, g_cont)
+    while gp:
+        rem = _zz_prem(fp, gp)
+        fp, gp = gp, (_zz_primitive(rem, _zz_content(rem, k - 1)) if rem else {})
+    return _join_main({d: _zz_mul(sub, cont) for d, sub in fp.items()})

@@ -254,7 +254,9 @@ def _coprime_pair(rng):
         )
         u = _random_recurrence(rng, 2, 1)
         basis = combined_basis(u, v)
-        gcd = laurent_gcd(to_group_ring(u, basis), to_group_ring(v, basis))
+        k = len(u.cleared_terms)
+        gcd = laurent_gcd(to_group_ring(u, basis, basis.expressions[:k]),
+                          to_group_ring(v, basis, basis.expressions[k:]))
         (x_degree, _), *rest = gcd.terms  # a unit is one monomial q * T^a without X
         if not rest and x_degree == 0:
             return u, v

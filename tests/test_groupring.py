@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content
+from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content, integer_prs_gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -157,17 +157,10 @@ def test_round_trip_with_recurrences():
         (F(2), UniPoly([F(0), F(1)])),
         (F(3), UniPoly([F(-2)])),
     ])
-    f = to_group_ring(u, BASIS)
+    f = to_group_ring(u, BASIS, [BASIS.express(root) for root in u.roots])
     assert from_group_ring(f) == u
     for n in range(5):
         assert value(f, n) == u.evaluate(n)
-
-
-def test_to_group_ring_rejects_outside_roots():
-    from recurquot.errors import RootNotInGroup
-    u = geom(5)
-    with pytest.raises(RootNotInGroup):
-        to_group_ring(u, BASIS)
 
 
 def test_laurent_gcd_known():
@@ -434,7 +427,7 @@ def test_to_group_ring_matches_fraction_map(u):
         for d, c in enumerate(coeff.coeffs)
         if c
     }
-    f = to_group_ring(u, BASIS)
+    f = to_group_ring(u, BASIS, [BASIS.express(root) for root in u.roots])
     assert f == GroupRingElement(BASIS, terms)
     assert_normal_split(f)
 
@@ -471,17 +464,9 @@ def test_divide_refusals_agree_with_oracle():
         assert oracle_divide(a, b) is None
 
 
-def _heu_and_prs_agree(a, b, must_succeed):
-    # GCDHEU may give up (the PRS fallback exists for that); only the seeded
-    # product cases, which are deterministic, require it to succeed.
+def _heu_and_prs_agree(a, b):
     f, g, k = integer_inputs(a, b)
-    heu = groupring._heu_gcd(f, g, k)
-    if heu is None:
-        assert not must_succeed
-        return
-    assert groupring._zz_primitive(heu) == groupring._zz_primitive(
-        groupring._prs_gcd(f, g, k)
-    )
+    assert groupring._heu_gcd(f, g, k) == groupring._zz_primitive(integer_prs_gcd(f, g, k))
 
 
 def test_heuristic_rejects_accidental_candidate():
@@ -503,31 +488,31 @@ def test_heuristic_rejects_accidental_candidate():
 def test_heuristic_and_prs_gcd_agree(a, b):
     if a.is_zero or b.is_zero:
         return
-    _heu_and_prs_agree(a, b, must_succeed=False)
+    _heu_and_prs_agree(a, b)
 
 
 @pytest.mark.parametrize("rung", [(1, 3, 2), (2, 2, 1), (3, 2, 2), (2, 3, 1)])
 def test_heuristic_and_prs_gcd_agree_on_products(rung):
     for u, v, _ in common_factor_cases(rung, 5, seed=17):
-        _heu_and_prs_agree(u, v, must_succeed=True)
+        _heu_and_prs_agree(u, v)
 
 
-def test_prs_fallback_when_heuristic_gives_up(monkeypatch):
-    cases = list(common_factor_cases((2, 2, 1), 5, seed=3))
-    expected = [laurent_gcd(u, v) for u, v, _ in cases]
-    monkeypatch.setattr(groupring, "_heu_gcd", lambda f, g, k: None)
-    assert [laurent_gcd(u, v) for u, v, _ in cases] == expected
+def test_heuristic_keeps_growing_the_evaluation_point(monkeypatch):
+    # Every candidate is trial-divided, so a wrong one only costs a retry:
+    # with the first 10 candidates replaced by X + 5, which divides neither
+    # input, the 11th point still finds the gcd X - 1.
+    f = {(2,): 1, (1,): 1, (0,): -2}  # (X - 1)(X + 2)
+    g = {(2,): 1, (1,): 2, (0,): -3}  # (X - 1)(X + 3)
+    points = []
+    real = groupring._interpolate
 
+    def interpolate(gamma, xi):
+        points.append(xi)
+        return {(1,): 1, (0,): 5} if len(points) <= 10 else real(gamma, xi)
 
-def test_fallback_result_is_trial_divided(monkeypatch):
-    # A PRS answer that does not divide both inputs must not come back.
-    basis = compute_basis((F(2),))
-    a = GroupRingElement(basis, {(0, (2,)): F(1), (0, (0,)): F(-1)})
-    b = GroupRingElement(basis, {(0, (1,)): F(1), (0, (0,)): F(-1)})
-    monkeypatch.setattr(groupring, "_heu_gcd", lambda f, g, k: None)
-    monkeypatch.setattr(groupring, "_prs_gcd", lambda f, g, k: {(0, 2): 1, (0, 0): 1})
-    with pytest.raises(VerificationFailed):
-        laurent_gcd(a, b)
+    monkeypatch.setattr(groupring, "_interpolate", interpolate)
+    assert groupring._heu_gcd(f, g, 1) == {(1,): 1, (0,): -1}
+    assert len(points) == 11 and points == sorted(set(points))
 
 
 @pytest.mark.parametrize("rung", [(2, 3, 1), (2, 4, 2), (3, 4, 2)])

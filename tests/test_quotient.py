@@ -204,14 +204,47 @@ def test_cross_multiple_roots_refused():
     assert "finitely many" in out.detail
 
 
+def unit_with_torsion():
+    """1 + 2*(-1)^n: 3 at even n, -1 at odd n, so 1/V = (2*(-1)^n - 1)/3."""
+    return from_closed_form([(F(1), F(1)), (F(-1), F(2))])
+
+
 def test_cross_torsion_still_checked():
+    # V is a unit, so refusing it as "multiple-roots" would be false; its
+    # roots 1 and -1 span -1, and that is what the solver reports.
     with pytest.raises(TorsionGroup):
-        cross_quotient(geometric(-2), geometric(2))
+        cross_quotient(geometric(3), unit_with_torsion())
+
+
+def _cross_certificate_holds(out, u, v):
+    p = from_closed_form([(1, out.clearing_poly)])
+    assert p * out.v_over_p == v
+    for m, n in itertools.product(range(4), range(4)):
+        assert p.evaluate(n) * u.evaluate(m) == out.quotient.evaluate(m, n) * v.evaluate(n)
+
+
+def test_cross_quotient_checks_torsion_only_on_a_divisor_with_several_roots():
+    # 2^m / (-2)^n: the roots 2 and -2 span -1 together, but a one-root V
+    # has the certificate P = 1, Q = 2^m * (-1/2)^n whatever the roots are.
+    u, v = geometric(2), geometric(-2)
+    out = cross_quotient(u, v)
+    assert isinstance(out, QuotientCertificate)
+    assert out.quotient.m_part == u and out.quotient.n_root == F(-1, 2)
+    _cross_certificate_holds(out, u, v)
+    # A zero U is cleared by P = 1 over any V, with Q = 0 and V/P = V.
+    zero = LinearRecurrence(())
+    for v in (mersenne(2), unit_with_torsion()):
+        out = cross_quotient(zero, v)
+        assert isinstance(out, QuotientCertificate)
+        assert out.clearing_poly == UniPoly([1]) and out.v_over_p == v
+        assert out.quotient.m_part.is_zero and out.min_denominator == 1
+        _cross_certificate_holds(out, zero, v)
 
 
 def test_cross_quotient_builds_no_basis(monkeypatch):
-    # Only the sign pivot of the exponent HNF is read: no generator is
-    # expressed, and the torsion witness is still found when read.
+    # Only the sign pivot of the exponent HNF of V's roots is read: no
+    # generator is expressed, and the torsion witness is still found when
+    # read.
     calls = []
     real = multiplicative.hnf_express
 
@@ -224,16 +257,17 @@ def test_cross_quotient_builds_no_basis(monkeypatch):
     assert isinstance(cross_quotient(mersenne(3), v), QuotientCertificate)
     assert isinstance(cross_quotient(mersenne(3), mersenne(2)), NoClearance)
     with pytest.raises(TorsionGroup) as caught:
-        cross_quotient(geometric(-2), geometric(2))
+        cross_quotient(geometric(3), from_closed_form([(F(-2), F(1)), (F(2), F(3))]))
     torsion = caught.value
     assert math.prod(F(r) ** e for r, e in zip(torsion.roots, torsion.exponents)) == -1
     assert calls == []
 
 
 def test_cross_quotient_on_positive_roots_factors_nothing(monkeypatch):
-    # 2^89 - 1 is a prime above the default factoring cap.  With every root
-    # positive there is no -1 to look for, so nothing is factored; a
-    # negative root still needs the sign pivot, which must factor it.
+    # 2^89 - 1 is a prime above the default factoring cap.  A one-root V
+    # needs no torsion check, whatever the signs, so nothing is factored; a
+    # V with several roots and a negative one still needs the sign pivot,
+    # which must factor them.
     calls = []
     real = factorization.factor_int
 
@@ -246,9 +280,11 @@ def test_cross_quotient_on_positive_roots_factors_nothing(monkeypatch):
     out = cross_quotient(geometric(big), geometric(3))
     assert isinstance(out, QuotientCertificate)
     assert out.quotient.m_part == geometric(big) and out.quotient.n_root == F(1, 3)
+    out = cross_quotient(geometric(-big), geometric(3))
+    assert isinstance(out, QuotientCertificate) and out.quotient.m_part == geometric(-big)
     assert calls == []
     with pytest.raises(FactorizationLimit):
-        cross_quotient(geometric(-big), geometric(3))
+        cross_quotient(geometric(3), from_closed_form([(F(-big), F(1)), (F(big), F(1))]))
 
 
 def test_sections_split_torsion():
@@ -296,8 +332,9 @@ def test_fallback_never_computes_the_torsion_witness(monkeypatch, mode):
         raise AssertionError("the fallback discards the witness; no kernel is due")
 
     monkeypatch.setattr(multiplicative, "left_kernel", no_kernel)
+    # V's own roots span -1, since (-2) * 3 / 6 = -1: cross checks only those.
     u = from_closed_form([(F(2), F(1)), (F(-3), UniPoly([F(1), F(1)])), (F(6), F(-1))])
-    v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
+    v = from_closed_form([(F(-2), F(1)), (F(3), F(2)), (F(6), F(1))])
     results = solve_with_torsion_fallback(u, v, mode, decimate=True)
     assert all(isinstance(r, SectionResult) for r in results)
 
@@ -711,7 +748,7 @@ def test_group_ring_forms_by_position_match_the_express_map(pair):
         }
         assert f == GroupRingElement(basis, terms)
         assert f.terms == GroupRingElement(basis, terms).terms
-        assert f == to_group_ring(rec, basis)
+        assert f == to_group_ring(rec, basis, [basis.express(root) for root in rec.roots])
         assert from_group_ring(f) == rec
 
 
@@ -860,13 +897,12 @@ def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
     assert hadamard_quotient(mersenne(4), mersenne(2)) == mersenne(2) + constant(2)
     assert hadamard_quotient(mersenne(3), mersenne(2)) is None
     assert hadamard_quotient(geometric(36), geometric(6)) == geometric(6)
-    assert calls == []
-    # (8^n - 1)/(2^n - 1) has 3 terms, more than u.order = 2, so its
-    # exponent box factors the integer roots 8, 2 and 1, and builds no HNF.
+    # (8^n - 1)/(2^n - 1) has 3 terms, more than u.order = 2, so it builds
+    # its exponent box, over the coprime base {2} of the roots 8, 2 and 1:
+    # nothing is factored.
     assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
         [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
-    assert calls == ["factor_int"] * 3
-    calls.clear()
+    assert calls == []
     # A signed root still runs the sign pivot, which factors the roots and
     # finds -1 in their span.
     with pytest.raises(TorsionGroup):
@@ -890,6 +926,12 @@ def test_positive_hadamard_factors_nothing_within_u_order_terms(monkeypatch):
     p = 2**89 - 1
     u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
     assert hadamard_quotient(u, mersenne(p)) == geometric(2)
+    assert calls == []
+    # ((p^3)^n - 1)/(p^n - 1) = p^(2n) + p^n + 1 runs past u.order = 2
+    # terms, so it builds its exponent box: over the coprime base {p}, found
+    # by gcds, not by factoring p^3.
+    expected = from_closed_form([(F(p**2), F(1)), (F(p), F(1)), (F(1), F(1))])
+    assert hadamard_quotient(mersenne(p**3), mersenne(p)) == expected
     assert calls == []
 
 

@@ -515,3 +515,52 @@ def test_bad_multi_terms_raise():
     for n_root in (0, F(0)):
         with pytest.raises(ZeroRoot):
             MultiRecurrence(geometric(2), n_root)
+
+
+def _prime_exponents(n: int) -> dict[int, int]:
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+root_sets = st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_sets, root_sets, st.lists(st.integers(min_value=-3, max_value=3), min_size=8,
+                                      max_size=8))
+def test_exponent_box_over_a_coprime_base_is_the_prime_box(u_roots, v_roots, exponents):
+    # The box reads a coprime base found by gcds; trial division gives the
+    # prime exponents, and both boxes must agree on elements of the group.
+    from recurquot.recurrences import _coprime_base, _exponent_box
+    roots = u_roots + v_roots
+    base = _coprime_base(roots)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+    for r in roots:
+        for b in base:
+            while r % b == 0:
+                r //= b
+        assert r == 1
+    u, v = (LinearRecurrence([(r, (1,)) for r in rs]) for rs in (u_roots, v_roots))
+    k = len(u_roots)
+    rows = [_prime_exponents(r) for r in roots]
+    primes = {p for row in rows for p in row}
+    bounds = {p: (min(row.get(p, 0) for row in rows[:k]) - min(row.get(p, 0) for row in rows[k:]),
+                  max(row.get(p, 0) for row in rows[:k]) - max(row.get(p, 0) for row in rows[k:]))
+              for p in primes}
+    box = _exponent_box(u, v)
+    probes = [F(a, b) for a in u_roots for b in v_roots] + [
+        math.prod((F(r) ** e for r, e in zip(roots, exponents[shift:] + exponents[:shift])),
+                  start=F(1))
+        for shift in range(len(roots))]
+    for x in probes:
+        num, den = _prime_exponents(x.numerator), _prime_exponents(x.denominator)
+        in_prime_box = all(lo <= num.get(p, 0) - den.get(p, 0) <= hi
+                           for p, (lo, hi) in bounds.items())
+        assert box((x.numerator, x.denominator)) == in_prime_box
