@@ -17,9 +17,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import BasisMismatch, BothZero, InputError, VerificationFailed, ZeroInput
+from .errors import BasisMismatch, BothZero, InputError, ZeroInput
 from .multiplicative import MultiplicativeBasis
-from .polys import UniPoly, _monomial, _render_sum
+from .polys import _monomial, _render_sum
 from .recurrences import LinearRecurrence
 
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
@@ -242,19 +242,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not self.poly
 
-    @property
-    def is_polynomial(self) -> bool:
-        """True when no T variable appears (an element of Q[X])."""
-        return not any(self.low) and not any(any(e[1:]) for e in self.poly)
-
-    def x_polynomial(self) -> UniPoly:
-        if not self.is_polynomial:
-            raise InputError(f"{self.render()} has a T variable, so it is not a polynomial in X")
-        coeffs = [0] * (1 + max((e[0] for e in self.poly), default=-1))
-        for e, c in self.poly.items():
-            coeffs[e[0]] = self.content * c
-        return UniPoly(coeffs)
-
     def _check(self, other: "GroupRingElement"):
         if self.basis is not other.basis and not self.basis.same_group(other.basis):
             raise BasisMismatch("elements live over different multiplicative bases")
@@ -424,25 +411,3 @@ def laurent_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement
         return None
     low = tuple(a - b for a, b in zip(f.low, g.low))
     return GroupRingElement._split(f.basis, f.content / g.content, low, quo)
-
-
-def strip_x_content(f: GroupRingElement) -> GroupRingElement:
-    """f without its largest Q[X] factor, unit-normalized; f must be non-zero.
-
-    The X-content is the gcd of the T-columns of f.poly, one integer
-    polynomial in X per T-monomial.  By Gauss's lemma the quotient of the
-    primitive f.poly by that primitive gcd is primitive with a positive
-    lead, and it keeps f.poly's freedom from T_i factors.
-    """
-    columns: dict[tuple[int, ...], dict] = {}
-    for e, c in f.poly.items():
-        columns.setdefault(e[1:], {})[e[:1]] = c
-    parts = iter(columns.values())
-    content = next(parts)
-    for col in parts:
-        content = _zz_gcd(content, col, 1)
-    zero_t = (0,) * f.basis.rank
-    quo = _zz_divide(f.poly, {x + zero_t: c for x, c in content.items()})
-    if quo is None:
-        raise VerificationFailed("X-content does not divide its own element")
-    return GroupRingElement._split(f.basis, Fraction(1, quo[max(quo)]), zero_t, quo)

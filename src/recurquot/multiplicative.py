@@ -124,9 +124,9 @@ class MultiplicativeBasis:
     ``expressions[i]`` writes values[i] in the generators.
     ``compute_basis`` gives the canonical basis: generators of the
     spanned group itself, with ``matrix`` in HNF, so it depends only on
-    that group, not on the input order.  Clearance, its refusal
-    witnesses and the ``basis`` subcommand use it; Hadamard quotients
-    divide on the roots themselves and build none.
+    that group, not on the input order.  Clearance refusal witnesses
+    and the ``basis`` subcommand use it; Hadamard quotients and clearance
+    verdicts divide on the roots themselves and build none.
     """
 
     pairs: tuple[tuple[int, int], ...]

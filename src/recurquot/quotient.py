@@ -1,4 +1,4 @@
-"""Divisibility of recurrences decided through their Laurent forms.
+"""Divisibility of recurrences, decided by long division on their roots.
 
 Three entry points, all exact:
 
@@ -9,6 +9,7 @@ Three entry points, all exact:
   blocks are independent, so clearance works iff V has a single root
   (or U is zero).
 
+Only a clearance refusal builds Laurent forms, for its witness.
 Hadamard quotients and clearance require the roots of U and V to span a
 torsion-free group, the cross quotient only V's roots when V has
 several.  Callers hitting TorsionGroup can decimate into sections first
@@ -19,14 +20,17 @@ are positive).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
     GroupRingElement,
+    _zz_divide,
+    _zz_gcd,
+    _zz_primitive,
     from_group_ring,
     laurent_divide,
     laurent_gcd,
-    strip_x_content,
     to_group_ring,
 )
 from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
@@ -56,7 +60,8 @@ class NoClearance:
     For the shared-index problem ``witness`` is the unit-normalized
     non-polynomial factor of V that no P in Q[X] can absorb.  For the
     cross problem the refusal is structural (V has several roots) and
-    ``detail`` explains the finiteness verdict.
+    ``detail`` says only what that proves: no P(n) makes both
+    P(n)U(m)/V(n) and V(n)/P(n) recurrences.
     """
 
     reason: str
@@ -120,29 +125,64 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
     return result
 
 
+def _x_content(rec: LinearRecurrence, content: dict | None = None) -> dict:
+    """The gcd of ``content`` and rec's coefficient polynomials, or ``content``.
+
+    Polynomials in X are integer dicts over (degree,); the gcd is primitive
+    with a positive lead.  It takes the shortest columns first and stops at 1.
+    """
+    for coeffs in sorted((coeffs for _, coeffs in rec.cleared_terms), key=len):
+        if content == {(0,): 1}:
+            break
+        column = {(d,): c for d, c in enumerate(coeffs) if c}
+        content = _zz_primitive(column) if content is None else _zz_gcd(content, column, 1)
+    return content
+
+
+def _x_coeffs(poly: dict) -> list[int]:
+    return [poly.get((d,), 0) for d in range(max(poly)[0] + 1)]
+
+
+def _divide_by_x(rec: LinearRecurrence, poly: dict) -> LinearRecurrence:
+    """rec / poly(n) for a divisor poly of rec's X-content."""
+    if poly == {(0,): 1}:
+        return rec
+    out = rec._divide(LinearRecurrence(((1, _x_coeffs(poly)),)))
+    if out is None:
+        raise VerificationFailed("an X-content does not divide its own sequence")
+    return out
+
+
 def polynomial_clearance(
     u: LinearRecurrence, v: LinearRecurrence
 ) -> QuotientCertificate | NoClearance:
     """Monic P in Q[X] making P*U/V and V/P recurrences, if one exists.
 
-    With g = gcd(u, v) in the group ring and v' = v/g, such a P exists
-    iff v' is (up to a Laurent unit) an element of Q[X]: any valid P is
-    a unit multiple of v', and elements of Q[X] only factor as unit
-    times Q[X]-element when the unit's T-part is trivial.  The refusal
-    witness is v' with its X-content removed, unit-normalized.
+    Without -1 among the roots, Q[X][G] over their group G is a Laurent
+    ring over Q[X], a UFD in which the primes of Q[X] stay prime.  Write
+    V = c_V * V' with c_V the X-content of V.  A valid P divides c_V, and
+    V' divides V/P, which divides U; conversely P = c_V works when V'
+    divides U.  So the division W = U/V' on the roots decides it, with no
+    basis and no gcd.  The least P is c_V/c, c = gcd(cont_X(W), c_V), made
+    monic by its lead lc: the quotient is W/(c * lc) and V/P = lc * V/p.
+    A refusal's witness is V'/gcd(U, V') in the group ring, unit-normalized:
+    no unit, as V' does not divide U, and of X-content 1, so two roots at
+    least.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
-    fu, fv = _laurent_forms(u, v)
-    gcd = laurent_gcd(fu, fv)
-    v_reduced = laurent_divide(fv, gcd)
-    if v_reduced is None:
-        raise VerificationFailed("the gcd does not divide the divisor")
-    # The unit-normalized v' has lex-leading coefficient 1; when it lies in
-    # Q[X] that coefficient is its X-lead, so v' is already the monic P.
-    p_element = v_reduced.unit_normalized()
-    if not p_element.is_polynomial:
-        witness = strip_x_content(p_element)
+    _require_torsion_free(u, v)
+    c_v = _x_content(v)
+    v_bar = _divide_by_x(v, c_v)
+    w = u._divide(v_bar)
+    if w is None:
+        fu, fv = _laurent_forms(u, v_bar)
+        witness = laurent_divide(fv, laurent_gcd(fu, fv))
+        if witness is None:
+            raise VerificationFailed("the gcd does not divide the divisor")
+        witness = witness.unit_normalized()
+        if len(from_group_ring(witness).cleared_terms) < 2:
+            raise VerificationFailed("the refusal witness has fewer than two roots")
         return NoClearance(
             reason="divisor-not-polynomial",
             witness=witness,
@@ -152,26 +192,18 @@ def polynomial_clearance(
                 "the index can absorb it"
             ),
         )
-    clearing = p_element.x_polynomial()
-    quotient_element = laurent_divide(fu * p_element, fv)
-    if quotient_element is None:
-        raise VerificationFailed("clearance identity failed")
-    v_over_p_element = laurent_divide(fv, p_element)
-    if v_over_p_element is None:
-        raise VerificationFailed("divisor lost its own factor")
-    quotient = from_group_ring(quotient_element)
-    v_over_p = from_group_ring(v_over_p_element)
+    c = _x_content(w, c_v)
+    p = _zz_divide(c_v, c)
+    lc = p[max(p)]
+    clearing = UniPoly(_x_coeffs(p)).monic()
+    quotient = _divide_by_x(w, c) * Fraction(1, lc)
+    v_over_p = _divide_by_x(v, p) * lc
     p_rec = from_closed_form([(1, clearing)])
     if p_rec * u != quotient * v:
         raise VerificationFailed("P*U differs from the quotient times V")
     if p_rec * v_over_p != v:
         raise VerificationFailed("P times V/P does not give back V")
-    return QuotientCertificate(
-        clearing_poly=clearing,
-        quotient=quotient,
-        v_over_p=v_over_p,
-        min_denominator=quotient.scale,
-    )
+    return QuotientCertificate(clearing, quotient, v_over_p, quotient.scale)
 
 
 def cross_quotient(
@@ -198,9 +230,9 @@ def cross_quotient(
         return NoClearance(
             reason="multiple-roots",
             detail=(
-                "the divisor has several roots in its own index, so only "
-                "finitely many index pairs can make the ratio quasi-integral; "
-                "no clearing polynomial exists"
+                "the divisor has several roots in its own index, so no "
+                "polynomial P(n) makes both P(n)*U(m)/V(n) a two-index "
+                "recurrence and V(n)/P(n) a recurrence"
             ),
         )
     beta, p = v.terms[0]
@@ -292,10 +324,11 @@ def solve_with_torsion_fallback(
 
     Returns either the direct outcome or a list of SectionResult.  Each
     root is factored once per call: the sections' roots are squares of
-    the failing call's.  The sections' roots are positive, so under
-    hadamard and cross they need no sign pivot and factor nothing (a
-    division's exponent box reads a coprime base, not primes).  Only
-    clearance builds a basis there, shared by sections with equal roots.
+    the failing call's.  The sections' roots are positive, so they need
+    no sign pivot, and a section factors nothing (a division's exponent
+    box reads a coprime base, not primes) unless it is a clearance
+    refusal: that builds a basis for its witness, shared by sections
+    with equal roots.
     """
     solver = _solver(mode)
     with shared_factors() as add_squares:

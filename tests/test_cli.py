@@ -120,7 +120,10 @@ def test_quotient_cross_refusal():
         "quotient", DATA / "power3m.json", DATA / "mersenne2.json", "--mode", "cross"
     )
     assert code == 1
-    assert "finitely many" in text
+    # The refusal claims no finiteness, which would be false for other
+    # pairs: (2^m - 1)/(2^n - 1) is an integer whenever n divides m.
+    assert "finitely" not in text
+    assert "no polynomial P(n) makes both" in text
 
 
 def test_missing_file():

@@ -9,8 +9,7 @@ from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content,
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optimized import assert_caught_under_optimize
-from recurquot import groupring
+from recurquot import groupring, quotient
 from recurquot.errors import (
     BasisMismatch,
     BothZero,
@@ -23,7 +22,6 @@ from recurquot.groupring import (
     from_group_ring,
     laurent_divide,
     laurent_gcd,
-    strip_x_content,
     to_group_ring,
 )
 from recurquot.multiplicative import compute_basis
@@ -51,35 +49,13 @@ def value(f, n):
 
 def test_constructors_and_queries():
     zero = GroupRingElement.zero(BASIS)
-    assert zero.is_zero
+    assert zero.is_zero and zero.terms == {}
     c = elem({(0, (0, 0)): F(5, 2)})
-    assert c.is_polynomial and c.x_polynomial() == UniPoly([F(5, 2)])
+    assert (c.content, c.low, c.poly) == (F(5, 2), (0, 0), {(0, 0, 0): 1})
     p = elem({(0, (0, 0)): F(1), (1, (0, 0)): F(2)})
-    assert p.is_polynomial
-    assert p.x_polynomial() == UniPoly([F(1), F(2)])
-    assert not elem({(0, (1, 0)): F(3)}).is_polynomial
-
-
-# x_polynomial refuses an element with a T variable; under -O an assert
-# would be gone and 5*T1 + X + 1 would come back as X + 1.
-_T_IN_X_POLYNOMIAL = """
-import sys
-from recurquot.errors import InputError
-from recurquot.groupring import GroupRingElement
-from recurquot.multiplicative import compute_basis
-
-if not sys.flags.optimize:
-    raise SystemExit("not running under -O")
-f = GroupRingElement(compute_basis((2, 3)), {(0, (1, 0)): 5, (1, (0, 0)): 1, (0, (0, 0)): 1})
-try:
-    print("returned", f.x_polynomial())
-except InputError as exc:
-    print("InputError:", exc)
-"""
-
-
-def test_x_polynomial_refuses_t_variables_under_optimize():
-    assert_caught_under_optimize(_T_IN_X_POLYNOMIAL, error="InputError")
+    assert p.terms == {(0, (0, 0)): F(1), (1, (0, 0)): F(2)}
+    t = elem({(0, (1, 0)): F(3)})
+    assert (t.content, t.low, t.poly) == (F(3), (1, 0), {(0, 0, 0): 1})
 
 
 @pytest.mark.parametrize("terms", [
@@ -543,20 +519,26 @@ x_coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size
              min_size=1, max_size=3).filter(any),
     st.fractions(min_value=F(-6), max_value=F(6), max_denominator=5).filter(bool),
 )
-def test_strip_x_content_matches_euclid_oracle(columns, shared, scale):
-    # 2-4 T-columns times a shared rational X factor and a rational unit of
-    # either sign: the X-content is at least that factor.
+def test_clearance_witness_matches_euclid_oracle(columns, shared, scale):
+    # V: 2-4 T-columns times a shared rational X factor and a rational unit
+    # of either sign, so its X-content is at least that factor.  U = 7^n is
+    # a unit, so the witness is V without its X-content, unit-normalized.
     f = elem({(x, te): F(c) for te, cs in columns.items() for x, c in enumerate(cs) if c})
     f = f * elem({(x, (0, 0)): c for x, c in enumerate(shared) if c}) * scale
-    witness = strip_x_content(f)
-    assert witness.terms == fraction_strip_x_content(f.terms)
-    assert witness == witness.unit_normalized() and not witness.is_polynomial
-    content = laurent_divide(f, witness)
-    assert content is not None and content.unit_normalized().is_polynomial
+    v = from_group_ring(f)
+    out = polynomial_clearance(geom(7), v)
+    witness = out.witness
+    basis = witness.basis
+    fv = GroupRingElement(basis, {(d, basis.express(root)): c for root, coeff in v.terms
+                                  for d, c in enumerate(coeff.coeffs) if c})
+    assert witness.terms == fraction_strip_x_content(fv.terms)
+    assert witness == witness.unit_normalized() and len({te for _, te in witness.terms}) >= 2
+    content = laurent_divide(fv, witness)
+    assert content is not None and len({te for _, te in content.terms}) == 1
 
 
-def test_strip_x_content_checks_its_division(monkeypatch):
-    f = elem({(1, (1, 0)): F(1), (0, (0, 0)): F(-1)})
-    monkeypatch.setattr(groupring, "_zz_gcd", lambda f, g, k: {(1,): 1})
-    with pytest.raises(VerificationFailed, match="X-content"):
-        strip_x_content(f)
+def test_clearance_refusal_checks_its_witness(monkeypatch):
+    # A gcd equal to V' leaves the unit witness 1, which has one root.
+    monkeypatch.setattr(quotient, "laurent_gcd", lambda f, g: g)
+    with pytest.raises(VerificationFailed, match="fewer than two roots"):
+        polynomial_clearance(geom(3), from_closed_form([(F(2), F(1)), (F(1), F(-1))]))

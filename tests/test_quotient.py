@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import basis_oracle
 import pytest
+from clearance_oracle import group_ring_clearance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,7 +138,7 @@ def test_clearance_refusal_names_witness():
     assert isinstance(out, NoClearance)
     assert out.reason == "divisor-not-polynomial"
     assert out.witness is not None
-    assert not out.witness.is_polynomial
+    assert len({te for _, te in out.witness.terms}) == 2
     assert "T1 - 1" in out.witness.render()
 
 
@@ -201,7 +202,12 @@ def test_cross_multiple_roots_refused():
     out = cross_quotient(mersenne(3), mersenne(2))
     assert isinstance(out, NoClearance)
     assert out.reason == "multiple-roots"
-    assert "finitely many" in out.detail
+    assert "no polynomial P(n) makes both" in out.detail
+    # No finiteness is claimed: mersenne(2) over itself is refused the same
+    # way, yet (2^(kn) - 1)/(2^n - 1) is an integer for every k and n.
+    same = cross_quotient(mersenne(2), mersenne(2))
+    assert isinstance(same, NoClearance) and same.detail == out.detail
+    assert "finitely" not in out.detail
 
 
 def unit_with_torsion():
@@ -461,27 +467,30 @@ def test_wrong_quotient_root_is_caught_under_optimize():
 
 
 # The clearance certificate is re-checked as recurrences: P*U == Q*V and
-# V == P*(V/P).  "all" doubles every quotient, so Q is wrong; "v_over_p"
-# doubles only the division by P.  U = 2^n - 1, V = n*(2^n - 1), P = X.
+# V == P*(V/P).  U = 2^n - 1 and V = n*(2^n - 1), so the X-content of V is
+# P = X, V' = V/X = 2^n - 1 and Q = U/V' = 1.  "all" doubles every
+# division: V' and V/P = V/X come out doubled, and Q = U/V' right, the
+# doublings cancelling, so only the second check can fail.  "v_over_p"
+# doubles only the divisions by X, so Q is halved as well.
 _WRONG_CLEARANCE = """
 import sys
 import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
-from recurquot.recurrences import from_closed_form
+from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
 mode = sys.argv[1]
-real_divide = quotient.laurent_divide
+real_divide = LinearRecurrence._divide
 
-def wrong_divide(f, g):
-    q = real_divide(f, g)
-    by_p = g.is_polynomial and g.x_polynomial().degree > 0
-    if q is None or (mode == "v_over_p" and not by_p):
+def wrong_divide(u, v):
+    q = real_divide(u, v)
+    by_x = v.roots == (1,)
+    if q is None or (mode == "v_over_p" and not by_x):
         return q
     return q * 2
 
-quotient.laurent_divide = wrong_divide
+LinearRecurrence._divide = wrong_divide
 try:
     quotient.polynomial_clearance(
         from_closed_form([(2, 1), (1, -1)]), from_closed_form([(2, [0, 1]), (1, [0, -1])])
@@ -535,13 +544,11 @@ def test_wrong_cross_certificate_is_caught_under_optimize(mode):
 
 
 # U = 10^n + 2*15^n over V = 5^n has the quotient 2^n + 2*3^n.  Swapping
-# the coefficients of its two roots gives 3^n + 2*2^n, and under clearance
-# a basis whose expressions of u's two roots are swapped (each root's
-# exponents are read by position) turns U into 15^n + 2*10^n.  Both still
-# divide by V, so only the multiply-back can catch the swap, and it must
-# under -O.
+# the coefficients of its two roots gives 3^n + 2*2^n, which the division
+# of either solver (clearance's V has X-content 1, so it divides U by V
+# itself) may not return unchecked: only the multiply-back can catch the
+# swap, and it must under -O.
 _SWAPPED_POSITIONS = """
-import dataclasses
 import sys
 import recurquot.quotient as quotient
 from recurquot.errors import VerificationFailed
@@ -549,24 +556,14 @@ from recurquot.recurrences import LinearRecurrence, from_closed_form
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
-if sys.argv[1] == "hadamard_quotient":
-    real_divide = LinearRecurrence._divide
+real_divide = LinearRecurrence._divide
 
-    def swapped_divide(u, v):
-        result = real_divide(u, v)
-        (r1, c1), (r2, c2), *rest = result.cleared_terms
-        return LinearRecurrence(((r1, c2), (r2, c1), *rest), result.scale, result.base)
+def swapped_divide(u, v):
+    result = real_divide(u, v)
+    (r1, c1), (r2, c2), *rest = result.cleared_terms
+    return LinearRecurrence(((r1, c2), (r2, c1), *rest), result.scale, result.base)
 
-    LinearRecurrence._divide = swapped_divide
-else:
-    real_basis = quotient.compute_basis
-
-    def swapped_basis(*args, **kwargs):
-        basis = real_basis(*args, **kwargs)
-        first, second, *rest = basis.expressions
-        return dataclasses.replace(basis, expressions=(second, first, *rest))
-
-    quotient.compute_basis = swapped_basis
+LinearRecurrence._divide = swapped_divide
 solve = getattr(quotient, sys.argv[1])
 try:
     solve(from_closed_form([(10, 1), (15, 2)]), from_closed_form([(5, 1)]))
@@ -653,10 +650,9 @@ def test_solvers_never_read_the_rational_roots(monkeypatch):
 
 
 # q*v over v with -1 in the root group: (-2)^2 / (-4) = -1.  With "cancel",
-# 5^n - (-5)^n vanishes on the even section only, so the sections' roots
-# differ and under clearance each builds its own basis.  The sections'
-# roots are positive, so Hadamard sections divide on the roots and build
-# no basis.
+# 5^n - (-5)^n vanishes on the even section only, so the odd section is
+# refused.  The sections' roots are positive, so both solvers divide on
+# the roots and build no basis, except for a clearance refusal's witness.
 @pytest.mark.parametrize("cancel", [False, True])
 @pytest.mark.parametrize("mode", ["hadamard", "clearance"])
 def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
@@ -682,11 +678,7 @@ def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
     results = solve_with_torsion_fallback(u, v, mode, decimate=True)
     assert [r.offsets for r in results] == [(0,), (1,)]
     assert sorted(calls) == _integers_of(u, v)
-    if mode == "clearance":
-        assert len(bases) == 2
-        assert (bases[0] is bases[1]) is not cancel
-    else:
-        assert bases == []
+    assert len(bases) == (mode == "clearance" and cancel)
 
 
 # Signed roots +-2^a * 3^b * 5^c with a, b, c in -2..2, so roots share
@@ -964,9 +956,9 @@ def test_large_clearance_builds_its_basis_quickly():
 
 
 def test_caller_limit_reaches_every_factorization():
-    # 2^89 - 1 is a prime above the default cap.  A positive Hadamard call
-    # factors nothing (see above); the sign pivot of a signed input and the
-    # basis of clearance still factor every root, under the caller's cap.
+    # 2^89 - 1 is a prime above the default cap.  A positive call factors
+    # nothing (see above and below); the sign pivot of a signed input still
+    # factors every root, under the caller's cap.
     p = 2**89 - 1
     u = from_closed_form([(F(-2 * p), F(1)), (F(-2), F(-1))])
     v = mersenne(p)
@@ -977,6 +969,90 @@ def test_caller_limit_reaches_every_factorization():
     for solve in (hadamard_quotient, polynomial_clearance):
         with pytest.raises(FactorizationLimit):
             solve(u, v)
+
+
+def test_positive_clearance_certificate_factors_nothing(monkeypatch):
+    # U = (2p)^n - 2^n = 2^n * (p^n - 1) over V = n * (p^n - 1), with the
+    # prime p = 2^89 - 1 above the default cap.  The X-content of V is X,
+    # and the division on the roots factors nothing; the canonical basis
+    # used to factor p and raise FactorizationLimit.
+    calls = []
+    real_factor = factorization.factor_int
+
+    def factor_int(n):
+        calls.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(factorization, "factor_int", factor_int)
+    p = 2**89 - 1
+    u = from_closed_form([(F(2 * p), F(1)), (F(2), F(-1))])
+    v = from_closed_form([(F(p), UniPoly([F(0), F(1)])), (F(1), UniPoly([F(0), F(-1)]))])
+    out = polynomial_clearance(u, v)
+    assert isinstance(out, QuotientCertificate)
+    assert out.clearing_poly == UniPoly([F(0), F(1)])
+    assert out.quotient == geometric(2) and out.v_over_p == mersenne(p)
+    assert calls == []
+
+
+def test_clearance_certificate_builds_no_basis_and_takes_no_gcd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate needs no basis and no gcd")
+
+    monkeypatch.setattr(quotient, "laurent_gcd", forbidden)
+    monkeypatch.setattr(quotient, "compute_basis", forbidden)
+    n_mersenne = from_closed_form([(F(2), UniPoly([F(0), F(1)])), (F(1), UniPoly([F(0), F(-1)]))])
+    cases = [
+        (geometric(5), polynomial([F(0), F(1), F(1)])),
+        (geometric(3) * mersenne(2), polynomial([F(1), F(1)]) * mersenne(2)),
+        (mersenne(), n_mersenne),
+        (polynomial([F(0), F(1)]) * mersenne(4), polynomial([F(0), F(2), F(2)]) * mersenne(2)),
+        (LinearRecurrence(()), mersenne(3)),
+    ]
+    for u, v in cases:
+        assert isinstance(polynomial_clearance(u, v), QuotientCertificate)
+
+
+# Positive roots over 2, 3, 5 with exponents -1..2, as in the bench's
+# quotient ladder, and now and then a negative one, so -1 may be in the span.
+ladder_roots = st.builds(
+    lambda sign, a, b, c: sign * F(2) ** a * F(3) ** b * F(5) ** c,
+    st.sampled_from((1,) * 7 + (-1,)),
+    *(st.integers(min_value=-1, max_value=2) for _ in range(3)),
+)
+x_polys = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3).filter(any)
+
+
+@st.composite
+def ladder_forms(draw, max_terms=3):
+    roots = draw(st.lists(ladder_roots, min_size=1, max_size=max_terms, unique=True))
+    return from_closed_form([(root, UniPoly(draw(x_polys))) for root in roots])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_forms(), ladder_forms(), ladder_forms(max_terms=2), x_polys, x_polys,
+       st.sampled_from(("a*c*x", "a*c", "c", "zero")))
+def test_clearance_matches_the_group_ring_oracle(a, b, c, px, qx, shape):
+    # a*c*px over b*c*qx: a common factor c, X-contents px and qx, and
+    # sometimes U = c (a certificate when b has one root) or U = 0.
+    u = {"a*c*x": a * c * polynomial(px), "a*c": a * c, "c": c,
+         "zero": LinearRecurrence(())}[shape]
+    v = b * c * polynomial(qx)
+    if v.is_zero:
+        return
+    try:
+        expected = group_ring_clearance(u, v)
+    except TorsionGroup:
+        with pytest.raises(TorsionGroup):
+            polynomial_clearance(u, v)
+        return
+    out = polynomial_clearance(u, v)
+    if expected[0] == "refusal":
+        assert isinstance(out, NoClearance) and out.reason == "divisor-not-polynomial"
+        assert out.witness == expected[1] and out.witness.render() == expected[1].render()
+    else:
+        assert isinstance(out, QuotientCertificate)
+        assert (out.clearing_poly, out.quotient, out.v_over_p, out.min_denominator) \
+            == expected[1:]
 
 
 def test_unknown_mode_names_the_valid_ones():
