@@ -9,16 +9,19 @@ U(m), so no pair in that progression can be integral at all.
 
 Both read U and V through their stored cleared integer sequences
 (``LinearRecurrence.walk``) and work with residues: no cell builds the
-exact value of U(m).
+exact value of U(m).  A search walks U once, modulo the lcm of its rows'
+moduli, into a residue table that every row reads, when that saves steps
+and the table stays within ``_TABLE_BITS``; otherwise each row walks U
+modulo its own modulus.  The re-check of a hit never reads the table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import BadPrime, FactorizationLimit, InputError, VerificationFailed, ZeroInput
 from .factorization import euler_phi, factor_int, is_probable_prime, primes_below
@@ -135,6 +138,42 @@ def _trial_primes_of(n: int, trial: list[int]) -> list[int]:
     return found
 
 
+# The shared residue table holds W_u(m) mod L for m = 1..m_max, L the lcm
+# of the rows' moduli, in at most this many bits of residues (512 KiB).
+_TABLE_BITS = 1 << 22
+
+
+def _row_indices(m_max: int, sieve) -> Iterable[int]:
+    """The m <= m_max a row reads, increasing: all of them when ``sieve``
+    is None, else m = r, r + t, ... for each class r of ``(t, classes)``."""
+    if sieve is None:
+        return range(1, m_max + 1)
+    t, classes = sieve
+    return sorted(chain.from_iterable(range(r, m_max + 1, t) for r in classes))
+
+
+def _table_modulus(frees: list[int], m_max: int, walked: int) -> int | None:
+    """L = lcm(frees) when one walk modulo L pays for the rows, else None.
+
+    It pays when the rows would otherwise walk more than the table's
+    m_max cells in all, and its m_max residues mod L fit in
+    ``_TABLE_BITS``.
+    """
+    if walked <= m_max:
+        return None
+    modulus = 1
+    for free in frees:
+        modulus = math.lcm(modulus, free)
+        if modulus.bit_length() * m_max > _TABLE_BITS:
+            return None
+    return modulus
+
+
+def _residue_table(u: LinearRecurrence, m_max: int, modulus: int) -> list[int]:
+    """W_u(m) mod ``modulus`` at index m, for m = 1..m_max (index 0 unused)."""
+    return [0, *islice(u.walk(1, modulus=modulus), m_max)]
+
+
 def integrality_search(
     u: LinearRecurrence,
     v: LinearRecurrence,
@@ -171,9 +210,18 @@ def integrality_search(
     the row walks only the indices in those classes.  The primes tried
     are those below m_max (and below 2^20), by trial division, and the
     cofactor they leave when it is provably prime.  The row keeps the q
-    with the least t + (number of classes) * ceil(m_max / t), and walks
-    every cell when that is not below m_max.  Every hit is re-verified by
-    ``_hit_check`` before it is returned.
+    with the least t + (number of classes) * ceil(m_max / t), and reads
+    every cell when that is not below m_max.
+
+    The rows share one walk of W_u: the table of W_u(m) mod L for
+    m = 1..m_max, L the lcm of the rows' moduli, from which a row reads
+    W_u(m) mod its modulus at the cells its sieve keeps.  The table is
+    built only when the rows would otherwise walk more than m_max cells in
+    all and bits(L) * m_max is at most ``_TABLE_BITS``; otherwise each row
+    walks its own cells, or classes, modulo its modulus.  A totient
+    candidate past m_max takes one ``walk`` of its own.  Every hit is
+    re-verified by ``_hit_check``, which recomputes W_u(m) with a ``pow``
+    per root and never reads the table, before it is returned.
     """
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
@@ -226,8 +274,8 @@ def integrality_search(
                 periods[q] = m_max
         return periods[q]
 
-    def row_cells(free, den, bound):
-        """(m, W_u(m) mod free) for every m <= m_max that can be a hit."""
+    def row_sieve(free, den, bound):
+        """(t, classes) that hold every m <= m_max that can be a hit, or None."""
         sieve_primes = [q for q in _trial_primes_of(free, trial)
                         if den % q and (bound % q if fixed else q > bound)]
         best, chosen = m_max, None
@@ -240,20 +288,44 @@ def integrality_search(
             cost = t + len(classes_of[q]) * -(-m_max // t)
             if cost < best:
                 best, chosen = cost, (t, classes_of[q])
-        if chosen is None:
-            return zip(range(1, m_max + 1), u.walk(1, modulus=free))
-        t, classes = chosen
-        return merge(*(zip(range(r, m_max + 1, t), u.walk(r, t, modulus=free))
-                       for r in classes))
+        return chosen
+
+    plans = []  # (n, num, den, bound, free, sieve) per row
+    walked = 0  # the cells the rows read
+    for n, num, den in rows:
+        bound = policy.d if fixed else n**policy.exponent
+        free = _outside_part(u.scale * num, outside)
+        sieve = row_sieve(free, den, bound)
+        if sieve is None:
+            walked += m_max
+        else:
+            t, classes = sieve
+            walked += sum(len(range(r, m_max + 1, t)) for r in classes)
+        plans.append((n, num, den, bound, free, sieve))
+    modulus = _table_modulus([free for *_, free, _ in plans], m_max, walked)
+    table = None if modulus is None else _residue_table(u, m_max, modulus)
+
+    def row_cells(free, sieve):
+        """(m, W_u(m) mod free) for every m <= m_max that can be a hit."""
+        ms = _row_indices(m_max, sieve)
+        if table is not None:
+            if sieve is None:
+                return zip(ms, map(free.__rmod__, islice(table, 1, None)))
+            return ((m, table[m] % free) for m in ms)
+        if sieve is None:
+            return zip(ms, u.walk(1, modulus=free))
+        # The classes are increasing in 1..t, so m runs through them in
+        # turn, one period at a time.
+        t, classes = sieve
+        walks = zip(*(u.walk(r, t, modulus=free) for r in classes))
+        return zip(ms, chain.from_iterable(walks))
 
     hits: list[SearchHit] = []
-    for n, num, den in rows:
+    for n, num, den, bound, free, sieve in plans:
         check = None  # the row's re-verification, set up on its first hit
-        bound = policy.d if fixed else n**policy.exponent
         width = bound.bit_length()
-        free = _outside_part(u.scale * num, outside)
         row_shifts = shifts(num, den)
-        cells = row_cells(free, den, bound)
+        cells = row_cells(free, sieve)
         if totient and den == 1 and num > 0:
             phi = euler_phi(num)
             if phi > m_max:

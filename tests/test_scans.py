@@ -1,6 +1,9 @@
 """The index scans against the Fraction oracles in ``scan_oracles``."""
 
+import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from scan_oracles import (
     window_obstruction_scan,
 )
 
+from recurquot import integrality
 from recurquot.errors import RecurquotError
 from recurquot.factorization import factor_limit
 from recurquot.heights import SIntegerSpec, decay_check
@@ -23,7 +27,7 @@ from recurquot.integrality import (
 )
 from recurquot.places import Place
 from recurquot.polys import UniPoly
-from recurquot.recurrences import LinearRecurrence, constant, from_closed_form, geometric, zero_set
+from recurquot.recurrences import constant, from_closed_form, geometric, zero_set
 
 F = Fraction
 
@@ -125,25 +129,102 @@ def test_sieved_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_spe
     assert outcome(integrality_search, *args) == outcome(fraction_search, *args)
 
 
+# Each path of the search: a cap of 0 bits sends every row to its own walk,
+# and 2^40 bits lets the rows share one residue table whenever they would
+# walk more than m_max cells in all.
+TABLE_CAPS = {"walk": 0, "table": 1 << 40}
+
+
+@contextmanager
+def counted_search(monkeypatch, path):
+    """Force ``path``; yield the m values the rows read and the tables built."""
+    real_indices, real_table = integrality._row_indices, integrality._residue_table
+    read, tables = [], []
+
+    def counting_indices(m_max, sieve):
+        for m in real_indices(m_max, sieve):
+            read.append(m)
+            yield m
+
+    def counting_table(u, m_max, modulus):
+        tables.append(modulus)
+        return real_table(u, m_max, modulus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrality, "_TABLE_BITS", TABLE_CAPS[path])
+        patch.setattr(integrality, "_row_indices", counting_indices)
+        patch.setattr(integrality, "_residue_table", counting_table)
+        yield read, tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(TABLE_CAPS)), recurrences(SIEVE_ROOTS, max_terms=2),
+       recurrences(ROOTS), st.integers(1, 40), st.integers(1, 6), policies, s_specs,
+       st.booleans())
+# V(n) = n - 3 vanishes at n = 3, and S strips the 2 of U's denominator.
+@example("table", from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]),
+         from_closed_form([(F(1), UniPoly((F(-3), F(1))))]), 30, 5, FixedDenominator(2),
+         SIntegerSpec([2]), False)
+# V(n) = 2^n is a power of U's root denominator: every row's modulus is 1,
+# and only the B-part decides.
+@example("table", from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]), geometric(F(2)),
+         20, 6, PolynomialDenominatorBound(1), None, False)
+# V(n) = 6^n has only the primes of S: modulus 1 again.
+@example("table", mersenne(5), geometric(F(6)), 20, 4, FixedDenominator(1),
+         SIntegerSpec([2, 3]), True)
+# Totient cells past m_max: phi(2^n - 1) > 30 from n = 6 on.
+@example("table", mersenne(3), mersenne(2), 30, 6, FixedDenominator(1), None, True)
+@example("table", mersenne(3), mersenne(2), 300, 24, FixedDenominator(1), None, False)
+@example("walk", mersenne(3), mersenne(2), 300, 24, FixedDenominator(1), None, False)
+@example("table", mersenne(3), mersenne(2), 300, 24, PolynomialDenominatorBound(3), None, False)
+@example("walk", mersenne(3), mersenne(2), 300, 24, PolynomialDenominatorBound(3), None, False)
+def test_search_paths_match_fraction_oracle(path, u, v, m_max, n_max, policy, s_spec, totient):
+    args = (u, v, m_max, n_max, policy, s_spec, totient)
+    with mock.patch.object(integrality, "_TABLE_BITS", TABLE_CAPS[path]):
+        got = outcome(integrality_search, *args)
+    assert got == outcome(fraction_search, *args)
+
+
 def test_sieved_search_walks_few_cells(monkeypatch):
     # (3^m - 1)/(2^n - 1): rows with n even are empty at q = 3, and most odd
-    # rows walk one class of ord_q(3).  Row 1 (V = 1) and rows 17 and 19,
-    # whose primes lie above m_max, walk every cell.
-    real_walk = LinearRecurrence.walk
-    walked = []
-
-    def counting_walk(self, start, step=1, modulus=None):
-        for value in real_walk(self, start, step, modulus):
-            walked.append(start)
-            yield value
-
-    monkeypatch.setattr(LinearRecurrence, "walk", counting_walk)
+    # rows read one class of ord_q(3).  Row 1 (V = 1) and rows 17 and 19,
+    # whose primes lie above m_max, read every cell.  The count is of the
+    # cells the rows read, from the shared table or from their own walks.
     m_max, n_max = 300, 24
-    hits = integrality_search(mersenne(3), mersenne(2), m_max, n_max, FixedDenominator(1))
-    assert len(walked) < m_max * n_max // 4
-    monkeypatch.setattr(LinearRecurrence, "walk", real_walk)
-    assert hits == fraction_search(mersenne(3), mersenne(2), m_max, n_max,
-                                   FixedDenominator(1))
+    args = (mersenne(3), mersenne(2), m_max, n_max, FixedDenominator(1))
+    expected = fraction_search(*args)
+    for path in TABLE_CAPS:
+        with counted_search(monkeypatch, path) as (read, tables):
+            hits = integrality_search(*args)
+        assert len(tables) == (path == "table")
+        assert len(read) < m_max * n_max // 4
+        assert hits == expected
+
+
+def test_no_table_past_the_size_cap(monkeypatch):
+    # To n = 60 the rows' moduli 2^n - 1 have an lcm of 1,106 bits, and
+    # 2 * 10^4 residues of that size pass the cap: each row walks.
+    assert math.lcm(*(2**n - 1 for n in range(1, 61))).bit_length() == 1106
+    monkeypatch.setattr(integrality, "_residue_table",
+                        lambda *args: pytest.fail("the search built a residue table"))
+    hits = integrality_search(mersenne(3), mersenne(2), 20_000, 60, FixedDenominator(1))
+    assert len(hits) == 26_288
+
+
+@pytest.mark.parametrize("v, n_max, cells", [
+    # V = 7: each row reads only the class m = 0 mod 6 of 3^m - 1 mod 7,
+    # 12 cells in all against a table of 40.
+    (constant(7), 2, [6, 12, 18, 24, 30, 36] * 2),
+    # V = 2^31 - 1 is a prime past the trial primes: one row reads every
+    # cell, as many as the table would hold.
+    (constant(2**31 - 1), 1, list(range(1, 41))),
+])
+def test_no_table_unless_the_rows_walk_more_cells(monkeypatch, v, n_max, cells):
+    args = (mersenne(3), v, 40, n_max, FixedDenominator(1))
+    with counted_search(monkeypatch, "table") as (read, tables):
+        hits = integrality_search(*args)
+    assert tables == [] and read == cells
+    assert hits == fraction_search(*args)
 
 
 def test_sieve_prime_past_the_factoring_cap_falls_back():
