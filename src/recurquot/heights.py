@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     BadPrime,
     FactorizationLimit,
@@ -209,14 +209,13 @@ def product_formula_check(x) -> Fraction:
 # -- hyperplanes and proximity ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneForm:
+class HyperplaneForm(Record):
     """A linear form a_0 x_0 + ... + a_n x_n with rational coefficients."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         if all(c == 0 for c in coeffs):
             raise ZeroInput("a hyperplane needs a non-zero coefficient vector")
         object.__setattr__(self, "coefficients", coeffs)
@@ -254,15 +253,14 @@ def weil_function(form: HyperplaneForm, xs, place: Place) -> LogSum:
 # -- S-integers -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SIntegerSpec:
+class SIntegerSpec(Record):
     """The finite set S of primes allowed in denominators (and units).
 
     A member that is not prime raises BadPrime: dividing out a composite
     would classify against a set that is not a set of places.
     """
 
-    primes: frozenset[int]
+    __slots__ = ("primes",)
 
     def __init__(self, primes):
         primes = frozenset(int(p) for p in primes)
@@ -332,8 +330,7 @@ class _DeferredLog(LogSum):
             return coeffs
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Record):
     """Per-index ratios (-log^- |V(n)|_place) / n on a range.
 
     ``samples`` lists (n, ratio) for indices with a positive ratio;
@@ -342,11 +339,21 @@ class DecayReport:
     epsilon once n is large; this report makes the claim inspectable.
     """
 
-    place: Place
-    max_ratio: LogSum
-    argmax_n: int | None
-    samples: tuple[tuple[int, LogSum], ...]
-    skipped_zeros: tuple[int, ...]
+    __slots__ = ("place", "max_ratio", "argmax_n", "samples", "skipped_zeros")
+
+    def __init__(
+        self,
+        place: Place,
+        max_ratio: LogSum,
+        argmax_n: int | None,
+        samples: tuple[tuple[int, LogSum], ...],
+        skipped_zeros: tuple[int, ...],
+    ):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "max_ratio", max_ratio)
+        object.__setattr__(self, "argmax_n", argmax_n)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "skipped_zeros", skipped_zeros)
 
 
 def _divisible_indices(v: LinearRecurrence, p: int, n_lo: int, n_hi: int):

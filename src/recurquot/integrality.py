@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
+from ._record import Record
 from .errors import BadPrime, FactorizationLimit, InputError, VerificationFailed, ZeroInput
 from .factorization import euler_phi, factor_int, is_probable_prime, primes_below
 from .heights import SIntegerSpec, _outside_part
@@ -30,42 +30,54 @@ from .places import _int_valuation
 from .recurrences import LinearRecurrence, _period_mod_p, _word_digits, zero_classes
 
 
-@dataclass(frozen=True)
-class FixedDenominator:
+class FixedDenominator(Record):
     """Accept a pair iff d * U(m)/V(n) is integral for this fixed d."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int):
+        if d < 1:
             raise InputError("the fixed denominator must be >= 1")
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class PolynomialDenominatorBound:
+class PolynomialDenominatorBound(Record):
     """Accept iff the minimal clearing denominator is <= n^exponent.
 
     A polynomial bound on d keeps log d = O(log n), well inside any
     o(n) growth requirement.
     """
 
-    exponent: int = 2
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        if self.exponent < 0:
+    def __init__(self, exponent: int = 2):
+        if exponent < 0:
             raise InputError("the exponent must be >= 0")
+        object.__setattr__(self, "exponent", exponent)
 
 
 DPolicy = FixedDenominator | PolynomialDenominatorBound
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Record):
     """One accepted pair: d * U(m)/V(n) is an (S-)integer, d minimal."""
 
-    m: int
-    n: int
-    d: int
+    __slots__ = ("m", "n", "d")
+
+    def __init__(self, m: int, n: int, d: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+
+    # A search builds one per hit.  Spelled out, these are as fast as the
+    # dataclass's were and a third faster than the base's attrgetter.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.d) == (other.m, other.n, other.d)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.d))
 
 
 def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes):
@@ -355,8 +367,7 @@ def integrality_search(
 # -- modular obstruction certificates -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Outcome of a mod-p scan along the progression n = q*k + r.
 
     Certified means: p divides V(n) for every index n >= 1 in the
@@ -369,13 +380,28 @@ class ObstructionReport:
     integer for indices in the progression when p does not divide d.
     """
 
-    certified: bool
-    prime: int
-    progression: tuple[int, int]
-    period: int
-    clearing_constants: tuple[int, int]
-    failing_side: str | None = None
-    failing_index: int | None = None
+    __slots__ = (
+        "certified", "prime", "progression", "period", "clearing_constants",
+        "failing_side", "failing_index",
+    )
+
+    def __init__(
+        self,
+        certified: bool,
+        prime: int,
+        progression: tuple[int, int],
+        period: int,
+        clearing_constants: tuple[int, int],
+        failing_side: str | None = None,
+        failing_index: int | None = None,
+    ):
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "progression", progression)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "clearing_constants", clearing_constants)
+        object.__setattr__(self, "failing_side", failing_side)
+        object.__setattr__(self, "failing_index", failing_index)
 
     @property
     def verdict(self) -> str:

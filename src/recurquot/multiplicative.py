@@ -13,25 +13,27 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from . import factorization
+from ._record import Record
 from .errors import InputError, RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
 from .factorization import factor_rational
 from .linalg import hnf_express, left_kernel, row_hnf
 
 
-class ExponentVector(NamedTuple):
+class ExponentVector(namedtuple("ExponentVector", ["sign_bit", "exponents"])):
     """One rational in coordinates: sign bit (1 means negative) and
-    exponents over an agreed prime list."""
+    exponents over an agreed prime list.
 
-    sign_bit: int
-    exponents: tuple[int, ...]
+    ``sign_bit`` is an int and ``exponents`` a tuple[int, ...].
+    """
+
+    __slots__ = ()
 
 
 # (factorizations by integer, bases by input pairs) of the innermost
@@ -115,8 +117,7 @@ def torsion_status(values) -> tuple[int, ...] | None:
     return _torsion_witness(vectors)
 
 
-@dataclass(frozen=True)
-class MultiplicativeBasis:
+class MultiplicativeBasis(Record):
     """Free generators of a free group that contains ``values``.
 
     ``pairs`` are the inputs as integer pairs (R, B), one per value
@@ -129,12 +130,27 @@ class MultiplicativeBasis:
     verdicts divide on the roots themselves and build none.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    primes: tuple[int, ...]
-    generators: tuple[Fraction, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    generator_signs: tuple[int, ...]
-    expressions: tuple[tuple[int, ...], ...]
+    # ``__dict__`` holds the cached properties.
+    __slots__ = (
+        "pairs", "primes", "generators", "matrix", "generator_signs", "expressions",
+        "__dict__",
+    )
+
+    def __init__(
+        self,
+        pairs: tuple[tuple[int, int], ...],
+        primes: tuple[int, ...],
+        generators: tuple[Fraction, ...],
+        matrix: tuple[tuple[int, ...], ...],
+        generator_signs: tuple[int, ...],
+        expressions: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "generator_signs", generator_signs)
+        object.__setattr__(self, "expressions", expressions)
 
     @property
     def rank(self) -> int:

@@ -13,20 +13,23 @@ binds tighter than binary + and -.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ParseError, SchemaError
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, from_closed_form, from_relation
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "name", one of "+-*/^()", or "end"
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        # kind is "int", "name", one of "+-*/^()", or "end".
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -187,8 +190,7 @@ def parse_rational(text: str) -> Fraction:
 # -- spec documents -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """A parsed recurrence description.
 
     Exactly one of ``closed_form`` (pairs of root and coefficient
@@ -197,10 +199,19 @@ class RecurrenceSpec:
     expressions ("N" unless the document says otherwise).
     """
 
-    name: str | None
-    var: str
-    closed_form: tuple[tuple[Fraction, UniPoly], ...] | None
-    relation: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None
+    __slots__ = ("name", "var", "closed_form", "relation")
+
+    def __init__(
+        self,
+        name: str | None,
+        var: str,
+        closed_form: tuple[tuple[Fraction, UniPoly], ...] | None,
+        relation: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "relation", relation)
 
     def to_recurrence(self) -> LinearRecurrence:
         if self.closed_form is not None:

@@ -8,23 +8,23 @@ for every non-zero rational, which the height machinery relies on.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import BadPrime, ZeroInput
 from .factorization import is_probable_prime
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of Q: ``prime`` is None for the archimedean place."""
 
-    prime: int | None = None
+    __slots__ = ("prime",)
 
-    def __post_init__(self):
-        if self.prime is not None and not is_probable_prime(self.prime):
-            raise BadPrime(f"{self.prime} is not prime")
+    def __init__(self, prime: int | None = None):
+        if prime is not None and not is_probable_prime(prime):
+            raise BadPrime(f"{prime} is not prime")
+        object.__setattr__(self, "prime", prime)
 
     def _key(self) -> tuple[int, int]:
         # Finite places sort by prime; the archimedean place sorts last.

@@ -19,9 +19,9 @@ are positive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
     GroupRingElement,
@@ -38,8 +38,7 @@ from .polys import UniPoly
 from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
 
-@dataclass(frozen=True)
-class QuotientCertificate:
+class QuotientCertificate(Record):
     """Witness that P(n)*U/V and V/P are both recurrences.
 
     ``quotient`` is one-index when U and V share the index, two-index
@@ -47,14 +46,22 @@ class QuotientCertificate:
     clearing all coefficient denominators of the quotient.
     """
 
-    clearing_poly: UniPoly
-    quotient: LinearRecurrence | MultiRecurrence
-    v_over_p: LinearRecurrence
-    min_denominator: int
+    __slots__ = ("clearing_poly", "quotient", "v_over_p", "min_denominator")
+
+    def __init__(
+        self,
+        clearing_poly: UniPoly,
+        quotient: LinearRecurrence | MultiRecurrence,
+        v_over_p: LinearRecurrence,
+        min_denominator: int,
+    ):
+        object.__setattr__(self, "clearing_poly", clearing_poly)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "v_over_p", v_over_p)
+        object.__setattr__(self, "min_denominator", min_denominator)
 
 
-@dataclass(frozen=True)
-class NoClearance:
+class NoClearance(Record):
     """Refusal with an inspectable reason.
 
     For the shared-index problem ``witness`` is the unit-normalized
@@ -64,9 +71,12 @@ class NoClearance:
     P(n)U(m)/V(n) and V(n)/P(n) recurrences.
     """
 
-    reason: str
-    witness: GroupRingElement | None = None
-    detail: str = ""
+    __slots__ = ("reason", "witness", "detail")
+
+    def __init__(self, reason: str, witness: GroupRingElement | None = None, detail: str = ""):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
 
 def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBasis:
@@ -259,8 +269,7 @@ def cross_quotient(
 # -- torsion fallback: solve on sections ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SectionResult:
+class SectionResult(Record):
     """Outcome of one decimated sub-problem.
 
     ``offsets`` is (r,) for shared-index problems and (r_u, r_v) for
@@ -269,9 +278,12 @@ class SectionResult:
     string "divisor-vanishes" when the decimated divisor is zero.
     """
 
-    modulus: int
-    offsets: tuple[int, ...]
-    outcome: object
+    __slots__ = ("modulus", "offsets", "outcome")
+
+    def __init__(self, modulus: int, offsets: tuple[int, ...], outcome: object):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "outcome", outcome)
 
 
 def _solver(mode: str):

@@ -10,11 +10,11 @@ decimation, and every operation here is exact.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
+from ._record import Record
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
 from .factorization import factor_int
 from .linalg import solve_rational
@@ -534,8 +534,7 @@ def from_relation(coeffs, initial) -> LinearRecurrence:
 # -- zero sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroSetReport:
+class ZeroSetReport(Record):
     """Zero set as progressions plus sporadic points.
 
     ``progressions`` are (modulus, residue) pairs: every index in that
@@ -545,10 +544,19 @@ class ZeroSetReport:
     only up to the search bound.
     """
 
-    progressions: tuple[tuple[int, int], ...]
-    sporadic: tuple[int, ...]
-    complete: bool
-    dominance_from: int | None
+    __slots__ = ("progressions", "sporadic", "complete", "dominance_from")
+
+    def __init__(
+        self,
+        progressions: tuple[tuple[int, int], ...],
+        sporadic: tuple[int, ...],
+        complete: bool,
+        dominance_from: int | None,
+    ):
+        object.__setattr__(self, "progressions", progressions)
+        object.__setattr__(self, "sporadic", sporadic)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "dominance_from", dominance_from)
 
 
 def _section_cutoff(sec: LinearRecurrence, cap: int) -> int | None:
@@ -637,11 +645,14 @@ def zero_set(u: LinearRecurrence, search_bound: int) -> ZeroSetReport:
 # -- two-parameter closed forms ------------------------------------------------
 
 
-class MultiCoefficient(NamedTuple):
+class MultiCoefficient(namedtuple("MultiCoefficient", ["terms"])):
     """A coefficient of ``MultiRecurrence.terms``: rational values keyed by
-    (deg_m, deg_n)."""
+    (deg_m, deg_n).
 
-    terms: dict[tuple[int, int], Fraction]
+    ``terms`` is a dict[tuple[int, int], Fraction].
+    """
+
+    __slots__ = ()
 
 
 class MultiRecurrence:

@@ -175,7 +175,6 @@ def test_express_reads_stored_expressions_of_its_values():
 # basis, "sign" flips a generator's sign behind the bookkeeping, and
 # "hnf-sign" flips a sign entry of the HNF (caught at construction).
 _BROKEN_BASIS = """
-import dataclasses
 import sys
 from fractions import Fraction
 import recurquot.multiplicative as mult
@@ -211,7 +210,14 @@ try:
         basis.express(12)
     else:
         basis = mult.compute_basis((2, 3))
-        flipped = dataclasses.replace(basis, generators=(Fraction(-2), Fraction(3)))
+        flipped = mult.MultiplicativeBasis(
+            pairs=basis.pairs,
+            primes=basis.primes,
+            generators=(Fraction(-2), Fraction(3)),
+            matrix=basis.matrix,
+            generator_signs=basis.generator_signs,
+            expressions=basis.expressions,
+        )
         flipped.express(6)
 except VerificationFailed as exc:
     print("VerificationFailed:", exc)
