@@ -11,6 +11,7 @@ internal check (a library defect, not bad input).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -18,30 +19,64 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceError, VerificationFailed
 from .factorization import DEFAULT_FACTOR_LIMIT, factor_limit
-from .heights import (
-    LogSum,
-    SIntegerSpec,
-    decay_check,
-    product_formula_check,
-    vector_height,
-    weil_height,
-)
-from .integrality import (
-    FixedDenominator,
-    PolynomialDenominatorBound,
-    integrality_search,
-    obstruction_scan,
-)
-from .multiplicative import compute_basis
-from .parsing import parse_spec, render_spec
-from .places import Place
-from .quotient import (
-    NoClearance,
-    QuotientCertificate,
-    SectionResult,
-    solve_with_torsion_fallback,
-)
-from .recurrences import LinearRecurrence, MultiRecurrence, zero_set
+
+# The library names the handlers use, by the module that defines them.
+# ``_run`` binds the layers of the parsed subcommand (its ``layers``
+# default, set in ``build_parser``), so that a call imports only the
+# modules it runs.
+_LAYERS = {
+    "heights": (
+        "LogSum",
+        "SIntegerSpec",
+        "decay_check",
+        "product_formula_check",
+        "vector_height",
+        "weil_height",
+    ),
+    "integrality": (
+        "FixedDenominator",
+        "PolynomialDenominatorBound",
+        "integrality_search",
+        "obstruction_scan",
+    ),
+    "multiplicative": ("compute_basis",),
+    "parsing": ("parse_spec", "render_spec"),
+    "places": ("Place",),
+    "quotient": (
+        "NoClearance",
+        "QuotientCertificate",
+        "SectionResult",
+        "solve_with_torsion_fallback",
+    ),
+    "recurrences": ("LinearRecurrence", "MultiRecurrence", "zero_set"),
+}
+_LAYER_NAMES = frozenset(name for names in _LAYERS.values() for name in names)
+
+
+def _bind(layers) -> None:
+    """Bind the names of ``layers`` that are not bound yet.
+
+    A name already bound stays: it may be a wrapper that a caller put
+    on this module.
+    """
+    namespace = globals()
+    for layer in layers:
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in _LAYERS[layer]:
+            if name not in namespace:
+                namespace[name] = getattr(module, name)
+
+
+def __getattr__(name):
+    # A read from outside binds every layer at once, as an eager import
+    # would.  Binding only the name read is not enough: a caller that
+    # wraps a function on its defining module before it reads the name
+    # here would find its own wrapper bound and wrap it twice.
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYERS)
+    return globals()[name]
+
 
 VERSION_TAG = "recurquot/1"
 
@@ -125,9 +160,32 @@ def _outcome_doc(outcome) -> tuple[bool, dict]:
     return True, {"verdict": "certificate", "certificate": _certificate_doc(outcome)}
 
 
+# One search hit as ``json.dumps(..., sort_keys=True, indent=2)`` lays it
+# out in the document's top-level "hits" list.
+_HIT_LAYOUT = '    {\n      "d": %d,\n      "m": %d,\n      "n": %d\n    }'
+
+
+def _dumps(document: dict) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder, which is slow
+    on a search's long hit list; the hits are written in their fixed
+    layout instead.
+    """
+    hits = document.get("hits")
+    if not hits:
+        return json.dumps(document, sort_keys=True, indent=2)
+    text = json.dumps({**document, "hits": []}, sort_keys=True, indent=2)
+    # A raw newline is layout (strings escape theirs), and a two-space
+    # indent marks a top-level key, so this occurs once.
+    head, _, tail = text.partition('\n  "hits": []')
+    rows = ",\n".join([_HIT_LAYOUT % (h["d"], h["m"], h["n"]) for h in hits])
+    return f'{head}\n  "hits": [\n{rows}\n  ]{tail}'
+
+
 def _emit(document: dict, lines: list[str], json_mode: bool, out) -> None:
     if json_mode:
-        print(json.dumps(document, sort_keys=True, indent=2), file=out)
+        print(_dumps(document), file=out)
     else:
         for line in lines:
             print(line, file=out)
@@ -409,22 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, layers):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, layers=layers)
         return p
 
-    p = add("eval", _cmd_eval, "evaluate a recurrence on an index range")
+    p = add("eval", _cmd_eval, "evaluate a recurrence on an index range", ("parsing",))
     p.add_argument("spec")
     p.add_argument("--from", dest="start", type=int, default=0)
     p.add_argument("--to", dest="end", type=int, default=10)
 
-    p = add("zeros", _cmd_zeros, "certified zero set")
+    p = add("zeros", _cmd_zeros, "certified zero set", ("parsing", "recurrences"))
     p.add_argument("spec")
     p.add_argument("--bound", type=int, default=100)
 
-    p = add("quotient", _cmd_quotient, "divide one recurrence by another")
+    p = add("quotient", _cmd_quotient, "divide one recurrence by another",
+            ("parsing", "quotient", "recurrences"))
     p.add_argument("numerator")
     p.add_argument("divisor")
     p.add_argument(
@@ -436,27 +495,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="on a torsion root group, solve each section mod 2 instead",
     )
 
-    p = add("decimate", _cmd_decimate, "restrict to an arithmetic progression")
+    p = add("decimate", _cmd_decimate, "restrict to an arithmetic progression", ("parsing",))
     p.add_argument("spec")
     p.add_argument("-q", "--modulus", type=int, required=True)
     p.add_argument("-r", "--residue", type=int, required=True)
 
-    p = add("basis", _cmd_basis, "multiplicative basis of the roots")
+    p = add("basis", _cmd_basis, "multiplicative basis of the roots",
+            ("parsing", "multiplicative"))
     p.add_argument("specs", nargs="+")
 
-    p = add("heights", _cmd_heights, "exact Weil heights of rationals")
+    p = add("heights", _cmd_heights, "exact Weil heights of rationals", ("heights",))
     p.add_argument("values", nargs="+")
     p.add_argument(
         "--vector", action="store_true", help="treat all values as one vector"
     )
 
-    p = add("decay-check", _cmd_decay_check, "decay profile of |V(n)| at a place")
+    p = add("decay-check", _cmd_decay_check, "decay profile of |V(n)| at a place",
+            ("parsing", "places", "heights"))
     p.add_argument("spec")
     p.add_argument("--place", required=True, help="a prime, or 'inf'")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="end", type=int, required=True)
 
-    p = add("search", _cmd_search, "grid search for quasi-integral pairs")
+    p = add("search", _cmd_search, "grid search for quasi-integral pairs",
+            ("parsing", "heights", "integrality"))
     p.add_argument("numerator")
     p.add_argument("divisor")
     p.add_argument("--m-max", type=int, default=50)
@@ -465,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-primes", default="", help="comma-separated primes of S")
     p.add_argument("--totient", action="store_true")
 
-    p = add("obstruct", _cmd_obstruct, "mod-p obstruction certificate")
+    p = add("obstruct", _cmd_obstruct, "mod-p obstruction certificate",
+            ("parsing", "integrality"))
     p.add_argument("numerator")
     p.add_argument("divisor")
     p.add_argument("--progression", required=True, help="q,r for n = r mod q")
@@ -504,6 +567,7 @@ def _run(argv, out) -> int:
                     file=out,
                 )
                 return EXIT_INPUT
+    _bind(args.layers)
     try:
         try:
             with factor_limit(cap):

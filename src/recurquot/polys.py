@@ -56,6 +56,9 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

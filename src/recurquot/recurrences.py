@@ -117,6 +117,9 @@ class LinearRecurrence:
     def __setattr__(self, name, value):
         raise AttributeError("LinearRecurrence is immutable")
 
+    def __reduce__(self):
+        return LinearRecurrence, (self.cleared_terms, self.scale, self.base)
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -676,6 +679,9 @@ class MultiRecurrence:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiRecurrence is immutable")
+
+    def __reduce__(self):
+        return MultiRecurrence, (self.m_part, self.n_root)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction, MultiCoefficient], ...]:

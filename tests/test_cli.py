@@ -153,6 +153,25 @@ def test_search_s_primes_and_poly_policy():
     assert all(hit["d"] <= hit["n"] ** 2 for hit in doc["hits"])
 
 
+@pytest.mark.parametrize("numerator, divisor, m_max, least", [
+    ("mersenne3m.json", "mersenne2.json", 3000, 3000),
+    # 3 divides every 4^n - 1 and no 5^m.
+    ("power5.json", "mersenne4.json", 20, 0),
+])
+def test_search_json_is_json_dumps_byte_for_byte(numerator, divisor, m_max, least):
+    argv = ["search", DATA / numerator, DATA / divisor, "--m-max", m_max, "--n-max", 30,
+            "--d-policy", "fixed:1"]
+    code, text = run(*argv, "--json")
+    assert code == 0
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # The text report lists the same hits.
+    _, listing = run(*argv)
+    hits = [f"  m={h['m']} n={h['n']} d={h['d']}" for h in doc["hits"]]
+    assert listing.splitlines()[1:] == hits
+    assert len(hits) >= least and (least or not hits)
+
+
 def test_search_bad_policy():
     code, text = run(
         "search", DATA / "power5.json", DATA / "poly_nn.json", "--d-policy", "weird"

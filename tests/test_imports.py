@@ -7,9 +7,13 @@ appear as a name elsewhere in the module, either in code or in an
 annotation.  ``__init__.py`` is left out, since its imports are the
 package's exports.
 
-Every CLI call imports the whole package, so a module that pulls in
-``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
-``tokenize``) or ``typing`` costs every subcommand its start-up time.
+Every CLI call imports ``recurquot.cli``, which loads only ``errors``
+and ``factorization`` of the library; a subcommand then imports the
+layers it runs, and no others.  A module that pulls in ``dataclasses``
+(and with it ``inspect``, ``ast``, ``dis`` and ``tokenize``) or
+``typing`` would cost the subcommands that load it their start-up time.
+The bench tracer (``bench/tracing.py``) still finds every name it wraps
+on ``recurquot.cli``, bound to the object its module defines.
 """
 
 import ast
@@ -20,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "recurquot"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "recurquot"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 HEAVY = frozenset({"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"})
 
@@ -104,26 +109,124 @@ def test_the_check_sees_a_dataclasses_import():
     assert imported_modules(tree) == {"dataclasses", "os"}
 
 
-def test_cold_cli_import_loads_no_heavy_module():
-    """A fresh interpreter imports recurquot.cli without any of HEAVY.
+def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter, with ``-O`` when the suite runs under it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    flags = ["-O"] * sys.flags.optimize
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=60, cwd=ROOT,
+    )
 
-    Only modules that the import itself adds count, so a site hook that
-    preloads one of them does not fail the check.
+
+def test_cold_cli_import_loads_no_heavy_module():
+    """A fresh interpreter imports recurquot.cli, and then every layer a
+    subcommand may load, without any of HEAVY.
+
+    Only modules that the imports themselves add count, so a site hook
+    that preloads one of them does not fail the check.
     """
     script = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import recurquot.cli\n"
+        "from recurquot import *\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    flags = ["-O"] * sys.flags.optimize
-    result = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = fresh_python(script)
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
-    assert "recurquot.cli" in added
-    assert not added & HEAVY, f"importing recurquot.cli loads {sorted(added & HEAVY)}"
+    assert {"recurquot.cli", "recurquot.quotient", "recurquot.integrality"} <= added
+    assert not added & HEAVY, f"importing recurquot loads {sorted(added & HEAVY)}"
+
+
+# ``python -m recurquot``, then the loaded modules on stderr.
+RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('recurquot', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+)
+SOLVERS = {"groupring", "multiplicative", "quotient", "integrality", "heights"}
+
+# (golden output, argv, layers the subcommand must not load)
+SCOPES = [
+    ("eval_mersenne.txt", ["eval", "tests/data/mersenne2.json", "--from", "0", "--to", "5"],
+     SOLVERS),
+    ("zeros_torsion.json", ["zeros", "tests/data/torsion.json", "--bound", "40", "--json"],
+     SOLVERS),
+    ("decimate_even.json",
+     ["decimate", "tests/data/torsion.json", "-q", "2", "-r", "0", "--json"], SOLVERS),
+    ("heights_scalar.json", ["heights", "3/2", "--json"],
+     {"parsing", "quotient", "groupring", "integrality", "multiplicative"}),
+    ("quotient_clearance.json",
+     ["quotient", "tests/data/power5.json", "tests/data/poly_nn.json",
+      "--mode", "clearance", "--json"], {"integrality", "heights"}),
+]
+
+
+@pytest.mark.parametrize("golden, argv, unused", SCOPES, ids=[argv[0] for _, argv, _ in SCOPES])
+def test_a_subcommand_loads_only_its_layers(golden, argv, unused):
+    result = fresh_python(RUN_CLI, *argv)
+    assert result.returncode == 0
+    assert result.stdout == (ROOT / "tests" / "golden" / golden).read_text()
+    loaded = {m.partition(".")[2] for m in result.stderr.split() if m.startswith("recurquot.")}
+    assert "cli" in loaded
+    assert not loaded & unused, f"{argv[0]} loads {sorted(loaded & unused)}"
+
+
+def tracer_points() -> list[str]:
+    """The ``recurquot.cli:name`` places of ``POINTS`` in ``bench/tracing.py``."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "POINTS")
+    places = [place for _, places in ast.literal_eval(table) for place in places]
+    return [place for place in places if place.startswith("recurquot.cli:")]
+
+
+def test_the_bench_tracer_has_cli_points():
+    assert "recurquot.cli:compute_basis" in tracer_points()
+    assert "recurquot.cli:main" in tracer_points()
+
+
+def test_bench_tracer_names_resolve_on_a_fresh_cli():
+    """Each ``recurquot.cli`` name the tracer wraps is, on a fresh import, the
+    object that its defining module holds, read in the tracer's order."""
+    script = (
+        "import importlib, sys\n"
+        "cli = importlib.import_module('recurquot.cli')\n"
+        "for name in sys.argv[1:]:\n"
+        "    value = getattr(cli, name)\n"
+        "    owner = sys.modules[value.__module__]\n"
+        "    print(name, value.__module__, getattr(owner, name) is value)\n"
+    )
+    names = [place.partition(":")[2] for place in tracer_points()]
+    result = fresh_python(script, *names)
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert [row[0] for row in rows] == names
+    for name, module, same in rows:
+        assert module.startswith("recurquot.") and same == "True", (name, module)
+
+
+def test_the_bench_tracer_wraps_each_cli_name_once():
+    """Installed on a fresh process, the tracer counts one search's grid
+    once: a name it wraps on its module first is not wrapped twice here."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "import io, tracing\n"
+        "import recurquot.cli as cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "cli.main(sys.argv[1:], out=io.StringIO())\n"
+        "spans, counters = tracer.take()\n"
+        "print(counters.get('integrality.cells'), sum(s[0] == 'integrality.search' for s in spans))\n"
+    )
+    argv = ["search", "tests/data/mersenne3m.json", "tests/data/mersenne2.json",
+            "--m-max", "8", "--n-max", "4", "--d-policy", "fixed:1"]
+    result = fresh_python(script, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["32", "1"]

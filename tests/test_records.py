@@ -15,10 +15,12 @@ from recurquot import (
     BadPrime,
     DecayReport,
     FixedDenominator,
+    GroupRingElement,
     HyperplaneForm,
     InputError,
     LogSum,
     MultiplicativeBasis,
+    MultiRecurrence,
     NoClearance,
     ObstructionReport,
     Place,
@@ -31,7 +33,12 @@ from recurquot import (
     UniPoly,
     ZeroInput,
     ZeroSetReport,
+    cross_quotient,
+    from_closed_form,
     geometric,
+    parse_spec,
+    polynomial,
+    polynomial_clearance,
 )
 from recurquot.parsing import Token
 
@@ -171,13 +178,7 @@ def test_records_are_immutable(cls, kwargs, text):
     assert cls(**kwargs) == record
 
 
-# UniPoly and LinearRecurrence refuse the default unpickling, which
-# restores slots by assignment, so a certificate of real objects does not
-# pickle; test_certificate_record_pickles covers the record itself.
-PICKLED = [case for case in RECORDS if case[0] is not QuotientCertificate]
-
-
-@pytest.mark.parametrize("cls, kwargs, text", PICKLED, ids=[c.__name__ for c, _, _ in PICKLED])
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
 def test_pickle_round_trip(cls, kwargs, text):
     record = cls(**kwargs)
     copy = pickle.loads(pickle.dumps(record))
@@ -187,10 +188,45 @@ def test_pickle_round_trip(cls, kwargs, text):
     assert repr(copy) == text
 
 
+def round_trip(value):
+    """The unpickled copy, after checking that it equals and hashes as the value."""
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value and hash(copy) == hash(value)
+    assert repr(copy) == repr(value)
+    return copy
+
+
 def test_certificate_record_pickles():
-    record = QuotientCertificate("P", "Q", "V/P", 2)
-    copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is QuotientCertificate and copy == record
+    # 2^n / (n + 1): the clearing polynomial is n + 1 itself.
+    record = polynomial_clearance(geometric(2), polynomial((1, 1)))
+    assert isinstance(record, QuotientCertificate)
+    copy = round_trip(record)
+    assert copy.clearing_poly == UniPoly((1, 1)) and copy.quotient == geometric(2)
+    # (3^m - 1) / (2n * 2^n): the quotient is a two-index form.
+    cross = cross_quotient(
+        from_closed_form([(3, UniPoly((1,))), (1, UniPoly((-1,)))]),
+        from_closed_form([(2, UniPoly((0, 2)))]),
+    )
+    assert isinstance(round_trip(cross).quotient, MultiRecurrence)
+
+
+def test_refusal_with_a_witness_pickles():
+    # 2^n + 3^n over 2^n - 3^n: the witness is a group-ring element.
+    refusal = polynomial_clearance(
+        from_closed_form([(2, UniPoly((1,))), (3, UniPoly((1,)))]),
+        from_closed_form([(2, UniPoly((1,))), (3, UniPoly((-1,)))]),
+    )
+    assert isinstance(refusal, NoClearance) and isinstance(refusal.witness, GroupRingElement)
+    copy = round_trip(refusal)
+    assert copy.witness.basis == refusal.witness.basis
+    assert copy.witness.terms == refusal.witness.terms
+
+
+def test_spec_with_a_closed_form_pickles():
+    spec = parse_spec('{"var": "N", "closed_form": [{"root": "2", "coeff": "N + 1/2"}]}')
+    copy = round_trip(spec)
+    assert copy.to_recurrence() == spec.to_recurrence()
 
 
 def test_equality_stays_within_one_class():
