@@ -69,38 +69,64 @@ class SearchHit(Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _row(cls, n: int, row) -> list["SearchHit"]:
+        """Trusted: the hits (m, n, d) for the pairs (m, d) of one row.
+
+        Each field is set through its slot descriptor, so no hit runs
+        ``__init__``.
+        """
+        new, set_m, set_n, set_d = object.__new__, cls.m.__set__, cls.n.__set__, cls.d.__set__
+        hits = []
+        for m, d in row:
+            hit = new(cls)
+            set_m(hit, m)
+            set_n(hit, n)
+            set_d(hit, d)
+            hits.append(hit)
+        return hits
+
 
 def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes):
-    """A re-check that d * U(m)/V(n) is an S-integer, apart from the search.
+    """A re-check of one row's hits, apart from the search.
 
     Only the clearing of U, with the factorization ``primes_b`` of its
-    B, is shared with the search: ``value`` is V(n) evaluated afresh,
-    and ``check(m, d)`` recomputes W_u(m) = c * B^m * U(m) with one
-    ``pow`` per root, not by the stepper, modulo the part of the S-free
+    B, is shared with the search: ``value`` is V(n) evaluated afresh.
+    ``check(row)`` takes the row's hits as pairs (m, d), in order, and
+    checks in one loop that each d * U(m)/V(n) is an S-integer.  It
+    recomputes W_u(m) = c * B^m * U(m) with one ``pow`` per root, not by
+    the stepper, modulo need: the part of the S-free
     M = c * B^m * |num V(n)| that d * den V(n) does not already cover.
-    It raises VerificationFailed when W_u(m) is not 0 there.
+    need's part coprime to B depends on d alone, so it is computed once
+    per distinct d.  It raises VerificationFailed at the first hit whose
+    W_u(m) is not 0 there.
     """
     if value == 0:
         raise VerificationFailed(f"a hit in row n={n}, where V(n) = 0")
     rest = u.scale * abs(value.numerator)
     free = _outside_part(rest, [*s_primes, *primes_b])
     powers = [(p, k, _int_valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
+    terms = [(root, coeffs[::-1]) for root, coeffs in u.cleared_terms]
 
     den = value.denominator
 
-    def check(m: int, d: int) -> None:
-        cover = d * den
-        need = free // math.gcd(cover, free)
-        for p, k, e in powers:
-            need *= p ** max(0, e + k * m - _int_valuation(cover, p))
-        w = 0
-        for root, coeffs in u.cleared_terms:
-            poly = 0
-            for c in reversed(coeffs):
-                poly = poly * m + c
-            w += poly * pow(root, m, need)
-        if w % need:
-            raise VerificationFailed(f"hit (m={m}, n={n}, d={d}) failed re-verification")
+    def check(row) -> None:
+        free_needs = {}  # d -> the part of need coprime to B
+        for m, d in row:
+            cover = d * den
+            need = free_needs.get(d)
+            if need is None:
+                need = free_needs[d] = free // math.gcd(cover, free)
+            for p, k, e in powers:
+                need *= p ** max(0, e + k * m - _int_valuation(cover, p))
+            w = 0
+            for root, coeffs in terms:
+                poly = 0
+                for c in coeffs:
+                    poly = poly * m + c
+                w += poly * pow(root, m, need)
+            if w % need:
+                raise VerificationFailed(f"hit (m={m}, n={n}, d={d}) failed re-verification")
 
     return check
 
@@ -221,9 +247,16 @@ def integrality_search(
     built only when the rows would otherwise walk more than m_max cells in
     all and bits(L) * m_max is at most ``_TABLE_BITS``; otherwise each row
     walks its own cells, or classes, modulo its modulus.  A totient
-    candidate past m_max takes one ``walk`` of its own.  Every hit is
-    re-verified by ``_hit_check``, which recomputes W_u(m) with a ``pow``
-    per root and never reads the table, before it is returned.
+    candidate past m_max takes one ``walk`` of its own.
+
+    Each row then runs as one pass.  A cell costs one remainder under a
+    FixedDenominator d (free / gcd(free, d) must divide W_u(m) * den)
+    and one gcd, compared with ceil(free / n^exponent), under a
+    PolynomialDenominatorBound.  Only the cells accepted pay the division
+    that gives d_min and read the B-part.  The row's hits are then
+    re-verified together by ``_hit_check``, in one loop with a ``pow``
+    per root per hit that never reads the table, before they are built
+    as records.
     """
     if m_max < 1 or n_max < 1:
         raise InputError("grid bounds must be >= 1")
@@ -308,12 +341,13 @@ def integrality_search(
     table = None if modulus is None else _residue_table(u, m_max, modulus)
 
     def row_cells(free, sieve):
-        """(m, W_u(m) mod free) for every m <= m_max that can be a hit."""
+        """(m, r) for every m <= m_max that can be a hit, r = W_u(m) modulo
+        free or, read from the table, modulo L."""
         ms = _row_indices(m_max, sieve)
         if table is not None:
             if sieve is None:
-                return zip(ms, map(free.__rmod__, islice(table, 1, None)))
-            return ((m, table[m] % free) for m in ms)
+                return zip(ms, islice(table, 1, None))
+            return ((m, table[m]) for m in ms)
         if sieve is None:
             return zip(ms, u.walk(1, modulus=free))
         # The classes are increasing in 1..t, so m runs through them in
@@ -324,33 +358,42 @@ def integrality_search(
 
     hits: list[SearchHit] = []
     for n, num, den, bound, free, sieve in plans:
-        check = None  # the row's re-verification, set up on its first hit
-        width = bound.bit_length()
-        row_shifts = shifts(num, den)
         cells = row_cells(free, sieve)
         if totient and den == 1 and num > 0:
             phi = euler_phi(num)
             if phi > m_max:
                 cells = chain(cells, [(phi, next(u.walk(phi, modulus=free)))])
-        for m, residue in cells:
-            d_min = free // math.gcd(residue * den, free)
-            # Rejected here, d_min stays rejected: the B-part only
+        # The part of d_min coprime to B is free / gcd(W_u(m) * den, free).
+        if fixed:
+            # It divides d exactly when need = free / gcd(free, d) divides
+            # W_u(m) * den: prime by prime, v_p(W_u(m) * den) >=
+            # v_p(free) - min(v_p(free), v_p(d)).  That is one remainder
+            # per cell.
+            need = free // math.gcd(free, bound)
+            row = [(m, free // math.gcd(r * den, free)) for m, r in cells if not r * den % need]
+        else:
+            # It is at most n^e exactly when the gcd is at least free / n^e.
+            least = -(-free // bound)
+            row = [(m, free // g) for m, r in cells if (g := math.gcd(r * den, free)) >= least]
+        if b_part and row:
+            # Rejected above, d_min stays rejected: the B-part only
             # multiplies it by primes outside free.
-            if bound % d_min if fixed else d_min > bound:
-                continue
-            if b_part:
+            row_shifts = shifts(num, den)
+            width = bound.bit_length()
+            kept = []
+            for m, d_min in row:
                 for (p, k, c_p), s, t in zip(b_part, row_shifts, vals_at(m)):
                     e = c_p + m * k + s - t
                     if e > 0:
                         # p^width > bound already rejects, so larger
                         # powers of p are never built.
                         d_min *= p ** min(e, width)
-                if bound % d_min if fixed else d_min > bound:
-                    continue
-            if check is None:
-                check = _hit_check(u, primes_b, n, v.evaluate(n), s_primes)
-            check(m, d_min)
-            hits.append(SearchHit(m, n, d_min))
+                if not (bound % d_min if fixed else d_min > bound):
+                    kept.append((m, d_min))
+            row = kept
+        if row:
+            _hit_check(u, primes_b, n, v.evaluate(n), s_primes)(row)
+            hits += SearchHit._row(n, row)
     return hits
 
 

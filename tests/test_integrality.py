@@ -1,3 +1,4 @@
+import pickle
 import time
 from fractions import Fraction
 
@@ -254,3 +255,61 @@ for u, n_max in ((from_closed_form([(3, 1), (1, -1)]), 4),
 
 def test_wrong_residue_is_caught_under_optimize():
     assert_caught_under_optimize(_WRONG_STEPPER, count=2)
+
+
+# One cell's residue is wrong, mid-row: W(m) = (m - 3) * 3^m is 0 mod 31
+# only at m = 3 and m = 34 below 40, and the stepper reads 0 at m = 10 too.
+# The period of W mod 31 is 930, so the row reads every cell, and the hit
+# at m = 10 sits between two true ones: a re-check of the row's first hit
+# alone would pass it.
+_ONE_WRONG_CELL = """
+import sys
+from recurquot.errors import VerificationFailed
+from recurquot.integrality import (
+    FixedDenominator, PolynomialDenominatorBound, integrality_search,
+)
+from recurquot.polys import UniPoly
+from recurquot.recurrences import LinearRecurrence, constant, from_closed_form
+
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+real_walk = LinearRecurrence.walk
+
+
+def wrong_walk(self, start, step=1, modulus=None):
+    for k, value in enumerate(real_walk(self, start, step, modulus)):
+        yield 0 if modulus == 31 and start + k * step == 10 else value
+
+
+LinearRecurrence.walk = wrong_walk
+u = from_closed_form([(3, UniPoly((-3, 1)))])
+for policy in (FixedDenominator(1), PolynomialDenominatorBound(0)):
+    try:
+        hits = integrality_search(u, constant(31), 40, 1, policy)
+    except VerificationFailed as exc:
+        if str(exc) == "hit (m=10, n=1, d=1) failed re-verification":
+            print("VerificationFailed:", exc)
+        else:
+            print("another hit was named:", exc)
+    else:
+        print("wrong hits returned unchecked:", hits)
+"""
+
+
+def test_one_wrong_hit_mid_row_is_caught_under_optimize():
+    assert_caught_under_optimize(_ONE_WRONG_CELL, count=2)
+
+
+def test_search_built_hits_match_the_public_constructor():
+    hits = integrality_search(mersenne(5), mersenne(2), 12, 6, FixedDenominator(6))
+    assert len({h.d for h in hits}) > 1
+    for hit in hits:
+        public = SearchHit(hit.m, hit.n, hit.d)
+        assert type(hit) is SearchHit
+        assert hit == public and hash(hit) == hash(public)
+        assert repr(hit) == repr(public) == f"SearchHit(m={hit.m}, n={hit.n}, d={hit.d})"
+        assert pickle.loads(pickle.dumps(hit)) == public
+        with pytest.raises(AttributeError):
+            hit.d = 1
+        with pytest.raises(AttributeError):
+            del hit.m

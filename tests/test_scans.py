@@ -76,6 +76,23 @@ def mersenne(base):
 @example(from_closed_form([(F(1), F(6))]),
          from_closed_form([(F(1), UniPoly((F(-3), F(1))))]), 2, 5,
          FixedDenominator(2), SIntegerSpec([2]))
+# fixed:3 over V = 9/2 with U = (5^m + 2)/2: the row's modulus is 18, and
+# gcd(18, 3) = 3 leaves 6 to divide W(m) * den = (5^m + 2) * 2.  W(m) is
+# odd, so an even m passes only through den's 2.
+@example(from_closed_form([(F(5), F(1, 2)), (F(1), F(1))]), constant(F(9, 2)), 8, 1,
+         FixedDenominator(3), None)
+# poly:2 over V = 15, row n = 2: at m = 2, gcd(W, 15) = 3 is below
+# ceil(15 / 4) = 4, and d_min = 5 just misses the bound 4.
+@example(mersenne(2), constant(15), 4, 2, PolynomialDenominatorBound(2), None)
+# U(m) = (3^m - 2^m) / 2^m over V = 5: d_min = 2^m, times 5 for odd m.  Row
+# n = 4 accepts m = 4 with d_min = 16 = 4^2 exactly, though 5 / 16 is not an
+# integer; in row 2 the first test accepts m = 4 and its B-part 16 > 4 then
+# rejects it.  Under fixed:20, m = 3 and m = 4 pass the first test (need 1)
+# and fail on the B-part.
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]), constant(5), 6, 4,
+         PolynomialDenominatorBound(2), None)
+@example(from_closed_form([(F(3, 2), F(1)), (F(1), F(-1))]), constant(5), 4, 1,
+         FixedDenominator(20), None)
 def test_search_matches_fraction_oracle(u, v, m_max, n_max, policy, s_spec):
     assert outcome(integrality_search, u, v, m_max, n_max, policy, s_spec) == outcome(
         fraction_search, u, v, m_max, n_max, policy, s_spec
