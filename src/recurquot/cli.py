@@ -15,6 +15,7 @@ import importlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, ResourceError, VerificationFailed
@@ -183,9 +184,30 @@ def _dumps(document: dict) -> str:
     return f'{head}\n  "hits": [\n{rows}\n  ]{tail}'
 
 
+@contextmanager
+def _as_text():
+    """Turn values into text, refusing one past the interpreter's digit limit.
+
+    Python refuses to write an integer of more than
+    ``sys.get_int_max_str_digits()`` digits with a ``ValueError``; that is
+    the only ``ValueError`` such a block raises, and it becomes a resource
+    limit (exit code 3).
+    """
+    try:
+        yield
+    except ValueError:
+        raise ResourceError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's limit for writing an integer as text "
+            "(PYTHONINTMAXSTRDIGITS=0 lifts it)"
+        ) from None
+
+
 def _emit(document: dict, lines: list[str], json_mode: bool, out) -> None:
     if json_mode:
-        print(_dumps(document), file=out)
+        with _as_text():
+            text = _dumps(document)
+        print(text, file=out)
     else:
         for line in lines:
             print(line, file=out)
@@ -199,9 +221,11 @@ def _cmd_eval(args):
     if args.start > args.end:
         raise InputError("--from must not exceed --to")
     values = [(n, rec.evaluate(n)) for n in range(args.start, args.end + 1)]
+    with _as_text():
+        values = [(n, str(v)) for n, v in values]
     doc = {
         "recurrence": _recurrence_doc(rec, spec.var.lower()),
-        "values": [{"n": n, "value": str(v)} for n, v in values],
+        "values": [{"n": n, "value": v} for n, v in values],
     }
     lines = [f"{spec.var.lower()} -> {rec.render(spec.var.lower())}"]
     lines += [f"  {n}: {v}" for n, v in values]
@@ -236,55 +260,58 @@ def _cmd_quotient(args):
     _, u = _load_spec(args.numerator)
     _, v = _load_spec(args.divisor)
     outcome = solve_with_torsion_fallback(u, v, args.mode, decimate=args.decimate)
-    if isinstance(outcome, list):
-        sections = []
-        all_positive = True
-        for sec in outcome:
-            assert isinstance(sec, SectionResult)
-            if sec.outcome == "divisor-vanishes":
-                positive, sub = True, {"verdict": "divisor-vanishes"}
-            else:
-                positive, sub = _outcome_doc(sec.outcome)
-            all_positive = all_positive and positive
-            sections.append(
-                {"modulus": sec.modulus, "offsets": list(sec.offsets), **sub}
-            )
-        doc = {"mode": args.mode, "decimated": True, "sections": sections}
-        lines = [f"torsion roots: solved on sections mod {sections[0]['modulus']}"]
-        for sec in sections:
-            lines.append(f"  offsets {sec['offsets']}: {sec['verdict']}")
-        return (EXIT_OK if all_positive else EXIT_NEGATIVE), doc, lines
-    positive, sub = _outcome_doc(outcome)
-    doc = {"mode": args.mode, "decimated": False, **sub}
-    lines = [f"verdict: {sub['verdict']}"]
-    if positive and "quotient" in sub:
-        lines.append(f"quotient: {sub['quotient']['rendered']}")
-    if positive and "certificate" in sub:
-        cert = sub["certificate"]
-        lines.append(f"P = {cert['clearing_poly']}")
-        lines.append(f"quotient: {cert['quotient']['rendered']}")
-        lines.append(f"V/P: {cert['v_over_p']['rendered']}")
-        lines.append(f"min denominator: {cert['min_denominator']}")
-    if not positive:
-        if "witness" in sub:
-            lines.append(f"witness: {sub['witness']}")
-        if "detail" in sub:
-            lines.append(sub["detail"])
-    return (EXIT_OK if positive else EXIT_NEGATIVE), doc, lines
+    # The quotient's integers can outgrow the inputs' (a product of two scales).
+    with _as_text():
+        if isinstance(outcome, list):
+            sections = []
+            all_positive = True
+            for sec in outcome:
+                assert isinstance(sec, SectionResult)
+                if sec.outcome == "divisor-vanishes":
+                    positive, sub = True, {"verdict": "divisor-vanishes"}
+                else:
+                    positive, sub = _outcome_doc(sec.outcome)
+                all_positive = all_positive and positive
+                sections.append(
+                    {"modulus": sec.modulus, "offsets": list(sec.offsets), **sub}
+                )
+            doc = {"mode": args.mode, "decimated": True, "sections": sections}
+            lines = [f"torsion roots: solved on sections mod {sections[0]['modulus']}"]
+            for sec in sections:
+                lines.append(f"  offsets {sec['offsets']}: {sec['verdict']}")
+            return (EXIT_OK if all_positive else EXIT_NEGATIVE), doc, lines
+        positive, sub = _outcome_doc(outcome)
+        doc = {"mode": args.mode, "decimated": False, **sub}
+        lines = [f"verdict: {sub['verdict']}"]
+        if positive and "quotient" in sub:
+            lines.append(f"quotient: {sub['quotient']['rendered']}")
+        if positive and "certificate" in sub:
+            cert = sub["certificate"]
+            lines.append(f"P = {cert['clearing_poly']}")
+            lines.append(f"quotient: {cert['quotient']['rendered']}")
+            lines.append(f"V/P: {cert['v_over_p']['rendered']}")
+            lines.append(f"min denominator: {cert['min_denominator']}")
+        if not positive:
+            if "witness" in sub:
+                lines.append(f"witness: {sub['witness']}")
+            if "detail" in sub:
+                lines.append(sub["detail"])
+        return (EXIT_OK if positive else EXIT_NEGATIVE), doc, lines
 
 
 def _cmd_decimate(args):
     spec, rec = _load_spec(args.spec)
     section = rec.decimate(args.modulus, args.residue)
-    doc = {
-        "modulus": args.modulus,
-        "residue": args.residue,
-        "section": _recurrence_doc(section, spec.var.lower()),
-        "spec": render_spec(section, name=spec.name, var=spec.var),
-    }
-    lines = [
-        f"U({args.modulus}k + {args.residue}) = {section.render('k')}",
-    ]
+    with _as_text():
+        doc = {
+            "modulus": args.modulus,
+            "residue": args.residue,
+            "section": _recurrence_doc(section, spec.var.lower()),
+            "spec": render_spec(section, name=spec.name, var=spec.var),
+        }
+        lines = [
+            f"U({args.modulus}k + {args.residue}) = {section.render('k')}",
+        ]
     return EXIT_OK, doc, lines
 
 
@@ -410,8 +437,11 @@ def _cmd_search(args):
         "d_policy": args.d_policy,
         "totient": args.totient,
         "s_primes": s_spec.sorted() if s_spec else [],
-        "hits": [{"m": h.m, "n": h.n, "d": h.d} for h in hits],
     }
+    # A grid can have 10^5 hits: build only the format that is printed.
+    if args.json:
+        doc["hits"] = [{"m": h.m, "n": h.n, "d": h.d} for h in hits]
+        return EXIT_OK, doc, []
     lines = [f"{len(hits)} hit(s) on m <= {args.m_max}, n <= {args.n_max}"]
     lines += [f"  m={h.m} n={h.n} d={h.d}" for h in hits]
     return EXIT_OK, doc, lines
@@ -572,8 +602,13 @@ def _run(argv, out) -> int:
         try:
             with factor_limit(cap):
                 code, doc, lines = args.handler(args)
+            document = {"version": VERSION_TAG, "command": args.command, **doc}
+            _emit(document, lines, args.json, out)
         except ResourceError as exc:
             print(f"resource limit: {exc}", file=out)
+            return EXIT_RESOURCE
+        except MemoryError:
+            print("resource limit: out of memory", file=out)
             return EXIT_RESOURCE
         except InputError as exc:
             # A TorsionGroup finds its witness when its message is read,
@@ -584,8 +619,6 @@ def _run(argv, out) -> int:
         print(f"internal check failed (a defect in recurquot, not in the input): {exc}",
               file=out)
         return EXIT_INTERNAL
-    document = {"version": VERSION_TAG, "command": args.command, **doc}
-    _emit(document, lines, args.json, out)
     return code
 
 

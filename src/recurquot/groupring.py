@@ -14,8 +14,8 @@ stored P and convert nothing.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from operator import add, gt, sub
 
 from .errors import BasisMismatch, BothZero, InputError, ZeroInput
 from .multiplicative import MultiplicativeBasis
@@ -43,7 +43,7 @@ def _zz_primitive(f: dict) -> dict:
 
 
 def _degrees(f: dict) -> list[int]:
-    return [max(col) for col in zip(*f)]
+    return list(map(max, zip(*f)))
 
 
 def _zz_divide(f: dict, g: dict) -> dict | None:
@@ -51,26 +51,29 @@ def _zz_divide(f: dict, g: dict) -> dict | None:
 
     Lex-order division generates the quotient's terms from the top, so
     a term outside the degree box deg(f) - deg(g) or a leading
-    coefficient that the divisor's does not divide ends it early.
+    coefficient that the divisor's does not divide ends it early.  The
+    remainder's lead is popped, as the quotient term cancels it exactly,
+    and only the divisor's other terms are subtracted.
     """
     ge = max(g)
     gc = g[ge]
-    box = [a - b for a, b in zip(_degrees(f), _degrees(g))]
-    if any(b < 0 for b in box):
+    tail = [(e, c) for e, c in g.items() if e != ge]
+    box = list(map(sub, _degrees(f), _degrees(g)))
+    if min(box) < 0:
         return None
     q: dict[tuple[int, ...], int] = {}
     r = dict(f)
     while r:
         re = max(r)
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 or d > b for d, b in zip(diff, box)):
+        diff = tuple(map(sub, re, ge))
+        if min(diff) < 0 or any(map(gt, diff, box)):
             return None
-        c, rest = divmod(r[re], gc)
+        c, rest = divmod(r.pop(re), gc)
         if rest:
             return None
         q[diff] = c
-        for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(diff, e2))
+        for e2, c2 in tail:
+            key = tuple(map(add, diff, e2))
             v = r.get(key, 0) - c * c2
             if v:
                 r[key] = v
@@ -83,7 +86,7 @@ def _zz_mul(f: dict, g: dict) -> dict:
     out: dict[tuple[int, ...], int] = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
+            key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -98,7 +101,9 @@ def _zz_mul(f: dict, g: dict) -> dict:
 # (as a polynomial in v_0) lies below xi / 2 in size, so a q of positive
 # degree in any variable would be non-constant or larger than xi / 2 at
 # xi.  Hence q = +-1, and acceptance by exact trial division is a proof,
-# not a guess.
+# not a guess.  A candidate equal to 1 skips the trial division: 1
+# divides both inputs, which is all that acceptance asks of it, so the
+# same argument proves that the inputs are coprime.
 #
 # The loop ends.  Write f = h * f' and g = h * g' with f', g' coprime.
 # Outside the roots in v_0 of the resultants Res_{v_j}(f', g') and of the
@@ -114,11 +119,12 @@ def _zz_mul(f: dict, g: dict) -> dict:
 def _eval_main(f: dict, xi: int) -> dict:
     """Substitute v_0 = xi, leaving a polynomial in the remaining variables."""
     powers = [1]
-    for _ in range(max(e[0] for e in f)):
+    for _ in range(max(f)[0]):
         powers.append(powers[-1] * xi)
     out: dict[tuple[int, ...], int] = {}
     for e, c in f.items():
-        out[e[1:]] = out.get(e[1:], 0) + c * powers[e[0]]
+        rest = e[1:]
+        out[rest] = out.get(rest, 0) + c * powers[e[0]]
     return {e: c for e, c in out.items() if c}
 
 
@@ -153,6 +159,8 @@ def _heu_gcd(f: dict, g: dict, k: int) -> dict:
         ff, gg = _eval_main(f, xi), _eval_main(g, xi)
         if ff and gg:
             h = _zz_primitive(_interpolate(_heu_gcd(ff, gg, k - 1), xi))
+            if h == {(0,) * k: 1}:
+                return {(0,) * k: cont}
             if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
                 return {e: c * cont for e, c in h.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
@@ -342,7 +350,7 @@ def to_group_ring(
     low = tuple(map(min, zip(*exponents)))
     poly = {}
     for te, (_, coeffs) in zip(exponents, u.cleared_terms):
-        shifted = tuple(map(operator.sub, te, low))
+        shifted = tuple(map(sub, te, low))
         for d, c in enumerate(coeffs):
             if c:
                 poly[(d, *shifted)] = c

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -380,3 +382,73 @@ def test_missing_torsion_witness_exits_4(monkeypatch):
     assert code == 4
     assert text.startswith("internal check failed")
     assert "no kernel witness" in text
+
+
+# sha256 of the outputs recorded before the search handler built one format
+# only; both formats must stay byte for byte what they were.
+@pytest.mark.parametrize("argv, digest", [
+    (["mersenne3m.json", "mersenne2.json", "--m-max", 300, "--n-max", 12,
+      "--d-policy", "fixed:1"],
+     "cdf07770bbe48d3e6d5a21a496ed1cb0d4bb4f513bf30a8c1059e4ccc5bf5ef4"),
+    (["mersenne3m.json", "mersenne2.json", "--m-max", 300, "--n-max", 12,
+      "--d-policy", "fixed:1", "--json"],
+     "1cbc2f6f858cb401e586d2ab14c0c0ca7da9e7e148065f78cbdc4b9f43145a34"),
+    (["power5.json", "poly_nn.json", "--m-max", 20, "--n-max", 6,
+      "--d-policy", "poly:2", "--s-primes", 5],
+     "a99f61ed59149492eac655b8267d17ff4f16a0284ccc0538b8817ffe4d74db5a"),
+    (["power5.json", "poly_nn.json", "--m-max", 20, "--n-max", 6,
+      "--d-policy", "poly:2", "--s-primes", 5, "--json"],
+     "97cfcef9c9b2ef2556f3974c2639e2a9a4bd32898d260e95985b031c38b6d0d6"),
+], ids=["fixed-text", "fixed-json", "poly-text", "poly-json"])
+def test_search_output_bytes_are_unchanged(argv, digest):
+    code, text = run("search", DATA / argv[0], DATA / argv[1], *argv[2:])
+    assert code == 0
+    assert text.count("m=") + text.count('"m":') > 30
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter writes integers of any length")
+@pytest.mark.parametrize("argv", [
+    # 3^100000 - 1 has 47,713 digits.
+    ["eval", DATA / "mersenne3m.json", "--from", 100000, "--to", 100000],
+    ["eval", DATA / "mersenne3m.json", "--from", 100000, "--to", 100000, "--json"],
+    ["decimate", DATA / "mersenne3m.json", "-q", 100000, "-r", 0],
+], ids=["eval", "eval-json", "decimate"])
+def test_integer_past_the_digit_limit_exits_3(argv):
+    code, text = run(*argv)
+    assert code == 3
+    assert text.startswith("resource limit: a value has more than")
+    assert text.count("\n") == 1 and "Traceback" not in text
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter writes integers of any length")
+@pytest.mark.parametrize("u_terms, v_terms, argv", [
+    # 10^3000 * 3^n over 10^-3000: the quotient 10^6000 * 3^n has 6,001 digits.
+    ([("3", "1" + "0" * 3000)], [("1", "1/1" + "0" * 3000)], ["quotient"]),
+    # The JSON report holds U's scale, the lcm of its coprime denominators
+    # 10^3000 + 1 and 10^3000: 6,001 digits.
+    ([("3", "1/1" + "0" * 2999 + "1"), ("1", "1/1" + "0" * 3000)], [("2", "1"), ("1", "-1")],
+     ["obstruct", "--progression", "3,0", "--prime", 7, "--json"]),
+], ids=["quotient", "obstruct-json"])
+def test_outputs_past_the_digit_limit_exit_3(tmp_path, u_terms, v_terms, argv):
+    for name, terms in (("u.json", u_terms), ("v.json", v_terms)):
+        closed_form = [{"root": root, "coeff": coeff} for root, coeff in terms]
+        (tmp_path / name).write_text(json.dumps({"closed_form": closed_form}))
+    code, text = run(argv[0], tmp_path / "u.json", tmp_path / "v.json", *argv[1:])
+    assert code == 3
+    assert text.startswith("resource limit: a value has more than")
+    assert text.count("\n") == 1
+
+
+def test_memory_error_in_a_handler_exits_3(monkeypatch):
+    import recurquot.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_eval", exhausted)
+    code, text = run("eval", DATA / "mersenne2.json")
+    assert code == 3
+    assert text == "resource limit: out of memory\n"

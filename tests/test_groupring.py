@@ -491,6 +491,63 @@ def test_heuristic_keeps_growing_the_evaluation_point(monkeypatch):
     assert len(points) == 11 and points == sorted(set(points))
 
 
+# -- the integer kernel on its own ------------------------------------------------
+
+
+@pytest.mark.parametrize("f, g", [
+    # deg_X(g) > deg_X(f): the degree box is empty.
+    ({(1,): 1, (0,): 1}, {(2,): 1}),
+    # 3X + 1 by 2X + 1: the divisor's lead does not divide 3.
+    ({(1,): 3, (0,): 1}, {(1,): 2, (0,): 1}),
+    # X + T by T: the first quotient term would be X / T.
+    ({(1, 0): 1, (0, 1): 1}, {(0, 1): 1}),
+    # X^2 + T by X + T: the second quotient term, -T, has T-degree 1,
+    # outside the box deg_T(f) - deg_T(g) = 0.
+    ({(2, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}),
+    # X^2 + 1 by X + 1 leaves the remainder 2.
+    ({(2,): 1, (0,): 1}, {(1,): 1, (0,): 1}),
+], ids=["empty-box", "inexact-lead", "negative-exponent", "outside-box", "remainder"])
+def test_zz_divide_refusals_leave_their_inputs_alone(f, g):
+    f_before, g_before = dict(f), dict(g)
+    assert groupring._zz_divide(f, g) is None
+    assert f == f_before and g == g_before
+
+
+def zz_polys(k):
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * k),
+        st.integers(min_value=-9, max_value=9).filter(bool),
+        min_size=1, max_size=5,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda k: st.tuples(zz_polys(k), zz_polys(k))))
+def test_zz_divide_undoes_zz_mul(pair):
+    a, b = pair
+    b_before = dict(b)
+    product = groupring._zz_mul(a, b)
+    assert groupring._zz_divide(product, b) == a
+    assert b == b_before
+
+
+@pytest.mark.parametrize("f, g, k, content", [
+    # 2 * (2X^2 + 3) and 2 * (3X + 1).
+    ({(2,): 4, (0,): 6}, {(1,): 6, (0,): 2}, 1, 2),
+    # 3 * (X * T + 1) and 3 * (X + T + 2).
+    ({(1, 1): 3, (0, 0): 3}, {(1, 0): 3, (0, 1): 3, (0, 0): 6}, 2, 3),
+    # X^2 - T1 * T2 and X + T1 + 5, over three variables.
+    ({(2, 0, 0): 1, (0, 1, 1): -1}, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 5}, 3, 1),
+])
+def test_heuristic_accepts_a_unit_candidate_without_trial_division(monkeypatch, f, g, k, content):
+    # The candidate 1 divides both inputs, so no trial division is due.
+    def forbidden(f, g):
+        raise AssertionError("trial division by the candidate 1")
+
+    monkeypatch.setattr(groupring, "_zz_divide", forbidden)
+    assert groupring._heu_gcd(f, g, k) == {(0,) * k: content}
+
+
 @pytest.mark.parametrize("rung", [(2, 3, 1), (2, 4, 2), (3, 4, 2)])
 def test_common_factor_divides_gcd_on_cliff_rungs(rung):
     # These rungs ran for minutes under the Fraction PRS.
