@@ -52,16 +52,21 @@ class TorsionGroup(InputError):
     """The multiplicative group spanned by the roots contains -1.
 
     Carries a witness: exponents over the offending roots whose product
-    is a negative rational of absolute value 1.  ``witness`` is a
-    zero-argument callable that computes them; it runs when
-    ``exponents`` or the message is first read, so a caller that only
-    catches the error pays nothing for it.
+    is a negative rational of absolute value 1.  ``roots`` is an iterable
+    of the roots, read into a tuple when ``roots`` is first read, and
+    ``witness`` a zero-argument callable that computes the exponents when
+    ``exponents`` is first read.  The message reads both, so a caller
+    that only catches the error pays for neither.
     """
 
     def __init__(self, roots, witness):
         super().__init__()
-        self.roots = tuple(roots)
+        self._roots = roots
         self._witness = witness
+
+    @cached_property
+    def roots(self) -> tuple:
+        return tuple(self._roots)
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:

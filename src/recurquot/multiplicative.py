@@ -46,8 +46,9 @@ def shared_factors():
     """Inside the block each integer is factored once and each basis built once.
 
     Yields ``add_squares()``, which serves n^2 from every factorization
-    kept so far (exponents doubled), as the sections mod 2 need: their
-    roots are R^2 over B^2.  Over Q no other modulus is ever needed.
+    kept so far (exponents doubled), as clearance sections mod 2 need for
+    their witnesses: their roots are R^2 over B^2.  Over Q no other
+    modulus is ever needed.
     """
     factors: dict[int, dict[int, int]] = {}
 

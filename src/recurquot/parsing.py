@@ -13,10 +13,11 @@ binds tighter than binary + and -.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ParseError, SchemaError
+from .errors import ParseError, ResourceError, SchemaError
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, from_closed_form, from_relation
 
@@ -69,6 +70,24 @@ def _tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, column)
     tokens.append(Token("end", "", line, column))
     return tokens
+
+
+def _int_literal(text: str) -> int:
+    """The integer a literal spells; ResourceError past the digit limit.
+
+    Python refuses to read an integer of more than
+    ``sys.get_int_max_str_digits()`` digits with a ``ValueError``, the only
+    one ``int`` raises on a string of digits with an optional sign.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ResourceError(
+            f"the integer literal {text[:12]}... has {digits} digits, more than "
+            f"{sys.get_int_max_str_digits()}, the interpreter's limit for reading "
+            "an integer from text (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+        ) from None
 
 
 class _PolyParser:
@@ -136,7 +155,7 @@ class _PolyParser:
         if self.peek().kind == "^":
             self.take()
             exponent = self.expect("int")
-            return base ** int(exponent.text)
+            return base ** _int_literal(exponent.text)
         return base
 
     def atom(self) -> UniPoly:
@@ -148,13 +167,14 @@ class _PolyParser:
             return inner
         if tok.kind == "int":
             self.take()
-            value = Fraction(int(tok.text))
+            value = Fraction(_int_literal(tok.text))
             if self.peek().kind == "/":
                 self.take()
                 den = self.expect("int")
-                if int(den.text) == 0:
+                den_value = _int_literal(den.text)
+                if den_value == 0:
                     raise ParseError("zero denominator", den.line, den.column)
-                value /= int(den.text)
+                value /= den_value
             return UniPoly.constant(value)
         if tok.kind == "name":
             if tok.text not in self.variables:
@@ -229,10 +249,12 @@ def parse_spec(text: str) -> RecurrenceSpec:
 
     Structural problems (JSON syntax, keys, types) raise SchemaError;
     problems inside the embedded expressions raise ParseError with
-    position information.
+    position information.  An integer literal past the interpreter's
+    digit limit, in an expression or as a JSON number, raises
+    ResourceError.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

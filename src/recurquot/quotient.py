@@ -104,10 +104,12 @@ def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
 
 
 def _require_torsion_free(*recs: LinearRecurrence) -> None:
-    """TorsionGroup if -1 lies in the span of ``recs``' roots; positive roots factor nothing."""
-    pairs = _root_pairs(*recs)
-    if any(r < 0 for r, _ in pairs):
-        sign_pivot_hnf(pairs)
+    """TorsionGroup if -1 lies in the span of ``recs``' roots; positive roots factor nothing.
+
+    Terms are sorted by root, so a negative root, if any, comes first.
+    """
+    if any(rec.cleared_terms and rec.cleared_terms[0][0] < 0 for rec in recs):
+        sign_pivot_hnf(_root_pairs(*recs))
 
 
 def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
@@ -334,13 +336,14 @@ def solve_with_torsion_fallback(
 ):
     """Run a solver; on TorsionGroup optionally retry on sections mod 2.
 
-    Returns either the direct outcome or a list of SectionResult.  Each
-    root is factored once per call: the sections' roots are squares of
-    the failing call's.  The sections' roots are positive, so they need
-    no sign pivot, and a section factors nothing (a division's exponent
-    box reads a coprime base, not primes) unless it is a clearance
-    refusal: that builds a basis for its witness, shared by sections
-    with equal roots.
+    Returns either the direct outcome or a list of SectionResult.  The
+    sections' roots are positive, so they need no sign pivot, and a
+    section factors nothing (a division's exponent box reads a coprime
+    base, not primes) unless it is a clearance refusal: that builds a
+    basis for its witness, shared by sections with equal roots.  So only
+    clearance sections are served the squares of the failing call's
+    factorizations, their roots being squares of its roots; each root is
+    factored once per call.
     """
     solver = _solver(mode)
     with shared_factors() as add_squares:
@@ -349,5 +352,6 @@ def solve_with_torsion_fallback(
         except TorsionGroup:
             if not decimate:
                 raise
-            add_squares()
+            if mode == "clearance":
+                add_squares()
             return solve_on_sections(u, v, mode)

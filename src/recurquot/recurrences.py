@@ -13,6 +13,8 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from ._record import Record
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
@@ -53,12 +55,30 @@ def _term_str(coeff: UniPoly, var: str, powers) -> str:
     return "*".join([poly, *factors])
 
 
-def _accumulate(merged: dict[int, list[int]], root: int, coeffs) -> None:
-    """Add the integer coefficients ``coeffs`` to the entry of ``root``."""
-    acc = merged.setdefault(root, [])
+def _accumulate(merged: dict[int, list[int]], root: int, coeffs: list[int]) -> None:
+    """Add the integer coefficients ``coeffs`` to the entry of ``root``.
+
+    A new root keeps ``coeffs`` itself as its entry, so pass a fresh list.
+    """
+    acc = merged.get(root)
+    if acc is None:
+        merged[root] = coeffs
+        return
     acc.extend([0] * (len(coeffs) - len(acc)))
     for i, c in enumerate(coeffs):
         acc[i] += c
+
+
+def _convolve(c1, c2) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    if len(c1) == 1:
+        x = c1[0]
+        return [x * y for y in c2]
+    out = [0] * (len(c1) + len(c2) - 1)
+    for i, x in enumerate(c1):
+        for j, y in enumerate(c2):
+            out[i + j] += x * y
+    return out
 
 
 def _value(coeffs: tuple[int, ...], m: int) -> int:
@@ -100,19 +120,24 @@ class LinearRecurrence:
                 raise ZeroRoot("closed forms require non-zero roots")
             if root in kept:
                 raise InputError(f"the root {root} is given twice")
+            if coeffs and coeffs[-1]:
+                kept[root] = tuple(coeffs)
+                continue
             top = len(coeffs)
             while top and not coeffs[top - 1]:
                 top -= 1
             if top:
                 kept[root] = tuple(coeffs[:top])
         g = math.gcd(base, *kept)
-        h = math.gcd(scale, *(c for coeffs in kept.values() for c in coeffs))
+        h = math.gcd(scale, *chain.from_iterable(kept.values()))
         object.__setattr__(self, "scale", scale // h)
         object.__setattr__(self, "base", base // g)
-        object.__setattr__(self, "cleared_terms", tuple(sorted(
-            (root // g, coeffs if h == 1 else tuple(c // h for c in coeffs))
-            for root, coeffs in kept.items()
-        )))
+        terms = kept.items()
+        if g != 1 or h != 1:
+            terms = ((root // g, coeffs if h == 1 else tuple(c // h for c in coeffs))
+                     for root, coeffs in terms)
+        # The roots are distinct, so sorting never compares coefficients.
+        object.__setattr__(self, "cleared_terms", tuple(sorted(terms)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearRecurrence is immutable")
@@ -214,11 +239,7 @@ class LinearRecurrence:
         merged: dict[int, list[int]] = {}
         for r1, c1 in self.cleared_terms:
             for r2, c2 in other.cleared_terms:
-                acc = merged.setdefault(r1 * r2, [])
-                acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
-                for i, x in enumerate(c1):
-                    for j, y in enumerate(c2):
-                        acc[i + j] += x * y
+                _accumulate(merged, r1 * r2, _convolve(c1, c2))
         return LinearRecurrence(merged.items(), self.scale * other.scale, self.base * other.base)
 
     __rmul__ = __mul__
@@ -249,9 +270,14 @@ class LinearRecurrence:
         """
         if not self.cleared_terms:
             return LinearRecurrence(())
-        content = math.gcd(*(c for _, coeffs in other.cleared_terms for c in coeffs))
-        divisor = [(root, [c // content for c in coeffs]) for root, coeffs in other.cleared_terms]
-        lead_root, lead = max(divisor, key=lambda term: abs(term[0]))
+        content = math.gcd(*chain.from_iterable(map(itemgetter(1), other.cleared_terms)))
+        divisor = other.cleared_terms
+        if content > 1:
+            divisor = [(root, [c // content for c in coeffs]) for root, coeffs in divisor]
+        # The terms are sorted by root, so the largest |root| is at an end;
+        # on a tie the first wins, as under ``max``.
+        first, last = divisor[0], divisor[-1]
+        lead_root, lead = first if abs(first[0]) >= abs(last[0]) else last
         others = [term for term in divisor if term[0] != lead_root]
         lc, width = lead[-1], len(lead)
         span = max(len(cs) for _, cs in self.cleared_terms) - max(len(cs) for _, cs in divisor)
@@ -296,17 +322,22 @@ class LinearRecurrence:
             for root, cs in others:
                 g = math.gcd(root, den)
                 key = (num * (root // g), den // g)
-                acc = remainder.get(key, [])
+                acc = remainder.get(key)
+                if acc is None:
+                    if len(q) == 1:
+                        # Both leads are non-zero, so the entry needs no trimming.
+                        c = -q[0]
+                        remainder[key] = [c * y for y in cs]
+                        continue
+                    acc = remainder[key] = []
                 acc.extend([0] * (len(q) + len(cs) - 1 - len(acc)))
                 for i, x in enumerate(q):
                     for j, y in enumerate(cs):
                         acc[i + j] -= x * y
                 while acc and not acc[-1]:
                     acc.pop()
-                if acc:
-                    remainder[key] = acc
-                else:
-                    remainder.pop(key, None)
+                if not acc:
+                    del remainder[key]
         # With W = scale * base^n * V and W_other = content * (the primitive
         # divisor), self / other is the quotient times other.scale /
         # (self.scale * content) and (other.base / self.base)^n.
@@ -329,6 +360,7 @@ class LinearRecurrence:
         if q < 1 or not 0 <= r < q:
             raise InputError(f"decimation needs q >= 1 and 0 <= r < q, got q={q}, r={r}")
         merged: dict[int, list[int]] = {}
+        q_powers = [q**j for j in range(max((len(cs) for _, cs in self.cleared_terms), default=0))]
         for root, coeffs in self.cleared_terms:
             p = list(coeffs)
             if r:
@@ -336,7 +368,7 @@ class LinearRecurrence:
                     for j in range(len(p) - 2, i - 1, -1):
                         p[j] += r * p[j + 1]
             lift = root**r
-            _accumulate(merged, root**q, [c * q**j * lift for j, c in enumerate(p)])
+            _accumulate(merged, root**q, [c * w * lift for c, w in zip(p, q_powers)])
         return LinearRecurrence(merged.items(), self.scale * self.base**r, self.base**q)
 
     # -- rendering ----------------------------------------------------------

@@ -442,6 +442,25 @@ def test_outputs_past_the_digit_limit_exit_3(tmp_path, u_terms, v_terms, argv):
     assert text.count("\n") == 1
 
 
+_BIG = "1" + "0" * 4999
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("spec", [
+    json.dumps({"closed_form": [{"root": _BIG, "coeff": "1"}]}),
+    json.dumps({"closed_form": [{"root": "2", "coeff": _BIG}]}),
+    json.dumps({"closed_form": [{"root": "2", "coeff": "1/" + _BIG}]}),
+    '{"relation": {"coeffs": [%s], "initial": [1]}}' % _BIG,
+], ids=["root", "coefficient", "denominator", "json-number"])
+def test_literal_past_the_digit_limit_exits_3(tmp_path, spec):
+    (tmp_path / "big.json").write_text(spec)
+    code, text = run("eval", tmp_path / "big.json", "--to", 1)
+    assert code == 3
+    assert text.startswith("resource limit: the integer literal 100000000000... has 5000 digits")
+    assert text.count("\n") == 1 and "Traceback" not in text
+
+
 def test_memory_error_in_a_handler_exits_3(monkeypatch):
     import recurquot.cli as cli
 

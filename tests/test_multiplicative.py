@@ -263,11 +263,17 @@ def test_torsion_witness_is_found_when_read(monkeypatch):
         calls.append(rows)
         return real_kernel(rows)
 
+    def no_fraction(*args):
+        raise AssertionError("a caught TorsionGroup built a root")
+
     monkeypatch.setattr(mult, "left_kernel", counting_kernel)
-    with pytest.raises(TorsionGroup) as info:
-        compute_basis((F(-2), F(2)))
+    with monkeypatch.context() as patch:
+        patch.setattr(mult, "Fraction", no_fraction)
+        with pytest.raises(TorsionGroup) as info:
+            compute_basis(pairs=((-2, 1), (2, 1)))
     assert calls == []
     assert str(info.value) == "root group contains -1: (-2)^1 * (2)^-1 = -1"
+    assert info.value.roots == (F(-2), F(2))
     assert info.value.exponents == (1, -1)
     assert len(calls) == 1
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import basis_oracle
@@ -668,8 +669,17 @@ def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
         bases.append(real_basis(*args, **kwargs))
         return bases[-1]
 
+    squaring = []
+    real_shared = quotient.shared_factors
+
+    @contextmanager
+    def shared_factors():
+        with real_shared() as add_squares:
+            yield lambda: squaring.append(add_squares())
+
     monkeypatch.setattr(factorization, "factor_int", factor_int)
     monkeypatch.setattr(quotient, "compute_basis", compute_basis)
+    monkeypatch.setattr(quotient, "shared_factors", shared_factors)
     q = from_closed_form([(F(2), F(1)), (F(-3, 2), UniPoly([F(1), F(1)]))])
     v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
     u = q * v
@@ -679,6 +689,9 @@ def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
     assert [r.offsets for r in results] == [(0,), (1,)]
     assert sorted(calls) == _integers_of(u, v)
     assert len(bases) == (mode == "clearance" and cancel)
+    # Only a clearance refusal's basis reads the squared factorizations,
+    # and only clearance sections are served them.
+    assert len(squaring) == (mode == "clearance")
 
 
 # Signed roots +-2^a * 3^b * 5^c with a, b, c in -2..2, so roots share

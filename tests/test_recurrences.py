@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decimate_oracle
@@ -202,6 +202,56 @@ decimation_inputs = st.lists(
 def test_decimate_matches_fraction_horner(u, q):
     for r in range(q):
         assert u.decimate(q, r).terms == decimate_oracle.decimate(u, q, r)
+
+
+# Roots in the group spanned by 2, -3 and 5, which does not hold -1 (a
+# root's sign is the parity of its exponent of 3), so a divisor's largest
+# |root| can be its first term, as -3 in (-3)^n + 2^n.  Integer
+# coefficients let a divisor keep an integer content above 1.
+kernel_forms = st.lists(
+    st.tuples(
+        st.builds(lambda a, b, c: F(2) ** a * F(-3) ** b * F(5) ** c,
+                  *(st.integers(min_value=-1, max_value=2) for _ in range(3))),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3),
+    ),
+    min_size=1, max_size=4,
+).map(from_closed_form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_forms, kernel_forms, st.sampled_from([1, 2, 6]), st.sampled_from([1, 6]))
+# The products 2^n * 5^n and -(5^n * 2^n) cancel, and the one-term step
+# 25^n / 5^n opens the remainder key 10 = 5 * 2.
+@example(from_closed_form([(2, 1), (5, 1)]), from_closed_form([(5, 1), (2, -1)]), 1, 1)
+# The divisor's first term -3 has its largest |root|; its content is 2.
+@example(from_closed_form([(2, [1, 1]), (1, 1)]), from_closed_form([(-3, 1), (2, 1)]), 2, 6)
+def test_kernel_matches_fraction_oracles(q, v, content, common):
+    v = v * content
+    u = q * v
+    assert u.terms == product_oracle.multiply(q, v)
+    # The constructor against the rational pairs its integers stand for,
+    # once in lowest terms and once over a common factor with trailing zeros.
+    scale, base = u.scale * common, u.base * common
+    raw = [(r * common, [c * common for c in cs] + [0] * (common > 1))
+           for r, cs in u.cleared_terms]
+    rec = LinearRecurrence(raw, scale, base)
+    assert rec.terms == canonical_terms(
+        (F(r, base), UniPoly([F(c, scale) for c in cs])) for r, cs in raw)
+    assert rec == u
+    # u(n) + (-1)^n u(n): even sections merge each (-a)^q with a^q.
+    signed = u + from_closed_form([(-root, coeff) for root, coeff in u.terms])
+    for step in (1, 2, 3):
+        for r in range(step):
+            assert signed.decimate(step, r).terms == decimate_oracle.decimate(signed, step, r)
+    if v.is_zero:
+        return
+    quotient = u._divide(v)
+    assert quotient == q
+    assert all(quotient.evaluate(n) * v.evaluate(n) == u.evaluate(n) for n in range(-2, 4))
+    # v divides u + w exactly when it divides the unit w, which a divisor
+    # of two terms or more does not.
+    if len(v.cleared_terms) > 1:
+        assert (u + geometric(5 * v.roots[0]))._divide(v) is None
 
 
 def test_render_dominant_first():
