@@ -8,6 +8,7 @@ for a block (``DEFAULT_FACTOR_LIMIT`` outside any block), so every
 caller below that block honours it.  A prime factor larger than the cap
 (or a cofactor the splitter cannot crack within its effort budget)
 raises ``FactorizationLimit`` instead of silently looping.
+``coprime_base`` gives integers coordinates without factoring them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import compress
 
-from .errors import FactorizationLimit, InputError, ZeroInput
+from .errors import FactorizationLimit, InputError, VerificationFailed, ZeroInput
 
 DEFAULT_FACTOR_LIMIT = 2**64
 
@@ -184,6 +185,64 @@ def factor_int(n: int) -> dict[int, int]:
         d = _split(m, limit)
         stack += [(d, e), (m // d, e)]
     return out
+
+
+def divide_out(n: int, base) -> tuple[list[int], int]:
+    """(how often each b of ``base`` divides n in turn, what is left of n)."""
+    row = []
+    for b in base:
+        e = 0
+        while n % b == 0:
+            n //= b
+            e += 1
+        row.append(e)
+    return row, n
+
+
+def coprime_base(numbers) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """A coprime base of the integers ``numbers`` >= 1, and their exponents over it.
+
+    Returns (base, {n: exponents of n over the base}).  Gcd refinement,
+    no factoring (D. J. Bernstein, *Factoring into coprimes in
+    essentially linear time*, 2005, gives the fast version): a pending x
+    is divided by each kept b that divides it, and if it then meets a
+    kept b in g = gcd(x, b) > 1, both give way to g, b / g and x / g.
+    That lowers the sum of the squared logarithms, so the loop ends.
+    Each element is a gcd or an exact quotient of products of the inputs,
+    and the only coprime base of such elements is the natural one, so the
+    base does not depend on the input order.  It is ordered by each
+    element's least trial prime, the elements with none after, by value:
+    then rows over it keep the Hermite normal form they have over sorted
+    primes, and lattices read over it give the generators primes give,
+    unless two elements have no trial prime.  Each number's exponents are
+    checked to leave 1: VerificationFailed otherwise.
+    """
+    numbers = set(numbers)
+    if any(n < 1 for n in numbers):
+        raise ZeroInput("a coprime base needs integers >= 1")
+    base: list[int] = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            while x % b == 0:
+                x //= b
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += [n for n in (g, b // g, x // g) if n > 1]
+                break
+        else:
+            if x > 1:
+                base.append(x)
+    base.sort(key=lambda b: next(((0, p) for p in _TRIAL_PRIMES if b % p == 0), (1, b)))
+    rows = {}
+    for n in numbers:
+        row, rest = divide_out(n, base)
+        if rest != 1:
+            raise VerificationFailed(f"{n} leaves {rest} over its coprime base")
+        rows[n] = tuple(row)
+    return tuple(base), rows
 
 
 class FactoredRational:

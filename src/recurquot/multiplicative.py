@@ -1,12 +1,12 @@
 """Multiplicative structure of finite sets of non-zero rationals.
 
-A non-zero rational is sign * prod(p^e); a finite set of them spans a
-subgroup of Q*.  This module decides whether the span contains -1
-(torsion) and produces a canonical free basis when it does not.  Each
-input enters as an integer pair (R, B) standing for R/B, and each
-distinct |R| and B is factored once.  All lattice work happens on
-exponent vectors over the union of primes, with the sign as one more
-column taken mod 2.
+A non-zero rational is sign * prod(b^e) over a coprime base; a finite
+set of them spans a subgroup of Q*.  This module decides whether the
+span contains -1 (torsion) and produces a canonical free basis when it
+does not.  Each input enters as an integer pair (R, B) standing for
+R/B, and the |R| and B are written over their coprime base, found by
+gcds, not by factoring.  All lattice work happens on exponent vectors
+over that base, with the sign as one more column taken mod 2.
 """
 
 from __future__ import annotations
@@ -14,21 +14,18 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property
 
-from . import factorization
 from ._record import Record
 from .errors import InputError, RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
-from .factorization import factor_rational
+from .factorization import coprime_base, divide_out, factor_rational
 from .linalg import hnf_express, left_kernel, row_hnf
 
 
 class ExponentVector(namedtuple("ExponentVector", ["sign_bit", "exponents"])):
     """One rational in coordinates: sign bit (1 means negative) and
-    exponents over an agreed prime list.
+    exponents over an agreed coprime base.
 
     ``sign_bit`` is an int and ``exponents`` a tuple[int, ...].
     """
@@ -36,58 +33,24 @@ class ExponentVector(namedtuple("ExponentVector", ["sign_bit", "exponents"])):
     __slots__ = ()
 
 
-# (factorizations by integer, bases by input pairs) of the innermost
-# ``shared_factors()`` block; None outside any block.
-_SHARED: ContextVar[tuple[dict, dict] | None] = ContextVar("shared_factors", default=None)
-
-
-@contextmanager
-def shared_factors():
-    """Inside the block each integer is factored once and each basis built once.
-
-    Yields ``add_squares()``, which serves n^2 from every factorization
-    kept so far (exponents doubled), as clearance sections mod 2 need for
-    their witnesses: their roots are R^2 over B^2.  Over Q no other
-    modulus is ever needed.
-    """
-    factors: dict[int, dict[int, int]] = {}
-
-    def add_squares() -> None:
-        for n, f in list(factors.items()):
-            factors[n * n] = {p: 2 * e for p, e in f.items()}
-
-    token = _SHARED.set((factors, {}))
-    try:
-        yield add_squares
-    finally:
-        _SHARED.reset(token)
-
-
 def exponent_table(pairs) -> tuple[tuple[int, ...], list[ExponentVector]]:
     """Coordinates of each R/B, for integer pairs (R, B) with B >= 1.
 
-    Each distinct |R| and B is factored once (once per ``shared_factors``
-    block inside one).  The exponents of R/B are e(|R|) - e(B) over the
-    sorted union of the primes that occur, and its sign bit is R < 0.
-    Returns (that prime tuple, one ExponentVector per pair).
+    The distinct |R| and B are written over their coprime base, found by
+    gcds, not by factoring.  The exponents of R/B are e(|R|) - e(B) over
+    that base, and its sign bit is R < 0.  Returns (the base, one
+    ExponentVector per pair).
     """
-    shared = _SHARED.get()
-    known = {} if shared is None else shared[0]
     if any(not r for r, _ in pairs):
         raise ZeroInput("zero has no multiplicative coordinates")
-    integers = dict.fromkeys(n for r, b in pairs for n in (abs(r), b))
-    for n in integers:
-        if n not in known:
-            known[n] = factorization.factor_int(n)
-    primes = sorted({p for n in integers for p in known[n]})
-    coords = {n: [known[n].get(p, 0) for p in primes] for n in integers}
+    base, coords = coprime_base(n for r, b in pairs for n in (abs(r), b))
     rows = [tuple(map(operator.sub, coords[abs(r)], coords[b])) for r, b in pairs]
-    # A prime of R that B cancels in every row is not a coordinate.
+    # A base element of R that B cancels in every row is not a coordinate.
     kept = [j for j, column in enumerate(zip(*rows)) if any(column)]
-    if len(kept) < len(primes):
-        primes = [primes[j] for j in kept]
+    if len(kept) < len(base):
+        base = tuple(base[j] for j in kept)
         rows = [tuple(row[j] for j in kept) for row in rows]
-    return tuple(primes), [ExponentVector(int(r < 0), row) for (r, _), row in zip(pairs, rows)]
+    return base, [ExponentVector(int(r < 0), row) for (r, _), row in zip(pairs, rows)]
 
 
 def _pairs(values) -> tuple[tuple[int, int], ...]:
@@ -122,32 +85,32 @@ class MultiplicativeBasis(Record):
     """Free generators of a free group that contains ``values``.
 
     ``pairs`` are the inputs as integer pairs (R, B), one per value
-    R/B.  ``matrix`` holds the generators' prime-exponent rows.
-    ``expressions[i]`` writes values[i] in the generators.
-    ``compute_basis`` gives the canonical basis: generators of the
-    spanned group itself, with ``matrix`` in HNF, so it depends only on
-    that group, not on the input order.  Clearance refusal witnesses
-    and the ``basis`` subcommand use it; Hadamard quotients and clearance
-    verdicts divide on the roots themselves and build none.
+    R/B.  ``base`` is a coprime base of them and ``matrix`` holds the
+    generators' exponent rows over it.  ``expressions[i]`` writes
+    values[i] in the generators.  ``compute_basis`` gives the canonical
+    basis: generators of the spanned group itself, with ``matrix`` in
+    HNF, so it does not depend on the input order.  Clearance refusal
+    witnesses and the ``basis`` subcommand use it; Hadamard quotients and
+    clearance verdicts divide on the roots themselves and build none.
     """
 
     # ``__dict__`` holds the cached properties.
     __slots__ = (
-        "pairs", "primes", "generators", "matrix", "generator_signs", "expressions",
+        "pairs", "base", "generators", "matrix", "generator_signs", "expressions",
         "__dict__",
     )
 
     def __init__(
         self,
         pairs: tuple[tuple[int, int], ...],
-        primes: tuple[int, ...],
+        base: tuple[int, ...],
         generators: tuple[Fraction, ...],
         matrix: tuple[tuple[int, ...], ...],
         generator_signs: tuple[int, ...],
         expressions: tuple[tuple[int, ...], ...],
     ):
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "generator_signs", generator_signs)
@@ -185,8 +148,9 @@ class MultiplicativeBasis(Record):
     def express(self, x) -> tuple[int, ...]:
         """Exponents of x over the generators; RootNotInGroup if x is outside.
 
-        One of ``values`` is looked up in ``expressions``; only other
-        values are factored.
+        One of ``values`` is looked up in ``expressions``.  Another value
+        has the base divided out of it, and only a remainder other than 1
+        is factored, to name a prime outside the basis.
         """
         stored = self._stored.get(x)
         if stored is not None:
@@ -194,16 +158,19 @@ class MultiplicativeBasis(Record):
         x = Fraction(x)
         if not x:
             raise ZeroInput("zero is not a group element")
-        fact = factor_rational(x)
-        stray = set(fact.exponents).difference(self.primes)
-        if stray:
-            raise RootNotInGroup(f"{x} involves the prime {min(stray)}, outside the basis")
-        row = [fact.exponents.get(p, 0) for p in self.primes]
-        coeffs = hnf_express([list(r) for r in self.matrix], row)
+        up, num = divide_out(abs(x.numerator), self.base)
+        down, den = divide_out(x.denominator, self.base)
+        if num != 1 or den != 1:
+            stray = [p for p in factor_rational(Fraction(num, den)).exponents
+                     if all(b % p for b in self.base)]
+            if stray:
+                raise RootNotInGroup(f"{x} involves the prime {min(stray)}, outside the basis")
+            raise RootNotInGroup(f"{x} is not in the lattice of the basis")
+        coeffs = hnf_express([list(r) for r in self.matrix], list(map(operator.sub, up, down)))
         if coeffs is None:
             raise RootNotInGroup(f"{x} is not in the lattice of the basis")
         odd = sum(c for c, s in zip(coeffs, self.generator_signs) if s < 0) % 2
-        if (-1) ** odd != fact.sign:
+        if odd != (x < 0):
             raise RootNotInGroup(f"{x} differs from the basis span by a sign")
         out = tuple(coeffs)
         if self.reconstruct(out) != x:
@@ -211,11 +178,13 @@ class MultiplicativeBasis(Record):
         return out
 
     def same_group(self, other: "MultiplicativeBasis") -> bool:
-        return (
-            self.primes == other.primes
-            and self.matrix == other.matrix
-            and self.generator_signs == other.generator_signs
-        )
+        """Whether both bases have the same generators.
+
+        Generators do not depend on the coordinates: canonical bases of one
+        group agree unless two base elements have no trial prime (see
+        ``factorization.coprime_base``).
+        """
+        return self.generators == other.generators
 
 
 def sign_pivot_hnf(pairs):
@@ -223,11 +192,11 @@ def sign_pivot_hnf(pairs):
     (R, B), plus [0 ... 0 | 2]; TorsionGroup if the sign column's pivot
     is 1, that is if -1 lies in the span.
 
-    Returns (primes, one ExponentVector per pair, the distinct vectors
-    mapped to their pairs, the HNF rows without the last one).
+    Returns (the coprime base, one ExponentVector per pair, the distinct
+    vectors mapped to their pairs, the HNF rows without the last one).
     """
-    primes, vectors = exponent_table(pairs)
-    m = len(primes)
+    base, vectors = exponent_table(pairs)
+    m = len(base)
     # The HNF depends only on the lattice, so a repeated row adds nothing.
     distinct = dict(zip(vectors, pairs))
     *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in distinct] + [[0] * m + [2]])
@@ -242,7 +211,7 @@ def sign_pivot_hnf(pairs):
             return found
 
         raise TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
-    return primes, vectors, distinct, rows
+    return base, vectors, distinct, rows
 
 
 def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
@@ -251,27 +220,25 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     The inputs are the rationals ``values`` and then the integer
     ``pairs`` (R, B), B >= 1, each standing for R/B; a rational x enters
     as (x.numerator, x.denominator).  One HNF of the rows
-    [exponents | sign bit] plus [0 ... 0 | 2]: the span contains -1
-    exactly when the sign column's pivot is 1.  Otherwise the other rows'
-    prime parts are the HNF of the exponent lattice, so any input list
-    spanning the same group yields the same generators, and each row's
-    sign entry (reduced mod 2) is the sign of its generator.  Each
+    [exponents | sign bit] over the inputs' coprime base, plus
+    [0 ... 0 | 2]: the span contains -1 exactly when the sign column's
+    pivot is 1.  Otherwise the other rows' base parts are the HNF of the
+    exponent lattice: the generators do not depend on the input order and
+    are those of the prime exponents (but see ``coprime_base``), and each
+    row's sign entry (reduced mod 2) is the sign of its generator.  Each
     expression e of an input is checked in integers: sum(e_i * row_i)
     must give back its exponents, and the e_i on negative generators must
     add up to its sign bit mod 2.  Equal inputs share one row.
     """
     pairs = _pairs(values) + tuple(pairs)
-    shared = _SHARED.get()
-    if shared is not None and pairs in shared[1]:
-        return shared[1][pairs]
-    primes, vectors, distinct, rows = sign_pivot_hnf(pairs)
-    m = len(primes)
+    base, vectors, distinct, rows = sign_pivot_hnf(pairs)
+    m = len(base)
     h = [r[:m] for r in rows]
     gen_signs = [-1 if r[m] else 1 for r in rows]
     generators = []
     for sign, row in zip(gen_signs, h):
-        num = math.prod(p**e for p, e in zip(primes, row) if e > 0)
-        den = math.prod(p**-e for p, e in zip(primes, row) if e < 0)
+        num = math.prod(b**e for b, e in zip(base, row) if e > 0)
+        den = math.prod(b**-e for b, e in zip(base, row) if e < 0)
         generators.append(Fraction(sign * num, den))
     columns = list(zip(*h))
     negative = [i for i, s in enumerate(gen_signs) if s < 0]
@@ -286,14 +253,11 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
             raise VerificationFailed(
                 f"the expression of {Fraction(r, b)} does not give back its exponents and sign")
         found[vec] = tuple(coeffs)
-    basis = MultiplicativeBasis(
+    return MultiplicativeBasis(
         pairs=pairs,
-        primes=primes,
+        base=base,
         generators=tuple(generators),
         matrix=tuple(tuple(r) for r in h),
         generator_signs=tuple(gen_signs),
         expressions=tuple(found[vec] for vec in vectors),
     )
-    if shared is not None:
-        shared[1][pairs] = basis
-    return basis

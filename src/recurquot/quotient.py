@@ -33,7 +33,7 @@ from .groupring import (
     laurent_gcd,
     to_group_ring,
 )
-from .multiplicative import MultiplicativeBasis, compute_basis, shared_factors, sign_pivot_hnf
+from .multiplicative import MultiplicativeBasis, compute_basis, sign_pivot_hnf
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
@@ -104,9 +104,11 @@ def _laurent_forms(u: LinearRecurrence, v: LinearRecurrence):
 
 
 def _require_torsion_free(*recs: LinearRecurrence) -> None:
-    """TorsionGroup if -1 lies in the span of ``recs``' roots; positive roots factor nothing.
+    """TorsionGroup if -1 lies in the span of ``recs``' roots.
 
-    Terms are sorted by root, so a negative root, if any, comes first.
+    Terms are sorted by root, so a negative root, if any, comes first;
+    positive roots skip the sign pivot, which reads the roots over their
+    coprime base and factors nothing.
     """
     if any(rec.cleared_terms and rec.cleared_terms[0][0] < 0 for rec in recs):
         sign_pivot_hnf(_root_pairs(*recs))
@@ -120,8 +122,9 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
     division is long division on the roots themselves, ordered by size
     (``LinearRecurrence._divide``): it needs no basis and factors
     nothing, even where it bounds the quotient's exponents over a
-    coprime base of the roots.  Signed roots first run the
-    sign pivot, which raises TorsionGroup if -1 is in their span.  The
+    coprime base of the roots.  Signed roots first run the sign pivot,
+    over the same kind of base, which raises TorsionGroup if -1 is in
+    their span.  The
     quotient is multiplied back before it is returned.
     """
     if v.is_zero:
@@ -337,21 +340,14 @@ def solve_with_torsion_fallback(
     """Run a solver; on TorsionGroup optionally retry on sections mod 2.
 
     Returns either the direct outcome or a list of SectionResult.  The
-    sections' roots are positive, so they need no sign pivot, and a
-    section factors nothing (a division's exponent box reads a coprime
-    base, not primes) unless it is a clearance refusal: that builds a
-    basis for its witness, shared by sections with equal roots.  So only
-    clearance sections are served the squares of the failing call's
-    factorizations, their roots being squares of its roots; each root is
-    factored once per call.
+    failing first attempt reads its roots over a coprime base, found by
+    gcds, and the sections' roots are positive, so they need no sign
+    pivot: nothing is factored, whatever the mode.
     """
     solver = _solver(mode)
-    with shared_factors() as add_squares:
-        try:
-            return solver(u, v)
-        except TorsionGroup:
-            if not decimate:
-                raise
-            if mode == "clearance":
-                add_squares()
-            return solve_on_sections(u, v, mode)
+    try:
+        return solver(u, v)
+    except TorsionGroup:
+        if not decimate:
+            raise
+        return solve_on_sections(u, v, mode)

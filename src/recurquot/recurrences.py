@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from ._record import Record
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
-from .factorization import factor_int
+from .factorization import coprime_base, factor_int
 from .linalg import solve_rational
 from .places import _int_valuation
 from .polys import UniPoly, _render_sum
@@ -391,28 +391,6 @@ class LinearRecurrence:
         return f"LinearRecurrence({self.render()})"
 
 
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 whose powers multiply to each of ``numbers``.
-
-    Gcd refinement, no factoring: a pending x meeting a kept b in g =
-    gcd(x, b) > 1 replaces both by g, b / g and x / g, which lowers the
-    sum of the squared logarithms, so the loop ends.
-    """
-    base: list[int] = []
-    pending = [n for n in numbers if n > 1]
-    while pending:
-        x = pending.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(x, b)
-            if g > 1:
-                del base[i]
-                pending += [n for n in (g, b // g, x // g) if n > 1]
-                break
-        else:
-            base.append(x)
-    return base
-
-
 def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
     """A test that a reduced root (num, den) of W_u / W_v lies in its exponent box.
 
@@ -425,7 +403,8 @@ def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
     """
     k = len(u.cleared_terms)
     roots = [abs(root) for rec in (u, v) for root, _ in rec.cleared_terms]
-    columns = [(b, [_int_valuation(r, b) for r in roots]) for b in _coprime_base(roots)]
+    base, rows = coprime_base(roots)
+    columns = zip(base, zip(*(rows[r] for r in roots)))
     bounds = [(b, min(col[:k]) - min(col[k:]), max(col[:k]) - max(col[k:])) for b, col in columns]
 
     def inside(root: tuple[int, int]) -> bool:

@@ -11,6 +11,7 @@ but it shares no code with the library (it factors by trial division),
 so the tests compare the library against it on small inputs.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -127,3 +128,17 @@ def compute_basis(values):
     matrix = tuple(tuple(r) for r in h)
     expressions = tuple(_express(h, r) for r in rows)
     return primes, tuple(generators), matrix, signs, expressions
+
+
+def check_coordinates(base, generators, matrix, signs):
+    """Fail unless ``base`` is pairwise coprime and above 1, and each
+    generator is its sign times prod(base^row) for its row of ``matrix``."""
+    for i, b in enumerate(base):
+        if b <= 1 or any(math.gcd(b, c) != 1 for c in base[i + 1:]):
+            raise AssertionError(f"{base} is not a coprime base above 1")
+    for g, row, sign in zip(generators, matrix, signs, strict=True):
+        value = Fraction(sign)
+        for b, e in zip(base, row, strict=True):
+            value *= Fraction(b) ** e
+        if value != g:
+            raise AssertionError(f"the row {row} over {base} gives {value}, not {g}")

@@ -7,11 +7,16 @@ exists iff v' has no T variable, and then v' is the monic P, the
 quotient is P*U/V and V/P is V / v'.  Otherwise the witness is v'
 without its X-content, which the Fraction oracle removes.  It shares the
 library's group ring, but not its division on the roots nor its
-X-contents.
+X-contents, and its basis is ``basis_oracle``'s, over the primes by
+trial division, not the library's over a coprime base.
 """
 
+from fractions import Fraction
+
+import basis_oracle
 from fraction_prs import fraction_strip_x_content
 
+from recurquot.errors import TorsionGroup
 from recurquot.groupring import (
     GroupRingElement,
     from_group_ring,
@@ -19,8 +24,19 @@ from recurquot.groupring import (
     laurent_gcd,
     to_group_ring,
 )
-from recurquot.multiplicative import compute_basis
+from recurquot.multiplicative import MultiplicativeBasis
 from recurquot.polys import UniPoly
+
+
+def prime_basis(pairs):
+    """The prime-canonical basis of the integer pairs (R, B), each R/B,
+    from ``basis_oracle``; TorsionGroup when -1 is in the span."""
+    values = [Fraction(r, b) for r, b in pairs]
+    try:
+        primes, generators, matrix, signs, expressions = basis_oracle.compute_basis(values)
+    except basis_oracle.Torsion as torsion:
+        raise TorsionGroup(values, lambda: torsion.exponents) from None
+    return MultiplicativeBasis(pairs, primes, generators, matrix, signs, expressions)
 
 
 def group_ring_clearance(u, v):
@@ -28,8 +44,7 @@ def group_ring_clearance(u, v):
 
     Raises TorsionGroup when -1 lies in the span of the roots.
     """
-    basis = compute_basis(pairs=tuple((r, rec.base) for rec in (u, v)
-                                      for r, _ in rec.cleared_terms))
+    basis = prime_basis(tuple((r, rec.base) for rec in (u, v) for r, _ in rec.cleared_terms))
     k = len(u.cleared_terms)
     fu = to_group_ring(u, basis, basis.expressions[:k])
     fv = to_group_ring(v, basis, basis.expressions[k:])

@@ -212,34 +212,23 @@ def test_obstruct_bad_progression():
 
 
 def test_factor_limit_flag():
-    big = DATA / "big_root.json"
-    big.write_text(json.dumps({
-        "closed_form": [{"root": str(2**61 - 1), "coeff": "1"}]
-    }))
-    try:
-        code, text = run("--factor-limit", 1000, "basis", big)
-        assert code == 3
-        assert "resource limit" in text
-        code, _ = run("basis", big)
-        assert code == 0
-    finally:
-        big.unlink()
+    # heights factors its argument; the quotient solvers and basis factor nothing.
+    big = str(2**61 - 1)
+    code, text = run("--factor-limit", 1000, "heights", big)
+    assert code == 3
+    assert "resource limit" in text
+    code, _ = run("heights", big)
+    assert code == 0
 
 
 def test_factor_limit_env(monkeypatch):
-    big = DATA / "big_root_env.json"
-    big.write_text(json.dumps({
-        "closed_form": [{"root": str(2**61 - 1), "coeff": "1"}]
-    }))
-    try:
-        monkeypatch.setenv("RECURQUOT_FACTOR_LIMIT", "1000")
-        code, text = run("basis", big)
-        assert code == 3
-        # the explicit flag wins over the environment
-        code, _ = run("--factor-limit", str(2**62), "basis", big)
-        assert code == 0
-    finally:
-        big.unlink()
+    big = str(2**61 - 1)
+    monkeypatch.setenv("RECURQUOT_FACTOR_LIMIT", "1000")
+    code, text = run("heights", big)
+    assert code == 3
+    # the explicit flag wins over the environment
+    code, _ = run("--factor-limit", str(2**62), "heights", big)
+    assert code == 0
 
 
 M61 = 2**61 - 1

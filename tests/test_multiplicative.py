@@ -141,9 +141,7 @@ signed_root_sets = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(signed_root_sets)
-def test_basis_matches_transform_oracle(values):
+def _matches_transform_oracle(values):
     try:
         primes, generators, matrix, signs, expressions = basis_oracle.compute_basis(values)
     except basis_oracle.Torsion as torsion:
@@ -154,14 +152,101 @@ def test_basis_matches_transform_oracle(values):
         assert str(info.value) == f"root group contains -1: {pretty} = -1"
         assert torsion_status(values) == torsion.exponents
         return
+    # The base and the matrix are coordinates, which may differ from the
+    # oracle's primes; the generators, signs and expressions may not.
     basis = compute_basis(values)
-    assert basis.primes == primes
     assert basis.generators == generators
-    assert basis.matrix == matrix
     assert basis.generator_signs == signs
     assert basis.expressions == expressions
+    basis_oracle.check_coordinates(basis.base, basis.generators, basis.matrix, signs)
     assert torsion_status(values) is None
 
+
+@settings(max_examples=300, deadline=None)
+@given(signed_root_sets)
+def test_basis_matches_transform_oracle(values):
+    _matches_transform_oracle(values)
+
+
+# Signed products of composites: over 6 and 35 alone, or 6, 10 and 15 with
+# one exponent fixed at 0, the coprime base has composite elements; the
+# set may end with minus a product of two of its roots, such as {-6, 2, 3}
+# or {6, -36}, which reaches -1 through a composite.
+COMPOSITES = (6, 10, 15, 35, 2, 3)
+composite_roots = st.builds(
+    lambda sign, atoms, exps: math.prod((F(a) ** e for a, e in zip(atoms, exps)), start=F(sign)),
+    st.sampled_from((1, -1)),
+    st.lists(st.sampled_from(COMPOSITES), min_size=1, max_size=2, unique=True),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=2),
+).filter(lambda x: abs(x) != 1)
+composite_root_sets = st.one_of(
+    st.lists(composite_roots, min_size=1, max_size=5),
+    st.lists(composite_roots, min_size=2, max_size=4).map(lambda xs: xs + [-xs[0] * xs[1]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composite_root_sets)
+def test_composite_bases_match_transform_oracle(values):
+    _matches_transform_oracle(values)
+
+
+def test_sign_reached_through_a_composite():
+    # -6 = -(2 * 3): -1 = (-6) / (2 * 3), and the base {2, 3} refines 6.
+    with pytest.raises(TorsionGroup) as info:
+        compute_basis((F(-6), F(2), F(3)))
+    assert info.value.exponents == (1, -1, -1)
+    basis = compute_basis((F(-6), F(36)))
+    assert basis.base == (6,) and basis.generators == (F(-6),)
+    assert basis.expressions == ((1,), (2,))
+
+
+# Roots over small primes and over primes above the trial bound, where the
+# order of the base may differ from the order of the primes.
+M = (10007, 10009, 10037)
+any_roots = st.builds(
+    lambda sign, exps, big: math.prod((F(p) ** e for p, e in zip((2, 3, 5) + M, exps + big)),
+                                      start=F(sign)),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(min_value=-1, max_value=2), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_roots, min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_generators_do_not_depend_on_the_input_order(values, rng):
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    try:
+        basis = compute_basis(values)
+    except TorsionGroup:
+        with pytest.raises(TorsionGroup):
+            compute_basis(shuffled)
+        return
+    other = compute_basis(shuffled)
+    assert (other.base, other.generators, other.matrix, other.generator_signs) \
+        == (basis.base, basis.generators, basis.matrix, basis.generator_signs)
+    assert other.same_group(basis)
+    for x, e in zip(other.values, other.expressions):
+        assert basis.reconstruct(basis.express(x)) == x == other.reconstruct(e)
+
+
+def test_large_prime_bases_may_order_generators_differently():
+    # b1 = 10007 * 10037 and b2 = 10009 have no prime below the trial
+    # bound, so the base orders them by value, (b2, b1), while the primes
+    # put b1's 10007 first.  Over the primes the HNF of b1*b2 and b2^2 has
+    # the generators b1*b2 and b2^2; over the base it has b1*b2 and b1^2.
+    # Both span the same group, and the base's choice is still canonical.
+    b1, b2 = 10007 * 10037, 10009
+    values = (F(b1 * b2), F(b2**2))
+    basis = compute_basis(values)
+    assert basis.base == (b2, b1)
+    assert basis.generators == (F(b1 * b2), F(b1**2))
+    assert basis.matrix == ((1, 1), (0, 2))
+    assert basis.expressions == ((1, 0), (2, -1))
+    assert compute_basis(values[::-1]).generators == basis.generators
+    assert basis.express(F(b2**2)) == (2, -1)
 
 def test_express_reads_stored_expressions_of_its_values():
     basis = compute_basis((F(12), F(-18)))
@@ -172,11 +257,14 @@ def test_express_reads_stored_expressions_of_its_values():
 # Under -O every assert is gone; the basis checks must still run.  "escape"
 # loses an input's lattice expression, "shifted" corrupts every expression
 # (caught at construction), "express" corrupts one for a value outside the
-# basis, "sign" flips a generator's sign behind the bookkeeping, and
-# "hnf-sign" flips a sign entry of the HNF (caught at construction).
+# basis, "sign" flips a generator's sign behind the bookkeeping,
+# "hnf-sign" flips a sign entry of the HNF (caught at construction), and
+# "base" leaves a remainder of each integer over its coprime base (caught
+# by the row check).
 _BROKEN_BASIS = """
 import sys
 from fractions import Fraction
+import recurquot.factorization as fact
 import recurquot.multiplicative as mult
 from recurquot.errors import VerificationFailed
 
@@ -185,6 +273,7 @@ if not sys.flags.optimize:
 mode = sys.argv[1]
 real_express = mult.hnf_express
 real_hnf = mult.row_hnf
+real_divide = fact.divide_out
 
 def shifted(h, target):
     coeffs = real_express(h, target)
@@ -204,6 +293,9 @@ try:
     elif mode == "hnf-sign":
         mult.row_hnf = sign_flipped
         mult.compute_basis((2, 3))
+    elif mode == "base":
+        fact.divide_out = lambda n, base: (real_divide(n, base)[0], 2)
+        mult.compute_basis((2, 3))
     elif mode == "express":
         basis = mult.compute_basis((2, 3))
         mult.hnf_express = shifted
@@ -212,7 +304,7 @@ try:
         basis = mult.compute_basis((2, 3))
         flipped = mult.MultiplicativeBasis(
             pairs=basis.pairs,
-            primes=basis.primes,
+            base=basis.base,
             generators=(Fraction(-2), Fraction(3)),
             matrix=basis.matrix,
             generator_signs=basis.generator_signs,
@@ -226,7 +318,7 @@ else:
 """
 
 
-@pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign", "hnf-sign"])
+@pytest.mark.parametrize("mode", ["escape", "shifted", "express", "sign", "hnf-sign", "base"])
 def test_broken_basis_is_caught_under_optimize(mode):
     assert_caught_under_optimize(_BROKEN_BASIS, mode)
 

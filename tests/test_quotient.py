@@ -1,8 +1,8 @@
+import io
 import itertools
 import math
 import random
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import basis_oracle
@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
 from recurquot import factorization, multiplicative, quotient, recurrences
-from recurquot.errors import DivisorZero, FactorizationLimit, InputError, TorsionGroup
+from recurquot.errors import (
+    DivisorZero,
+    FactorizationLimit,
+    InputError,
+    RootNotInGroup,
+    TorsionGroup,
+)
 from recurquot.factorization import factor_limit
 from recurquot.groupring import GroupRingElement, from_group_ring, laurent_divide, to_group_ring
 from recurquot.multiplicative import compute_basis
@@ -37,6 +43,10 @@ from recurquot.recurrences import (
 )
 
 F = Fraction
+
+
+def _no_factoring(n):
+    raise AssertionError(f"factor_int({n}) ran")
 
 
 def mersenne(base=2):
@@ -272,26 +282,21 @@ def test_cross_quotient_builds_no_basis(monkeypatch):
 
 def test_cross_quotient_on_positive_roots_factors_nothing(monkeypatch):
     # 2^89 - 1 is a prime above the default factoring cap.  A one-root V
-    # needs no torsion check, whatever the signs, so nothing is factored; a
-    # V with several roots and a negative one still needs the sign pivot,
-    # which must factor them.
-    calls = []
-    real = factorization.factor_int
-
-    def factor_int(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(factorization, "factor_int", factor_int)
+    # needs no torsion check, whatever the signs; a V with several roots and
+    # a negative one runs the sign pivot, over the coprime base {2^89 - 1}
+    # of its roots.  Nothing is factored either way.
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
     big = 2**89 - 1
     out = cross_quotient(geometric(big), geometric(3))
     assert isinstance(out, QuotientCertificate)
     assert out.quotient.m_part == geometric(big) and out.quotient.n_root == F(1, 3)
     out = cross_quotient(geometric(-big), geometric(3))
     assert isinstance(out, QuotientCertificate) and out.quotient.m_part == geometric(-big)
-    assert calls == []
-    with pytest.raises(FactorizationLimit):
+    with pytest.raises(TorsionGroup) as caught:
         cross_quotient(geometric(3), from_closed_form([(F(-big), F(1)), (F(big), F(1))]))
+    assert caught.value.exponents == (1, -1)
+    out = cross_quotient(geometric(3), from_closed_form([(F(-big), F(1)), (F(2 * big), F(1))]))
+    assert isinstance(out, NoClearance) and out.reason == "multiple-roots"
 
 
 def test_sections_split_torsion():
@@ -606,31 +611,17 @@ def _integers_of(*recs):
 
 
 def test_each_root_is_factored_once_per_solve(monkeypatch):
-    calls = []
-    converting = []
-    real_factor = factorization.factor_int
-    real_to_group_ring = quotient.to_group_ring
-
-    def factor_int(n):
-        calls.append((n, bool(converting)))
-        return real_factor(n)
-
-    def to_group_ring(*args):
-        converting.append(args)
-        try:
-            return real_to_group_ring(*args)
-        finally:
-            converting.pop()
-
-    monkeypatch.setattr(factorization, "factor_int", factor_int)
-    monkeypatch.setattr(quotient, "to_group_ring", to_group_ring)
-    # The integer roots 40, 24, 5, 12 over the base 4 and 2, 3 over the
-    # base 3: v's root 1 = 3/3 and its base are one integer, factored once.
+    # Each root is factored at most once: not at all.  The integer roots 40,
+    # 24, 5, 12 over the base 4 and 2, 3 over the base 3 are read over their
+    # coprime base {2, 3, 5}, for the refusal's basis and its conversion.
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
     u = from_closed_form([(F(10), F(1)), (F(6), F(-1)), (F(5, 4), F(-3)), (F(3), F(3))])
     v = from_closed_form([(F(2, 3), F(1)), (F(1), F(-1))])
-    assert isinstance(polynomial_clearance(u, v), NoClearance)
-    assert sorted(n for n, _ in calls) == _integers_of(u, v) == [2, 3, 4, 5, 12, 24, 40]
-    assert not any(in_conversion for _, in_conversion in calls)
+    assert _integers_of(u, v) == [2, 3, 4, 5, 12, 24, 40]
+    out = polynomial_clearance(u, v)
+    assert isinstance(out, NoClearance)
+    assert out.witness.basis.base == (2, 3, 5)
+    assert from_group_ring(out.witness) == from_closed_form([(F(2), F(1)), (F(3), F(-1))])
 
 
 def test_solvers_never_read_the_rational_roots(monkeypatch):
@@ -654,32 +645,20 @@ def test_solvers_never_read_the_rational_roots(monkeypatch):
 # 5^n - (-5)^n vanishes on the even section only, so the odd section is
 # refused.  The sections' roots are positive, so both solvers divide on
 # the roots and build no basis, except for a clearance refusal's witness.
+# Each root is factored at most once: not at all, neither by the failing
+# first attempt's sign pivot nor by a section's basis.
 @pytest.mark.parametrize("cancel", [False, True])
 @pytest.mark.parametrize("mode", ["hadamard", "clearance"])
 def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
-    calls, bases = [], []
-    real_factor = factorization.factor_int
+    bases = []
     real_basis = quotient.compute_basis
-
-    def factor_int(n):
-        calls.append(n)
-        return real_factor(n)
 
     def compute_basis(*args, **kwargs):
         bases.append(real_basis(*args, **kwargs))
         return bases[-1]
 
-    squaring = []
-    real_shared = quotient.shared_factors
-
-    @contextmanager
-    def shared_factors():
-        with real_shared() as add_squares:
-            yield lambda: squaring.append(add_squares())
-
-    monkeypatch.setattr(factorization, "factor_int", factor_int)
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
     monkeypatch.setattr(quotient, "compute_basis", compute_basis)
-    monkeypatch.setattr(quotient, "shared_factors", shared_factors)
     q = from_closed_form([(F(2), F(1)), (F(-3, 2), UniPoly([F(1), F(1)]))])
     v = from_closed_form([(F(-2), F(1)), (F(3), F(2))])
     u = q * v
@@ -687,11 +666,7 @@ def test_torsion_fallback_factors_each_root_once(monkeypatch, mode, cancel):
         u = u + geometric(5) - geometric(-5)
     results = solve_with_torsion_fallback(u, v, mode, decimate=True)
     assert [r.offsets for r in results] == [(0,), (1,)]
-    assert sorted(calls) == _integers_of(u, v)
     assert len(bases) == (mode == "clearance" and cancel)
-    # Only a clearance refusal's basis reads the squared factorizations,
-    # and only clearance sections are served them.
-    assert len(squaring) == (mode == "clearance")
 
 
 # Signed roots +-2^a * 3^b * 5^c with a, b, c in -2..2, so roots share
@@ -720,8 +695,10 @@ def recurrence_pairs(draw, roots=signed_roots):
 @settings(max_examples=200, deadline=None)
 @given(recurrence_pairs())
 def test_combined_basis_matches_the_fraction_oracle(pair):
-    # The integer rows (each |R| and base factored once) against the oracle
-    # that factors every rational root by trial division.
+    # The integer rows over a coprime base against the oracle that factors
+    # every rational root by trial division: the generators, signs,
+    # expressions and torsion witnesses agree, and the base coordinates
+    # give the generators back.
     u, v = pair
     values = u.roots + v.roots
     try:
@@ -732,10 +709,12 @@ def test_combined_basis_matches_the_fraction_oracle(pair):
         assert info.value.roots == values
         assert info.value.exponents == torsion.exponents
         return
+    primes, generators, matrix, signs, expressions = expected
     for basis in (quotient.combined_basis(u, v), compute_basis(values)):
         assert basis.values == values
-        assert (basis.primes, basis.generators, basis.matrix, basis.generator_signs,
-                basis.expressions) == expected
+        assert (basis.generators, basis.generator_signs, basis.expressions) \
+            == (generators, signs, expressions)
+        basis_oracle.check_coordinates(basis.base, basis.generators, basis.matrix, signs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -892,13 +871,13 @@ def test_hadamard_sections_over_the_primes(cancel):
 
 def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
     calls = []
-    for module, name in ((multiplicative, "row_hnf"), (multiplicative, "hnf_express"),
-                         (factorization, "factor_int")):
-        def traced(*args, real=getattr(module, name), name=name):
+    for name in ("row_hnf", "hnf_express"):
+        def traced(*args, real=getattr(multiplicative, name), name=name):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(module, name, traced)
+        monkeypatch.setattr(multiplicative, name, traced)
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
     assert hadamard_quotient(mersenne(4), mersenne(2)) == mersenne(2) + constant(2)
     assert hadamard_quotient(mersenne(3), mersenne(2)) is None
     assert hadamard_quotient(geometric(36), geometric(6)) == geometric(6)
@@ -908,11 +887,11 @@ def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
     assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
         [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
     assert calls == []
-    # A signed root still runs the sign pivot, which factors the roots and
-    # finds -1 in their span.
+    # A signed root still runs the sign pivot, which reads the roots over
+    # their coprime base, factoring nothing, and finds -1 in their span.
     with pytest.raises(TorsionGroup):
         hadamard_quotient(geometric(-2), geometric(2))
-    assert calls == ["factor_int", "factor_int", "row_hnf"]
+    assert calls == ["row_hnf"]
 
 
 def test_positive_hadamard_factors_nothing_within_u_order_terms(monkeypatch):
@@ -968,20 +947,80 @@ def test_large_clearance_builds_its_basis_quickly():
     assert elapsed < 2, f"{elapsed:.2f} s"
 
 
-def test_caller_limit_reaches_every_factorization():
-    # 2^89 - 1 is a prime above the default cap.  A positive call factors
-    # nothing (see above and below); the sign pivot of a signed input still
-    # factors every root, under the caller's cap.
+def test_caller_limit_reaches_every_factorization(monkeypatch):
+    # 2^89 - 1 is a prime above the default cap.  No quotient call factors,
+    # the sign pivot of a signed input included, so the cap does not touch
+    # them.  ``express`` factors what the base leaves of a value outside
+    # the inputs, to name its stray prime, under the caller's cap.
     p = 2**89 - 1
     u = from_closed_form([(F(-2 * p), F(1)), (F(-2), F(-1))])
     v = mersenne(p)
-    with factor_limit(2**90):
-        assert hadamard_quotient(u, v) == geometric(-2)
-        out = polynomial_clearance(u, v)
-        assert isinstance(out, QuotientCertificate) and out.quotient == geometric(-2)
-    for solve in (hadamard_quotient, polynomial_clearance):
-        with pytest.raises(FactorizationLimit):
-            solve(u, v)
+    with monkeypatch.context() as patch:
+        patch.setattr(factorization, "factor_int", _no_factoring)
+        for cap in (2**90, 2):
+            with factor_limit(cap):
+                assert hadamard_quotient(u, v) == geometric(-2)
+                out = polynomial_clearance(u, v)
+                assert isinstance(out, QuotientCertificate) and out.quotient == geometric(-2)
+    basis = compute_basis((F(2), F(p)))
+    assert basis.express(F(4 * p)) == (2, 1)
+    stray = F(3 * (2**127 - 1) * p, 4)
+    with pytest.raises(FactorizationLimit):
+        basis.express(stray)
+    with factor_limit(2**128), pytest.raises(RootNotInGroup, match="the prime 3, outside"):
+        basis.express(stray)
+
+
+# Two primes above the trial bound and, for the second, above the default
+# factoring cap: Pollard rho took about 47 s on N and then raised
+# FactorizationLimit, when the quotient solvers still factored their roots.
+N = (2**61 - 1) * (2**64 + 13)
+N_MINUS_THREE = from_closed_form([(F(-N), F(1)), (F(3), F(-1))])
+TWO_PLUS_ONE = mersenne(2) + constant(2)
+
+
+def test_large_prime_roots_answer_without_factoring(monkeypatch):
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
+    start = time.perf_counter()
+    assert hadamard_quotient(N_MINUS_THREE * TWO_PLUS_ONE, TWO_PLUS_ONE) == N_MINUS_THREE
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    u = from_closed_form([(F(N), F(1)), (F(3), F(-1))]) * TWO_PLUS_ONE
+    six_five = from_closed_form([(F(6), F(1)), (F(5), F(2))])
+    out = polynomial_clearance(u, six_five * TWO_PLUS_ONE)
+    assert isinstance(out, NoClearance) and out.reason == "divisor-not-polynomial"
+    assert from_group_ring(out.witness) == six_five
+    assert out.witness.render() == "T1*T2 + 2*T3"
+    assert out.witness.basis.generators == (2, 3, 5, N)
+    assert time.perf_counter() - start < 1
+
+
+def test_no_quotient_call_factors(monkeypatch, tmp_path):
+    # Every entry point on signed roots over N, with factor_int raising: the
+    # sign pivot, the refusal's basis and witness, the torsion fallback in
+    # each mode and the basis subcommand read a coprime base.
+    from recurquot.cli import main
+
+    monkeypatch.setattr(factorization, "factor_int", _no_factoring)
+    v = TWO_PLUS_ONE
+    assert hadamard_quotient(N_MINUS_THREE * v, v) == N_MINUS_THREE
+    out = polynomial_clearance(N_MINUS_THREE * v, from_closed_form([(F(-N), F(1)), (F(5), F(1))]))
+    assert isinstance(out, NoClearance)
+    assert from_group_ring(out.witness) == from_closed_form([(F(-N), F(1)), (F(5), F(1))])
+    assert out.witness.render() in out.detail
+    assert isinstance(cross_quotient(N_MINUS_THREE, v), NoClearance)
+    torsion = from_closed_form([(F(N), F(1)), (F(-N), F(1))])
+    for mode in ("hadamard", "clearance", "cross"):
+        with pytest.raises(TorsionGroup):
+            solve_with_torsion_fallback(N_MINUS_THREE, torsion, mode)
+        sections = solve_with_torsion_fallback(N_MINUS_THREE, torsion, mode, decimate=True)
+        assert len(sections) == (4 if mode == "cross" else 2)
+    spec = tmp_path / "n.json"
+    spec.write_text(f'{{"closed_form": [{{"root": "-{N}", "coeff": "1"}}, '
+                    f'{{"root": "{2 * N}", "coeff": "1"}}]}}')
+    text = io.StringIO()
+    assert main(["basis", str(spec)], out=text) == 0
+    assert text.getvalue().startswith(f"rank 2 basis: -2, -{N}\n")
 
 
 def test_positive_clearance_certificate_factors_nothing(monkeypatch):
@@ -1046,7 +1085,9 @@ def ladder_forms(draw, max_terms=3):
        st.sampled_from(("a*c*x", "a*c", "c", "zero")))
 def test_clearance_matches_the_group_ring_oracle(a, b, c, px, qx, shape):
     # a*c*px over b*c*qx: a common factor c, X-contents px and qx, and
-    # sometimes U = c (a certificate when b has one root) or U = 0.
+    # sometimes U = c (a certificate when b has one root) or U = 0.  The
+    # oracle's basis is over the primes, so each refusal witness must equal
+    # the witness over the prime-canonical basis, T_i names included.
     u = {"a*c*x": a * c * polynomial(px), "a*c": a * c, "c": c,
          "zero": LinearRecurrence(())}[shape]
     v = b * c * polynomial(qx)

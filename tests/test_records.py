@@ -103,10 +103,10 @@ RECORDS = [
     ),
     (
         MultiplicativeBasis,
-        {"pairs": ((2, 1), (3, 1)), "primes": (2, 3), "generators": (F(2), F(3)),
+        {"pairs": ((2, 1), (3, 1)), "base": (2, 3), "generators": (F(2), F(3)),
          "matrix": ((1, 0), (0, 1)), "generator_signs": (1, 1),
          "expressions": ((1, 0), (0, 1))},
-        "MultiplicativeBasis(pairs=((2, 1), (3, 1)), primes=(2, 3), "
+        "MultiplicativeBasis(pairs=((2, 1), (3, 1)), base=(2, 3), "
         "generators=(Fraction(2, 1), Fraction(3, 1)), matrix=((1, 0), (0, 1)), "
         "generator_signs=(1, 1), expressions=((1, 0), (0, 1)))",
     ),

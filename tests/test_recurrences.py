@@ -588,15 +588,14 @@ root_sets = st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_s
 def test_exponent_box_over_a_coprime_base_is_the_prime_box(u_roots, v_roots, exponents):
     # The box reads a coprime base found by gcds; trial division gives the
     # prime exponents, and both boxes must agree on elements of the group.
-    from recurquot.recurrences import _coprime_base, _exponent_box
+    from recurquot.factorization import coprime_base
+    from recurquot.recurrences import _exponent_box
     roots = u_roots + v_roots
-    base = _coprime_base(roots)
+    base, exponents_of = coprime_base(roots)
+    assert all(b > 1 for b in base)
     assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
     for r in roots:
-        for b in base:
-            while r % b == 0:
-                r //= b
-        assert r == 1
+        assert math.prod(b**e for b, e in zip(base, exponents_of[r])) == r
     u, v = (LinearRecurrence([(r, (1,)) for r in rs]) for rs in (u_roots, v_roots))
     k = len(u_roots)
     rows = [_prime_exponents(r) for r in roots]
