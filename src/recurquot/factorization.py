@@ -221,7 +221,9 @@ def coprime_base(numbers) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     if any(n < 1 for n in numbers):
         raise ZeroInput("a coprime base needs integers >= 1")
     base: list[int] = []
-    pending = [n for n in numbers if n > 1]
+    # Smallest first: a power or multiple of a kept element then only
+    # divides down, and splits are rare.
+    pending = sorted((n for n in numbers if n > 1), reverse=True)
     while pending:
         x = pending.pop()
         for i, b in enumerate(base):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, gt, sub
+from itertools import chain
+from operator import add, sub
 
 from .errors import BasisMismatch, BothZero, InputError, ZeroInput
 from .multiplicative import MultiplicativeBasis
@@ -25,7 +26,14 @@ from .recurrences import LinearRecurrence
 # -- integer polynomials: dict[exponent tuple, int] -----------------------------
 #
 # Gcd and division work exactly in Z[v_0..v_{k-1}], v_0 = X and v_i = T_i,
-# on the primitive parts that group-ring elements store.
+# on the primitive parts that group-ring elements store.  Inside they read
+# each exponent tuple packed into one integer (as in M. Monagan and
+# R. Pearce, *Sparse polynomial division using a heap*, 2011): k fields of
+# ``width`` bits, v_0 in the top one.  Every field stays below
+# 2^(width - 1), so lex order is integer order and multiplying monomials
+# adds their keys.  The top bit of each field is a guard: (a | guard) - b
+# keeps every guard bit exactly where a_i >= b_i, so one subtraction
+# compares all exponents.  Degree vectors are packed the same way.
 
 
 def _zz_content(f: dict) -> int:
@@ -46,34 +54,91 @@ def _degrees(f: dict) -> list[int]:
     return list(map(max, zip(*f)))
 
 
-def _zz_divide(f: dict, g: dict) -> dict | None:
-    """Exact quotient f/g in Z[v_0..v_{k-1}], or None.
+def _width(*degrees) -> int:
+    """A field width that holds every exponent up to the largest of
+    ``degrees`` below its guard bit."""
+    return max(chain.from_iterable(degrees), default=0).bit_length() + 1
 
-    Lex-order division generates the quotient's terms from the top, so
-    a term outside the degree box deg(f) - deg(g) or a leading
-    coefficient that the divisor's does not divide ends it early.  The
-    remainder's lead is popped, as the quotient term cancels it exactly,
-    and only the divisor's other terms are subtracted.
-    """
+
+def _guard(k: int, width: int) -> int:
+    """The top bit of each of k fields."""
+    return ((1 << width * k) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _pack_key(e, width: int) -> int:
+    key = 0
+    for x in e:
+        key = key << width | x
+    return key
+
+
+def _pack(f: dict, width: int) -> dict:
+    out = {}
+    for e, c in f.items():
+        key = 0
+        for x in e:
+            key = key << width | x
+        out[key] = c
+    return out
+
+
+def _unpack(f: dict, k: int, width: int) -> dict:
+    mask = (1 << width) - 1
+    shifts = range(width * (k - 1), -1, -width)
+    return {tuple([key >> s & mask for s in shifts]): c for key, c in f.items()}
+
+
+def _zz_divide(f: dict, g: dict) -> dict | None:
+    """Exact quotient f/g in Z[v_0..v_{k-1}], or None."""
+    f_degrees, g_degrees = _degrees(f), _degrees(g)
+    k, width = len(f_degrees), _width(f_degrees, g_degrees)
+    q = _divide_packed(
+        _pack(f, width), _pack_key(f_degrees, width),
+        _divisor(_pack(g, width), _pack_key(g_degrees, width)), _guard(k, width),
+    )
+    return None if q is None else _unpack(q, k, width)
+
+
+def _divisor(g: dict, degrees: int) -> tuple:
+    """What dividing by the packed g reads: its lex-leading key and
+    coefficient, its other terms, and its packed degrees."""
     ge = max(g)
-    gc = g[ge]
-    tail = [(e, c) for e, c in g.items() if e != ge]
-    box = list(map(sub, _degrees(f), _degrees(g)))
-    if min(box) < 0:
+    return ge, g[ge], [(e, c) for e, c in g.items() if e != ge], degrees
+
+
+def _divide_packed(f: dict, f_degrees: int, divisor: tuple, guard: int) -> dict | None:
+    """Exact quotient of the packed f by a packed ``_divisor``, or None.
+
+    ``f_degrees`` bounds f's degrees from above, and the divisor's are
+    exact; all are below 2^(width - 1).  Lex-order division generates the
+    quotient's terms from the top, so a term outside the degree box
+    deg(f) - deg(g) or a leading coefficient that the divisor's does not
+    divide ends it early.  The remainder's lead is popped, as the
+    quotient term cancels it exactly, and only the divisor's other terms
+    are subtracted.  Every remainder key stays inside f's degrees, so the
+    guard bits stay sound.
+    """
+    ge, gc, tail, g_degrees = divisor
+    # The box with its guard bits set, where deg(f) >= deg(g) in every field.
+    box = (f_degrees | guard) - g_degrees
+    if box & guard != guard:
         return None
-    q: dict[tuple[int, ...], int] = {}
+    q: dict[int, int] = {}
     r = dict(f)
     while r:
         re = max(r)
-        diff = tuple(map(sub, re, ge))
-        if min(diff) < 0 or any(map(gt, diff, box)):
+        # The guard bits survive both subtractions exactly where
+        # 0 <= re - ge <= box, field by field.
+        diff = (re | guard) - ge
+        if diff & guard != guard or (box - (diff ^ guard)) & guard != guard:
             return None
+        diff ^= guard
         c, rest = divmod(r.pop(re), gc)
         if rest:
             return None
         q[diff] = c
         for e2, c2 in tail:
-            key = tuple(map(add, diff, e2))
+            key = diff + e2
             v = r.get(key, 0) - c * c2
             if v:
                 r[key] = v
@@ -103,7 +168,8 @@ def _zz_mul(f: dict, g: dict) -> dict:
 # xi.  Hence q = +-1, and acceptance by exact trial division is a proof,
 # not a guess.  A candidate equal to 1 skips the trial division: 1
 # divides both inputs, which is all that acceptance asks of it, so the
-# same argument proves that the inputs are coprime.
+# same argument proves that the inputs are coprime.  A candidate of
+# higher degree in v_0 than an input cannot divide it.
 #
 # The loop ends.  Write f = h * f' and g = h * g' with f', g' coprime.
 # Outside the roots in v_0 of the resultants Res_{v_j}(f', g') and of the
@@ -114,24 +180,32 @@ def _zz_mul(f: dict, g: dict) -> dict:
 # once xi > 2 * S * |h|_inf its symmetric digits are exactly s_xi * h,
 # whose primitive part h passes the trial division.  xi grows strictly on
 # every retry, so some retry succeeds.  No budget bounds the loop yet.
+#
+# A v_0 that appears in neither input costs no evaluation: the gcd of
+# polynomials free of v_0 is free of it, and their packed keys already
+# read as keys in the other k - 1 variables.
 
 
-def _eval_main(f: dict, xi: int) -> dict:
-    """Substitute v_0 = xi, leaving a polynomial in the remaining variables."""
+def _eval_main(f: dict, xi: int, degree: int, shift: int) -> dict:
+    """Substitute v_0 = xi in the packed f, whose v_0 field starts at bit
+    ``shift`` and holds at most ``degree``, leaving the other fields."""
     powers = [1]
-    for _ in range(max(f)[0]):
+    for _ in range(degree):
         powers.append(powers[-1] * xi)
-    out: dict[tuple[int, ...], int] = {}
+    low = (1 << shift) - 1
+    out: dict[int, int] = {}
     for e, c in f.items():
-        rest = e[1:]
-        out[rest] = out.get(rest, 0) + c * powers[e[0]]
-    return {e: c for e, c in out.items() if c}
+        rest = e & low
+        out[rest] = out.get(rest, 0) + c * powers[e >> shift]
+    return out if all(out.values()) else {e: c for e, c in out.items() if c}
 
 
-def _interpolate(gamma: dict, xi: int) -> dict:
-    """The polynomial in v_0 whose symmetric xi-adic digits spell gamma."""
+def _interpolate(gamma: dict, xi: int, shift: int) -> tuple[dict, int]:
+    """The packed polynomial whose symmetric xi-adic digits, placed in the
+    v_0 field at bit ``shift``, spell gamma, and its degree in v_0."""
     half = xi // 2
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
+    top = 0
     for e, n in gamma.items():
         i = 0
         while n:
@@ -139,36 +213,82 @@ def _interpolate(gamma: dict, xi: int) -> dict:
             if d > half:
                 d -= xi
             if d:
-                out[(i,) + e] = d
+                out[i << shift | e] = d
             n = (n - d) // xi
             i += 1
-    return out
+        top = max(top, i)
+    return out, top - 1
+
+
+def _gcd_packed(f: dict, f_degrees: int, g: dict, g_degrees: int, k: int,
+                width: int) -> tuple[dict, int]:
+    """GCDHEU on packed non-zero f, g in k fields: their gcd, with positive
+    lead, and its packed degrees.
+
+    ``f_degrees`` and ``g_degrees`` bound the inputs' degrees from above;
+    the gcd's are exact, as its trial divisions need.
+    """
+    if k == 0:
+        return {0: math.gcd(*f.values(), *g.values())}, 0
+    shift = width * (k - 1)
+    f_top, g_top = f_degrees >> shift, g_degrees >> shift
+    if not f_top and not g_top:
+        return _gcd_packed(f, f_degrees, g, g_degrees, k - 1, width)
+    cont = math.gcd(*f.values(), *g.values())
+    if cont != 1:
+        f = {e: c // cont for e, c in f.items()}
+        g = {e: c // cont for e, c in g.items()}
+    low = (1 << shift) - 1
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    xi = 2 * norm + 29
+    while True:
+        ff, gg = _eval_main(f, xi, f_top, shift), _eval_main(g, xi, g_top, shift)
+        if ff and gg:
+            gamma, gamma_degrees = _gcd_packed(
+                ff, f_degrees & low, gg, g_degrees & low, k - 1, width)
+            h, top = _interpolate(gamma, xi, shift)
+            h = _zz_primitive(h)
+            if len(h) == 1 and 0 in h:
+                return {0: cont}, 0
+            if top <= f_top and top <= g_top:
+                divisor = _divisor(h, top << shift | gamma_degrees)
+                guard = _guard(k, width)
+                if (_divide_packed(f, f_degrees, divisor, guard) is not None
+                        and _divide_packed(g, g_degrees, divisor, guard) is not None):
+                    return (h if cont == 1 else {e: c * cont for e, c in h.items()}), divisor[3]
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _heu_gcd(f: dict, g: dict, k: int) -> dict:
     """Gcd of non-zero f, g in Z[v_0..v_{k-1}] by GCDHEU, with positive lead."""
-    cont = math.gcd(*f.values(), *g.values())
-    if k == 0:
-        return {(): cont}
-    if cont != 1:
-        f = {e: c // cont for e, c in f.items()}
-        g = {e: c // cont for e, c in g.items()}
-    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
-    xi = 2 * norm + 29
-    while True:
-        ff, gg = _eval_main(f, xi), _eval_main(g, xi)
-        if ff and gg:
-            h = _zz_primitive(_interpolate(_heu_gcd(ff, gg, k - 1), xi))
-            if h == {(0,) * k: 1}:
-                return {(0,) * k: cont}
-            if _zz_divide(f, h) is not None and _zz_divide(g, h) is not None:
-                return {e: c * cont for e, c in h.items()}
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    f_degrees, g_degrees = _degrees(f), _degrees(g)
+    width = _width(f_degrees, g_degrees)
+    h, _ = _gcd_packed(_pack(f, width), _pack_key(f_degrees, width),
+                       _pack(g, width), _pack_key(g_degrees, width), k, width)
+    return _unpack(h, k, width)
 
 
 def _zz_gcd(f: dict, g: dict, k: int) -> dict:
     """Gcd of non-zero f, g in Z[v_0..v_{k-1}], primitive with positive lead."""
     return _zz_primitive(_heu_gcd(f, g, k))
+
+
+# In one variable the packed key of v_0^d is d at any width, so a polynomial
+# in X keyed by degree is already packed.
+
+
+def _x_gcd(f: dict, g: dict) -> dict:
+    """Gcd of non-zero f, g in Z[X] keyed by degree, primitive with positive lead."""
+    f_degree, g_degree = max(f), max(g)
+    h, _ = _gcd_packed(f, f_degree, g, g_degree, 1, _width((f_degree, g_degree)))
+    return _zz_primitive(h)
+
+
+def _x_divide(f: dict, g: dict) -> dict | None:
+    """Exact quotient f/g in Z[X] keyed by degree, or None."""
+    f_degree, g_degree = max(f), max(g)
+    guard = _guard(1, _width((f_degree, g_degree)))
+    return _divide_packed(f, f_degree, _divisor(g, g_degree), guard)
 
 
 # -- group-ring elements -------------------------------------------------------
@@ -217,9 +337,11 @@ class GroupRingElement:
         cont = _zz_content(poly)
         self._set(basis, Fraction(cont, den), low, {e: c // cont for e, c in poly.items()})
 
-    def _set(self, *fields) -> "GroupRingElement":
-        for name, value in zip(GroupRingElement.__slots__, fields):
-            object.__setattr__(self, name, value)
+    def _set(self, basis, content, low, poly) -> "GroupRingElement":
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "poly", poly)
         return self
 
     def __setattr__(self, name, value):
@@ -304,10 +426,24 @@ class GroupRingElement:
     # -- rendering -------------------------------------------------------------------
 
     def render(self) -> str:
-        return _render_sum(
-            (c, _monomial([("X", x), *((f"T{i}", e) for i, e in enumerate(te, start=1))]))
-            for (x, te), c in sorted(self.terms.items(), reverse=True)
-        )
+        """The terms from the lex-leading one down, as in "X*T1 - 1/2*T2".
+
+        Read off the split: the key e of poly stands for X^e_0 * T^(e' + low)
+        with coefficient content * poly[e], reduced here in integers.
+        """
+        num, den = self.content.numerator, self.content.denominator
+        names = ("X", *(f"T{i}" for i in range(1, self.basis.rank + 1)))
+        shift = (0, *self.low)
+        terms = []
+        for e in sorted(self.poly, reverse=True):
+            factors = _monomial(zip(names, map(add, e, shift)))
+            c = num * self.poly[e]
+            g = math.gcd(c, den)
+            if g == den:
+                terms.append((c // g, factors))
+            else:
+                terms.append((1 if c > 0 else -1, [f"{abs(c) // g}/{den // g}", *factors]))
+        return _render_sum(terms)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
@@ -348,12 +484,13 @@ def to_group_ring(
         raise InputError(f"need one exponent tuple per root, {len(u.cleared_terms)}, "
                          f"got {len(exponents)}")
     low = tuple(map(min, zip(*exponents)))
+    if any(low):
+        exponents = [tuple(map(sub, te, low)) for te in exponents]
     poly = {}
     for te, (_, coeffs) in zip(exponents, u.cleared_terms):
-        shifted = tuple(map(sub, te, low))
         for d, c in enumerate(coeffs):
             if c:
-                poly[(d, *shifted)] = c
+                poly[(d, *te)] = c
     cont = _zz_content(poly)
     if cont != 1:
         poly = {e: c // cont for e, c in poly.items()}
@@ -368,15 +505,17 @@ def from_group_ring(f: GroupRingElement) -> LinearRecurrence:
     N * (B / D), and its coefficients are integers over the content's
     denominator.
     """
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for (x, *te), c in f.poly.items():
-        groups.setdefault(tuple(a + b for a, b in zip(te, f.low)), {})[x] = c
-    roots = [f.basis.reconstruct_pair(te) for te in groups]
-    base = math.lcm(*(den for _, den in roots))
     num = f.content.numerator
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for e, c in f.poly.items():
+        coeffs = groups.setdefault(e[1:], [])
+        if len(coeffs) <= e[0]:
+            coeffs += [0] * (e[0] + 1 - len(coeffs))
+        coeffs[e[0]] = num * c
+    roots = [f.basis.reconstruct_pair(tuple(map(add, te, f.low))) for te in groups]
+    base = math.lcm(*(den for _, den in roots))
     return LinearRecurrence(
-        ((r * (base // d), [num * coeffs.get(x, 0) for x in range(max(coeffs) + 1)])
-         for (r, d), coeffs in zip(roots, groups.values())),
+        ((r * (base // d), coeffs) for (r, d), coeffs in zip(roots, groups.values())),
         f.content.denominator,
         base,
     )

@@ -90,14 +90,12 @@ def left_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer row x with x * H == target, or None.  H must be HNF rows."""
-    if not h:
-        return [] if all(v == 0 for v in target) else None
-    m = len(h[0])
     residue = list(map(int, target))
     coeffs = []
     piv_col = 0
     for row in h:
-        # Pivot columns strictly increase down the rows.
+        # Pivot columns strictly increase down the rows, and a row is 0
+        # left of its pivot.
         while row[piv_col] == 0:
             piv_col += 1
         q, r = divmod(residue[piv_col], row[piv_col])
@@ -105,9 +103,8 @@ def hnf_express(h: list[list[int]], target: list[int]) -> list[int] | None:
             return None
         coeffs.append(q)
         if q:
-            for j in range(piv_col, m):
-                residue[j] -= q * row[j]
-    if any(v != 0 for v in residue):
+            residue = [x - q * y for x, y in zip(residue, row)]
+    if any(residue):
         return None
     return coeffs
 

@@ -11,7 +11,6 @@ over that base, with the sign as one more column taken mod 2.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -41,16 +40,19 @@ def exponent_table(pairs) -> tuple[tuple[int, ...], list[ExponentVector]]:
     that base, and its sign bit is R < 0.  Returns (the base, one
     ExponentVector per pair).
     """
-    if any(not r for r, _ in pairs):
+    distinct = dict.fromkeys(pairs)
+    if any(not r for r, _ in distinct):
         raise ZeroInput("zero has no multiplicative coordinates")
-    base, coords = coprime_base(n for r, b in pairs for n in (abs(r), b))
-    rows = [tuple(map(operator.sub, coords[abs(r)], coords[b])) for r, b in pairs]
+    base, coords = coprime_base(n for r, b in distinct for n in (abs(r), b))
+    rows = [tuple(map(operator.sub, coords[abs(r)], coords[b])) for r, b in distinct]
     # A base element of R that B cancels in every row is not a coordinate.
     kept = [j for j, column in enumerate(zip(*rows)) if any(column)]
     if len(kept) < len(base):
         base = tuple(base[j] for j in kept)
         rows = [tuple(row[j] for j in kept) for row in rows]
-    return base, [ExponentVector(int(r < 0), row) for (r, _), row in zip(pairs, rows)]
+    for (r, b), row in zip(distinct, rows):
+        distinct[r, b] = ExponentVector(int(r < 0), row)
+    return base, [distinct[pair] for pair in pairs]
 
 
 def _pairs(values) -> tuple[tuple[int, int], ...]:
@@ -237,18 +239,22 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
     gen_signs = [-1 if r[m] else 1 for r in rows]
     generators = []
     for sign, row in zip(gen_signs, h):
-        num = math.prod(b**e for b, e in zip(base, row) if e > 0)
-        den = math.prod(b**-e for b, e in zip(base, row) if e < 0)
+        num = den = 1
+        for b, e in zip(base, row):
+            if e > 0:
+                num *= b**e
+            elif e < 0:
+                den *= b**-e
         generators.append(Fraction(sign * num, den))
     columns = list(zip(*h))
     negative = [i for i, s in enumerate(gen_signs) if s < 0]
     found: dict[ExponentVector, tuple[int, ...]] = {}
     for vec, (r, b) in distinct.items():
-        coeffs = hnf_express(h, list(vec.exponents))
+        coeffs = hnf_express(h, vec.exponents)
         if coeffs is None:
             raise VerificationFailed(f"input {Fraction(r, b)} escaped its own lattice")
-        exps = tuple(sum(map(operator.mul, coeffs, column)) for column in columns)
-        odd = sum(coeffs[i] for i in negative) % 2
+        exps = tuple([sum(map(operator.mul, coeffs, column)) for column in columns])
+        odd = sum(map(coeffs.__getitem__, negative)) % 2
         if exps != vec.exponents or odd != vec.sign_bit:
             raise VerificationFailed(
                 f"the expression of {Fraction(r, b)} does not give back its exponents and sign")

@@ -25,8 +25,8 @@ from ._record import Record
 from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
     GroupRingElement,
-    _zz_divide,
-    _zz_gcd,
+    _x_divide,
+    _x_gcd,
     _zz_primitive,
     from_group_ring,
     laurent_divide,
@@ -143,24 +143,24 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
 def _x_content(rec: LinearRecurrence, content: dict | None = None) -> dict:
     """The gcd of ``content`` and rec's coefficient polynomials, or ``content``.
 
-    Polynomials in X are integer dicts over (degree,); the gcd is primitive
+    Polynomials in X are integer dicts keyed by degree; the gcd is primitive
     with a positive lead.  It takes the shortest columns first and stops at 1.
     """
     for coeffs in sorted((coeffs for _, coeffs in rec.cleared_terms), key=len):
-        if content == {(0,): 1}:
+        if content == {0: 1}:
             break
-        column = {(d,): c for d, c in enumerate(coeffs) if c}
-        content = _zz_primitive(column) if content is None else _zz_gcd(content, column, 1)
+        column = {d: c for d, c in enumerate(coeffs) if c}
+        content = _zz_primitive(column) if content is None else _x_gcd(content, column)
     return content
 
 
 def _x_coeffs(poly: dict) -> list[int]:
-    return [poly.get((d,), 0) for d in range(max(poly)[0] + 1)]
+    return [poly.get(d, 0) for d in range(max(poly) + 1)]
 
 
 def _divide_by_x(rec: LinearRecurrence, poly: dict) -> LinearRecurrence:
     """rec / poly(n) for a divisor poly of rec's X-content."""
-    if poly == {(0,): 1}:
+    if poly == {0: 1}:
         return rec
     out = rec._divide(LinearRecurrence(((1, _x_coeffs(poly)),)))
     if out is None:
@@ -208,7 +208,7 @@ def polynomial_clearance(
             ),
         )
     c = _x_content(w, c_v)
-    p = _zz_divide(c_v, c)
+    p = _x_divide(c_v, c)
     lc = p[max(p)]
     clearing = UniPoly(_x_coeffs(p)).monic()
     quotient = _divide_by_x(w, c) * Fraction(1, lc)

@@ -44,6 +44,9 @@ def check_golden(name, *argv):
     ("quotient_refusal.json",
      ["quotient", DATA / "power3m.json", DATA / "mersenne2.json",
       "--mode", "clearance", "--json"], 1),
+    ("quotient_refusal_rank3.json",
+     ["quotient", DATA / "power3m.json", DATA / "refusal_rank3.json",
+      "--mode", "clearance", "--json"], 1),
     ("quotient_decimated.json",
      ["quotient", DATA / "torsion.json", DATA / "mersenne2.json",
       "--decimate", "--json"], 1),

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import render_oracle
 from fraction_prs import _mv_divide, fraction_prs_gcd, fraction_strip_x_content, integer_prs_gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -252,6 +253,47 @@ def test_render_uses_generator_powers():
     assert "X" in text and "T1" in text
 
 
+RENDER_BASES = {rank: compute_basis(tuple(F(p) for p in (2, 3, 5)[:rank])) for rank in range(4)}
+
+
+@st.composite
+def render_elements(draw):
+    """Elements of rank 0-3 with X-powers, T-exponents of either sign and
+    coefficients such as 1, -1, -1/2 and 7/3, times a content of either
+    sign; the zero element when no term is drawn."""
+    rank = draw(st.integers(min_value=0, max_value=3))
+    coefficient = st.one_of(
+        st.sampled_from([F(1), F(-1)]),
+        st.fractions(min_value=F(-9), max_value=F(9), max_denominator=7).filter(bool),
+    )
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=3),
+                  st.tuples(*[st.integers(min_value=-3, max_value=3)] * rank)),
+        coefficient, max_size=5,
+    ))
+    content = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 4), F(6, 5), F(-7)]))
+    return GroupRingElement(RENDER_BASES[rank], terms) * content
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_elements())
+@example(GroupRingElement(RENDER_BASES[0], {}))
+@example(GroupRingElement(RENDER_BASES[0], {(0, ()): F(-1)}))
+@example(GroupRingElement(RENDER_BASES[2], {(2, (1, 0)): F(1), (1, (0, 1)): F(-2, 3),
+                                            (0, (1, 0)): F(-1, 6), (0, (0, 0)): F(7, 3)}))
+@example(GroupRingElement(RENDER_BASES[3], {(0, (-1, 0, 2)): F(-1), (1, (0, -2, 0)): F(1)}))
+def test_render_matches_the_fraction_terms_oracle(f):
+    assert f.render() == render_oracle.render(f)
+    assert f.unit_normalized().render() == render_oracle.render(f.unit_normalized())
+    assert (-f).render() == render_oracle.render(-f)
+
+
+def test_render_of_the_zero_element_and_bare_signs():
+    assert GroupRingElement.zero(BASIS).render() == "0"
+    f = elem({(1, (1, -1)): F(-1), (0, (0, 0)): F(1), (0, (-2, 0)): F(-1, 2)})
+    assert f.render() == "-X*T1*T2^-1 + 1 - 1/2*T1^-2"
+
+
 def test_linear_recurrence_alias():
     assert isinstance(geom(2), LinearRecurrence)
 
@@ -451,7 +493,8 @@ def test_heuristic_rejects_accidental_candidate():
     # 2X - 19.  It divides neither input, so a later point must decide.
     f = {(0,): 57, (1,): 52, (2,): 47, (3,): 27}
     g = {(0,): 38, (1,): 8, (2,): -30, (3,): -52}
-    assert groupring._interpolate({(): 741}, 133) == {(0,): -57, (1,): 6}
+    # In one variable the packed key of X^d is d, and X's field starts at bit 0.
+    assert groupring._interpolate({0: 741}, 133, 0) == ({0: -57, 1: 6}, 1)
     assert groupring._heu_gcd(f, g, 1) == {(0,): 1}
     basis = compute_basis((F(2),))
     a, b = (GroupRingElement(basis, {(d, (0,)): F(c) for (d,), c in p.items()})
@@ -482,9 +525,9 @@ def test_heuristic_keeps_growing_the_evaluation_point(monkeypatch):
     points = []
     real = groupring._interpolate
 
-    def interpolate(gamma, xi):
+    def interpolate(gamma, xi, shift):
         points.append(xi)
-        return {(1,): 1, (0,): 5} if len(points) <= 10 else real(gamma, xi)
+        return ({1: 1, 0: 5}, 1) if len(points) <= 10 else real(gamma, xi, shift)
 
     monkeypatch.setattr(groupring, "_interpolate", interpolate)
     assert groupring._heu_gcd(f, g, 1) == {(1,): 1, (0,): -1}
@@ -531,6 +574,55 @@ def test_zz_divide_undoes_zz_mul(pair):
     assert b == b_before
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.tuples(*[st.dictionaries(
+        st.tuples(*[st.sampled_from([0, 1, 63, 64, 127, 128, 300])] * k),
+        st.integers(min_value=-9, max_value=9).filter(bool), min_size=1, max_size=4)] * 2)))
+def test_zz_divide_undoes_zz_mul_with_wide_exponents(pair):
+    # Exponents of 64 and more need packed fields wider than a byte, and
+    # a sum such as 300 + 300 must stay inside its field.
+    a, b = pair
+    product = groupring._zz_mul(a, b)
+    assert groupring._zz_divide(product, b) == a
+    quotient = _mv_divide({e: F(c) for e, c in a.items()}, {e: F(c) for e, c in b.items()})
+    exact = quotient is not None and all(c.denominator == 1 for c in quotient.values())
+    assert groupring._zz_divide(a, b) == ({e: int(c) for e, c in quotient.items()} if exact else None)
+
+
+def test_the_kernel_in_no_variables():
+    assert groupring._heu_gcd({(): 6}, {(): -4}, 0) == {(): 2}
+    assert groupring._zz_divide({(): 6}, {(): 3}) == {(): 2}
+    assert groupring._zz_divide({(): 6}, {(): 4}) is None
+
+
+@pytest.mark.parametrize("f, g", [
+    # (T1 + 2)(T1*T2 - 1) and (T1 + 2)(T2 + 3).
+    ({(1, 1): 1, (0, 1): 2, (1, 0): -1, (0, 0): -2}, {(1, 1): 1, (0, 1): 3, (1, 0): 2, (0, 0): 6}),
+    # T2^2 - 1 and T1*T2 + T1, sharing T2 + 1 in the last variable.
+    ({(0, 2): 1, (0, 0): -1}, {(1, 1): 1, (1, 0): 1}),
+])
+def test_a_variable_in_neither_input_costs_no_evaluation(monkeypatch, f, g):
+    # With X in front and absent from both, GCDHEU evaluates exactly as
+    # often as on the inputs without it, and finds the same gcd.
+    calls = []
+    real = groupring._eval_main
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(groupring, "_eval_main", counted)
+    h = groupring._heu_gcd(f, g, 2)
+    without_x = list(calls)
+    calls.clear()
+    with_x = groupring._heu_gcd({(0, *e): c for e, c in f.items()},
+                                {(0, *e): c for e, c in g.items()}, 3)
+    assert with_x == {(0, *e): c for e, c in h.items()}
+    assert h == groupring._zz_primitive(integer_prs_gcd(f, g, 2))
+    assert len(calls) == len(without_x) > 0
+
+
 @pytest.mark.parametrize("f, g, k, content", [
     # 2 * (2X^2 + 3) and 2 * (3X + 1).
     ({(2,): 4, (0,): 6}, {(1,): 6, (0,): 2}, 1, 2),
@@ -541,10 +633,10 @@ def test_zz_divide_undoes_zz_mul(pair):
 ])
 def test_heuristic_accepts_a_unit_candidate_without_trial_division(monkeypatch, f, g, k, content):
     # The candidate 1 divides both inputs, so no trial division is due.
-    def forbidden(f, g):
+    def forbidden(*args):
         raise AssertionError("trial division by the candidate 1")
 
-    monkeypatch.setattr(groupring, "_zz_divide", forbidden)
+    monkeypatch.setattr(groupring, "_divide_packed", forbidden)
     assert groupring._heu_gcd(f, g, k) == {(0,) * k: content}
 
 

@@ -1064,6 +1064,45 @@ def test_clearance_certificate_builds_no_basis_and_takes_no_gcd(monkeypatch):
         assert isinstance(polynomial_clearance(u, v), QuotientCertificate)
 
 
+# The names the bench tracer wraps on ``quotient`` and the calls one
+# clearance makes at each of them.
+WITNESS_CALLS = ("compute_basis", "to_group_ring", "laurent_gcd", "laurent_divide",
+                 "from_group_ring")
+
+
+def _count_witness_calls(monkeypatch) -> dict:
+    counts = dict.fromkeys(WITNESS_CALLS, 0)
+    for name in WITNESS_CALLS:
+        def counted(*args, real=getattr(quotient, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quotient, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("u, v", [
+    (geometric(3), mersenne(2)),
+    (geometric(3), from_closed_form([(F(2, 3), UniPoly([F(-1, 2), F(0), F(3)])),
+                                     (F(5), UniPoly([F(0), F(-2)])), (F(1), F(7))])),
+    (mersenne(3) * mersenne(5), polynomial([F(1), F(1)]) * mersenne(2) * mersenne(5)),
+], ids=["golden", "rank3-golden", "common-factor"])
+def test_a_refusal_makes_one_call_at_each_witness_name(monkeypatch, u, v):
+    counts = _count_witness_calls(monkeypatch)
+    assert isinstance(polynomial_clearance(u, v), NoClearance)
+    assert counts == {"compute_basis": 1, "to_group_ring": 2, "laurent_gcd": 1,
+                      "laurent_divide": 1, "from_group_ring": 1}
+
+
+def test_a_certificate_makes_no_call_at_the_witness_names(monkeypatch):
+    counts = _count_witness_calls(monkeypatch)
+    v = polynomial([F(1), F(1)]) * mersenne(2)
+    assert isinstance(polynomial_clearance(geometric(3) * mersenne(2), v), QuotientCertificate)
+    assert isinstance(polynomial_clearance(geometric(5), polynomial([F(0), F(1), F(1)])),
+                      QuotientCertificate)
+    assert counts == dict.fromkeys(WITNESS_CALLS, 0)
+
+
 # Positive roots over 2, 3, 5 with exponents -1..2, as in the bench's
 # quotient ladder, and now and then a negative one, so -1 may be in the span.
 ladder_roots = st.builds(
