@@ -19,6 +19,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import compress
 
+from ._record import Record
 from .errors import FactorizationLimit, InputError, VerificationFailed, ZeroInput
 
 DEFAULT_FACTOR_LIMIT = 2**64
@@ -247,7 +248,7 @@ def coprime_base(numbers) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     return tuple(base), rows
 
 
-class FactoredRational:
+class FactoredRational(Record):
     """A non-zero rational as sign * prod(p^e) with e in Z.
 
     Invariants: sign in {1, -1}; primes distinct; reconstructing the
@@ -259,8 +260,8 @@ class FactoredRational:
     def __init__(self, sign: int, exponents: dict[int, int]):
         if sign not in (1, -1):
             raise InputError(f"the sign must be 1 or -1, got {sign!r}")
-        self.sign = sign
-        self.exponents = {p: e for p, e in sorted(exponents.items()) if e != 0}
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "exponents", {p: e for p, e in sorted(exponents.items()) if e})
 
     def value(self) -> Fraction:
         out = Fraction(self.sign)
@@ -271,12 +272,8 @@ class FactoredRational:
     def primes(self) -> tuple[int, ...]:
         return tuple(self.exponents)
 
-    def __eq__(self, other):
-        if not isinstance(other, FactoredRational):
-            return NotImplemented
-        return self.sign == other.sign and self.exponents == other.exponents
-
     def __hash__(self):
+        # The base hashes the fields themselves, and ``exponents`` is a dict.
         return hash((self.sign, tuple(self.exponents.items())))
 
     def __repr__(self):

@@ -341,20 +341,6 @@ class DecayReport(Record):
 
     __slots__ = ("place", "max_ratio", "argmax_n", "samples", "skipped_zeros")
 
-    def __init__(
-        self,
-        place: Place,
-        max_ratio: LogSum,
-        argmax_n: int | None,
-        samples: tuple[tuple[int, LogSum], ...],
-        skipped_zeros: tuple[int, ...],
-    ):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "max_ratio", max_ratio)
-        object.__setattr__(self, "argmax_n", argmax_n)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "skipped_zeros", skipped_zeros)
-
 
 def _divisible_indices(v: LinearRecurrence, p: int, n_lo: int, n_hi: int):
     """(n, v_p(W(n))) for the n in [n_lo, n_hi] with p | W(n), in order,
@@ -453,9 +439,9 @@ def decay_check(
             if best is None or val * best_n > best_val * n:
                 best, best_val, best_n = ratio, val, n
     return DecayReport(
-        place=place,
-        max_ratio=LogSum.zero() if best is None else best,
-        argmax_n=None if best is None else best_n,
-        samples=tuple(samples),
-        skipped_zeros=tuple(skipped),
+        place,
+        LogSum.zero() if best is None else best,
+        None if best is None else best_n,
+        tuple(samples),
+        tuple(skipped),
     )

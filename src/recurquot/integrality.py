@@ -64,11 +64,6 @@ class SearchHit(Record):
 
     __slots__ = ("m", "n", "d")
 
-    def __init__(self, m: int, n: int, d: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-
     @classmethod
     def _row(cls, n: int, row) -> list["SearchHit"]:
         """Trusted: the hits (m, n, d) for the pairs (m, d) of one row.
@@ -417,24 +412,7 @@ class ObstructionReport(Record):
         "certified", "prime", "progression", "period", "clearing_constants",
         "failing_side", "failing_index",
     )
-
-    def __init__(
-        self,
-        certified: bool,
-        prime: int,
-        progression: tuple[int, int],
-        period: int,
-        clearing_constants: tuple[int, int],
-        failing_side: str | None = None,
-        failing_index: int | None = None,
-    ):
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "progression", progression)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "clearing_constants", clearing_constants)
-        object.__setattr__(self, "failing_side", failing_side)
-        object.__setattr__(self, "failing_index", failing_index)
+    _defaults = {"failing_side": None, "failing_index": None}
 
     @property
     def verdict(self) -> str:
@@ -469,13 +447,13 @@ def obstruction_scan(
 
     def report(failing_side=None, failing_index=None) -> ObstructionReport:
         return ObstructionReport(
-            certified=failing_side is None,
-            prime=p,
-            progression=(q, r),
-            period=p * (p - 1),
-            clearing_constants=(u.scale, v.scale),
-            failing_side=failing_side,
-            failing_index=failing_index,
+            failing_side is None,
+            p,
+            (q, r),
+            p * (p - 1),
+            (u.scale, v.scale),
+            failing_side,
+            failing_index,
         )
 
     first = r if r >= 1 else q

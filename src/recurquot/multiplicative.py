@@ -102,22 +102,6 @@ class MultiplicativeBasis(Record):
         "__dict__",
     )
 
-    def __init__(
-        self,
-        pairs: tuple[tuple[int, int], ...],
-        base: tuple[int, ...],
-        generators: tuple[Fraction, ...],
-        matrix: tuple[tuple[int, ...], ...],
-        generator_signs: tuple[int, ...],
-        expressions: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "generator_signs", generator_signs)
-        object.__setattr__(self, "expressions", expressions)
-
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -260,10 +244,10 @@ def compute_basis(values=(), *, pairs=()) -> MultiplicativeBasis:
                 f"the expression of {Fraction(r, b)} does not give back its exponents and sign")
         found[vec] = tuple(coeffs)
     return MultiplicativeBasis(
-        pairs=pairs,
-        base=base,
-        generators=tuple(generators),
-        matrix=tuple(tuple(r) for r in h),
-        generator_signs=tuple(gen_signs),
-        expressions=tuple(found[vec] for vec in vectors),
+        pairs,
+        base,
+        tuple(generators),
+        tuple(tuple(r) for r in h),
+        tuple(gen_signs),
+        tuple(found[vec] for vec in vectors),
     )

@@ -23,14 +23,9 @@ from .recurrences import LinearRecurrence, from_closed_form, from_relation
 
 
 class Token(Record):
-    __slots__ = ("kind", "text", "line", "column")
+    """One lexeme: ``kind`` is "int", "name", one of "+-*/^()", or "end"."""
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        # kind is "int", "name", one of "+-*/^()", or "end".
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+    __slots__ = ("kind", "text", "line", "column")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -221,18 +216,6 @@ class RecurrenceSpec(Record):
 
     __slots__ = ("name", "var", "closed_form", "relation")
 
-    def __init__(
-        self,
-        name: str | None,
-        var: str,
-        closed_form: tuple[tuple[Fraction, UniPoly], ...] | None,
-        relation: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "relation", relation)
-
     def to_recurrence(self) -> LinearRecurrence:
         if self.closed_form is not None:
             return from_closed_form(self.closed_form)
@@ -312,7 +295,8 @@ def parse_spec(text: str) -> RecurrenceSpec:
         if len(vectors[0]) != len(vectors[1]):
             _schema_fail("relation.coeffs and relation.initial must have equal length")
         spec = RecurrenceSpec(name, var, None, (vectors[0], vectors[1]))
-    spec.to_recurrence()
+        # A closed form was built above; a relation is checked by building it.
+        spec.to_recurrence()
     return spec
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InputError, VerificationFailed, ZeroInput
 from .factorization import divisors
 
@@ -39,7 +40,7 @@ def _render_sum(terms) -> str:
     return " ".join(parts) or "0"
 
 
-class UniPoly:
+class UniPoly(Record):
     """Univariate polynomial over Q, dense coefficient tuple, low degree first.
 
     The zero polynomial is the empty tuple and reports degree -1.
@@ -52,12 +53,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------
 
@@ -220,14 +215,6 @@ class UniPoly:
             for d in range(self.degree, -1, -1)
             if self.coeffs[d]
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"UniPoly({self.render()})"

@@ -24,7 +24,6 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DivisorZero, InputError, TorsionGroup, VerificationFailed
 from .groupring import (
-    GroupRingElement,
     _x_divide,
     _x_gcd,
     _zz_primitive,
@@ -48,18 +47,6 @@ class QuotientCertificate(Record):
 
     __slots__ = ("clearing_poly", "quotient", "v_over_p", "min_denominator")
 
-    def __init__(
-        self,
-        clearing_poly: UniPoly,
-        quotient: LinearRecurrence | MultiRecurrence,
-        v_over_p: LinearRecurrence,
-        min_denominator: int,
-    ):
-        object.__setattr__(self, "clearing_poly", clearing_poly)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "v_over_p", v_over_p)
-        object.__setattr__(self, "min_denominator", min_denominator)
-
 
 class NoClearance(Record):
     """Refusal with an inspectable reason.
@@ -72,11 +59,7 @@ class NoClearance(Record):
     """
 
     __slots__ = ("reason", "witness", "detail")
-
-    def __init__(self, reason: str, witness: GroupRingElement | None = None, detail: str = ""):
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"witness": None, "detail": ""}
 
 
 def combined_basis(u: LinearRecurrence, v: LinearRecurrence) -> MultiplicativeBasis:
@@ -199,13 +182,11 @@ def polynomial_clearance(
         if len(from_group_ring(witness).cleared_terms) < 2:
             raise VerificationFailed("the refusal witness has fewer than two roots")
         return NoClearance(
-            reason="divisor-not-polynomial",
-            witness=witness,
-            detail=(
-                "after removing the common factor, the divisor keeps the "
-                f"non-polynomial part {witness.render()}; no polynomial in "
-                "the index can absorb it"
-            ),
+            "divisor-not-polynomial",
+            witness,
+            "after removing the common factor, the divisor keeps the "
+            f"non-polynomial part {witness.render()}; no polynomial in "
+            "the index can absorb it",
         )
     c = _x_content(w, c_v)
     p = _x_divide(c_v, c)
@@ -243,12 +224,11 @@ def cross_quotient(
             return QuotientCertificate(UniPoly([1]), MultiRecurrence(u, 1), v, 1)
         _require_torsion_free(v)
         return NoClearance(
-            reason="multiple-roots",
-            detail=(
-                "the divisor has several roots in its own index, so no "
-                "polynomial P(n) makes both P(n)*U(m)/V(n) a two-index "
-                "recurrence and V(n)/P(n) a recurrence"
-            ),
+            "multiple-roots",
+            None,
+            "the divisor has several roots in its own index, so no "
+            "polynomial P(n) makes both P(n)*U(m)/V(n) a two-index "
+            "recurrence and V(n)/P(n) a recurrence",
         )
     beta, p = v.terms[0]
     clearing = p.monic()
@@ -263,12 +243,7 @@ def cross_quotient(
         raise VerificationFailed("the quotient's n-root times V differs from lc(p) * P")
     if p_rec * v_over_p != v:
         raise VerificationFailed("P times V/P does not give back V")
-    return QuotientCertificate(
-        clearing_poly=clearing,
-        quotient=quotient,
-        v_over_p=v_over_p,
-        min_denominator=quotient.m_part.scale,
-    )
+    return QuotientCertificate(clearing, quotient, v_over_p, quotient.m_part.scale)
 
 
 # -- torsion fallback: solve on sections ----------------------------------------
@@ -284,11 +259,6 @@ class SectionResult(Record):
     """
 
     __slots__ = ("modulus", "offsets", "outcome")
-
-    def __init__(self, modulus: int, offsets: tuple[int, ...], outcome: object):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "outcome", outcome)
 
 
 def _solver(mode: str):

@@ -86,7 +86,7 @@ def _value(coeffs: tuple[int, ...], m: int) -> int:
     return sum(c * m**i for i, c in enumerate(coeffs))
 
 
-class LinearRecurrence:
+class LinearRecurrence(Record):
     """Exact closed form V(n) = sum of coeff_i(n) * root_i^n.
 
     V is stored cleared to the integer sequence W(n) = scale * base^n *
@@ -102,7 +102,8 @@ class LinearRecurrence:
     ``from_closed_form`` to build a sequence from rational pairs.
     """
 
-    __slots__ = ("scale", "base", "cleared_terms")
+    # In the constructor's order: unpickling passes the fields to it.
+    __slots__ = ("cleared_terms", "scale", "base")
 
     def __init__(self, cleared_terms=(), scale: int = 1, base: int = 1):
         """The sequence sum(C(n) * R^n) / (scale * base^n) over (R, C) pairs.
@@ -138,12 +139,6 @@ class LinearRecurrence:
                      for root, coeffs in terms)
         # The roots are distinct, so sorting never compares coefficients.
         object.__setattr__(self, "cleared_terms", tuple(sorted(terms)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearRecurrence is immutable")
-
-    def __reduce__(self):
-        return LinearRecurrence, (self.cleared_terms, self.scale, self.base)
 
     # -- queries ---------------------------------------------------------
 
@@ -378,15 +373,6 @@ class LinearRecurrence:
             _signed(_term_str(c, var, [(r, var)])) for r, c in reversed(self.terms)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearRecurrence):
-            return NotImplemented
-        return (self.scale, self.base, self.cleared_terms) == (
-            other.scale, other.base, other.cleared_terms)
-
-    def __hash__(self):
-        return hash((self.scale, self.base, self.cleared_terms))
-
     def __repr__(self):
         return f"LinearRecurrence({self.render()})"
 
@@ -560,18 +546,6 @@ class ZeroSetReport(Record):
 
     __slots__ = ("progressions", "sporadic", "complete", "dominance_from")
 
-    def __init__(
-        self,
-        progressions: tuple[tuple[int, int], ...],
-        sporadic: tuple[int, ...],
-        complete: bool,
-        dominance_from: int | None,
-    ):
-        object.__setattr__(self, "progressions", progressions)
-        object.__setattr__(self, "sporadic", sporadic)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "dominance_from", dominance_from)
-
 
 def _section_cutoff(sec: LinearRecurrence, cap: int) -> int | None:
     """Smallest verified index m0 <= cap + 1 with no zeros at m >= m0.
@@ -669,7 +643,7 @@ class MultiCoefficient(namedtuple("MultiCoefficient", ["terms"])):
     __slots__ = ()
 
 
-class MultiRecurrence:
+class MultiRecurrence(Record):
     """Exact closed form in two indices: Q(m, n) = m_part(m) * n_root^n.
 
     ``m_part`` is a LinearRecurrence in m and ``n_root`` a non-zero
@@ -688,12 +662,6 @@ class MultiRecurrence:
         object.__setattr__(self, "m_part", m_part)
         object.__setattr__(self, "n_root", n_root)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiRecurrence is immutable")
-
-    def __reduce__(self):
-        return MultiRecurrence, (self.m_part, self.n_root)
-
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction, MultiCoefficient], ...]:
         return tuple(
@@ -711,14 +679,6 @@ class MultiRecurrence:
             _signed(_term_str(coeff, var_m, [(root, var_m), (self.n_root, var_n)]))
             for root, coeff in self.m_part.terms
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiRecurrence):
-            return NotImplemented
-        return (self.m_part, self.n_root) == (other.m_part, other.n_root)
-
-    def __hash__(self):
-        return hash((self.m_part, self.n_root))
 
     def __repr__(self):
         return f"MultiRecurrence({self.render()})"

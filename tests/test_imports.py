@@ -14,6 +14,10 @@ layers it runs, and no others.  A module that pulls in ``dataclasses``
 ``typing`` would cost the subcommands that load it their start-up time.
 The bench tracer (``bench/tracing.py``) still finds every name it wraps
 on ``recurquot.cli``, bound to the object its module defines.
+
+Immutability and pickling live in ``_record.Record``: a class that writes
+its own ``__setattr__``, ``__delattr__`` or ``__reduce__`` is on a short
+allow-list, with the reason it cannot use the base.
 """
 
 import ast
@@ -230,3 +234,51 @@ def test_the_bench_tracer_wraps_each_cli_name_once():
     result = fresh_python(script, *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["32", "1"]
+
+
+# Classes that keep their own immutability and pickling, and why.
+OWN_VALUE_CODE = {
+    "GroupRingElement": "equal across bases that span one group (``same_group``), "
+                        "and unpickled through ``_split`` without normalising again",
+    "LogSum": "equal to a ``_DeferredLog`` of the same value, a subclass whose "
+              "``coeffs`` is read lazily, so equality cannot require one class",
+    "_DeferredLog": "a ``LogSum`` that factors on the first read of ``coeffs``; "
+                    "it inherits ``LogSum``'s immutability and pickling",
+}
+GUARDED = frozenset({"__setattr__", "__delattr__", "__reduce__"})
+
+
+def hand_made_value_classes(trees) -> set[str]:
+    """Classes that define a method of GUARDED, or derive from one that does."""
+    found, bases = set(), {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                if any(isinstance(item, ast.FunctionDef) and item.name in GUARDED
+                       for item in node.body):
+                    found.add(node.name)
+    grown = True
+    while grown:
+        derived = {name for name, parents in bases.items() if parents & found}
+        grown = not derived <= found
+        found |= derived
+    return found
+
+
+def test_value_classes_join_the_record_base():
+    trees = [ast.parse((PACKAGE / module).read_text(), filename=module)
+             for module in MODULES if module != "_record.py"]
+    found = hand_made_value_classes(trees)
+    assert not found - OWN_VALUE_CODE.keys(), (
+        f"{sorted(found - OWN_VALUE_CODE.keys())} should derive from _record.Record")
+    assert OWN_VALUE_CODE.keys() <= found, "the allow-list names a class that no longer needs it"
+
+
+def test_the_guard_sees_a_hand_made_value_class():
+    tree = ast.parse(
+        "class A:\n    def __reduce__(self): pass\n"
+        "class B(A): pass\n"
+        "class C(Record):\n    def __repr__(self): pass\n"
+    )
+    assert hand_made_value_classes([tree]) == {"A", "B"}

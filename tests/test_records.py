@@ -1,9 +1,11 @@
-"""The library's small result records behave as immutable value objects.
+"""The library's small result records and value types behave as
+immutable value objects.
 
-Each record is built from its fields, positionally or by keyword, and
-then compares, hashes, prints and pickles by those fields; it refuses
-assignment and deletion.  The ``repr`` strings are pinned literally,
-since users read them in tracebacks and doctests.
+Each is built from its fields, positionally or by keyword, and then
+compares, hashes and pickles by those fields; it refuses assignment and
+deletion.  A bad argument list raises TypeError naming the class.  The
+``repr`` strings are pinned literally, since users read them in
+tracebacks and doctests.
 """
 
 import pickle
@@ -14,6 +16,7 @@ import pytest
 from recurquot import (
     BadPrime,
     DecayReport,
+    FactoredRational,
     FixedDenominator,
     GroupRingElement,
     HyperplaneForm,
@@ -34,13 +37,16 @@ from recurquot import (
     ZeroInput,
     ZeroSetReport,
     cross_quotient,
+    factor_rational,
     from_closed_form,
     geometric,
     parse_spec,
     polynomial,
     polynomial_clearance,
 )
+from recurquot._record import Record
 from recurquot.parsing import Token
+from recurquot.recurrences import LinearRecurrence
 
 # (class, keyword arguments, the repr of the record they build)
 RECORDS = [
@@ -114,13 +120,37 @@ RECORDS = [
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
+# The value types normalise their arguments; these are already normal, so
+# each field reads back as given.
+VALUES = [
+    (
+        LinearRecurrence,
+        {"cleared_terms": ((-1, (10,)), (6, (2, 1))), "scale": 2, "base": 3},
+        "LinearRecurrence((1/2*n + 1)*2^n + 5*(-1/3)^n)",
+    ),
+    (
+        MultiRecurrence,
+        {"m_part": geometric(2), "n_root": F(1, 3)},
+        "MultiRecurrence(2^m*(1/3)^n)",
+    ),
+    (UniPoly, {"coeffs": (F(1), F(-1, 2))}, "UniPoly(-1/2*X + 1)"),
+    (
+        FactoredRational,
+        {"sign": -1, "exponents": {2: -1, 3: 2}},
+        "FactoredRational(-2^-1 * 3^2)",
+    ),
+]
 
-@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+BOTH = RECORDS + VALUES
+BOTH_IDS = IDS + [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", BOTH, ids=BOTH_IDS)
 def test_repr_is_pinned(cls, kwargs, text):
     assert repr(cls(**kwargs)) == text
 
 
-@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", BOTH, ids=BOTH_IDS)
 def test_keyword_and_positional_construction_agree(cls, kwargs, text):
     by_keyword, by_position = cls(**kwargs), cls(*kwargs.values())
     assert by_keyword == by_position
@@ -165,7 +195,7 @@ def _another_value(cls, name, value):
     return geometric(5)
 
 
-@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", BOTH, ids=BOTH_IDS)
 def test_records_are_immutable(cls, kwargs, text):
     record = cls(**kwargs)
     for name in kwargs:
@@ -178,7 +208,7 @@ def test_records_are_immutable(cls, kwargs, text):
     assert cls(**kwargs) == record
 
 
-@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", BOTH, ids=BOTH_IDS)
 def test_pickle_round_trip(cls, kwargs, text):
     record = cls(**kwargs)
     copy = pickle.loads(pickle.dumps(record))
@@ -186,6 +216,79 @@ def test_pickle_round_trip(cls, kwargs, text):
     assert copy == record
     assert hash(copy) == hash(record)
     assert repr(copy) == text
+
+
+def defaulted_fields(cls) -> set[str]:
+    """The fields a constructor may leave out: by ``_defaults``, or by the
+    parameter defaults of a validating record's own ``__init__``."""
+    own = cls.__init__.__defaults__ or ()
+    return set(cls._defaults) | set(cls._fields[len(cls._fields) - len(own):])
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+def test_bad_arguments_raise_type_error_naming_the_class(cls, kwargs, text):
+    values, first = list(kwargs.values()), next(iter(kwargs))
+    # (a bad call, a word its message must hold besides the class name)
+    cases = [
+        (lambda: cls(*values, 0), cls.__name__),
+        (lambda: cls(**kwargs, bogus=0), "bogus"),
+        (lambda: cls(values[0], **kwargs), first),
+    ]
+    cases += [
+        (lambda field=field: cls(**{k: v for k, v in kwargs.items() if k != field}), field)
+        for field in kwargs.keys() - defaulted_fields(cls)
+    ]
+    for call, word in cases:
+        with pytest.raises(TypeError, match=cls.__name__) as info:
+            call()
+        assert word in str(info.value)
+
+
+DEFAULTED = [(cls, kwargs) for cls, kwargs, _ in RECORDS if cls._defaults]
+
+
+@pytest.mark.parametrize("cls, kwargs", DEFAULTED, ids=[cls.__name__ for cls, _ in DEFAULTED])
+def test_a_default_fills_only_its_field(cls, kwargs):
+    for field in cls._defaults:
+        record = cls(**{k: v for k, v in kwargs.items() if k != field})
+        for name, value in kwargs.items():
+            assert getattr(record, name) == (cls._defaults[name] if name == field else value)
+
+
+def test_defaults_must_be_the_trailing_fields():
+    with pytest.raises(TypeError, match="Early"):
+        type("Early", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 0}})
+    late = type("Late", (Record,), {"__slots__": ("a", "b"), "_defaults": {"b": 0}})
+    assert late(1) == late(1, 0) == late(a=1) and late(1, 2).b == 2
+
+
+def test_factored_rational_is_immutable_and_stays_hashable():
+    f = factor_rational(12)
+    seen = {f}
+    with pytest.raises(AttributeError):
+        f.sign = -1
+    with pytest.raises(AttributeError):
+        f.exponents = {}
+    assert f in seen and f.value() == 12
+    copy = round_trip(f)
+    assert copy in seen and copy.exponents == {2: 2, 3: 1}
+
+
+# LinearRecurrence(((-1, (10,)), (6, (2, 1))), 2, 3) pickled with protocol 2
+# while its slots were ("scale", "base", "cleared_terms"); the constructor
+# then took (cleared_terms, scale, base), as it does now.
+OLD_PICKLE = (
+    b"\x80\x02crecurquot.recurrences\nLinearRecurrence\nq\x00J\xff\xff\xff\xffK\n"
+    b"\x85q\x01\x86q\x02K\x06K\x02K\x01\x86q\x03\x86q\x04\x86q\x05K\x02K\x03"
+    b"\x87q\x06Rq\x07."
+)
+
+
+def test_an_older_recurrence_pickle_still_loads():
+    rec = pickle.loads(OLD_PICKLE)
+    assert rec == from_closed_form([(2, UniPoly((1, F(1, 2)))), (F(-1, 3), UniPoly((5,)))])
+    assert (rec.scale, rec.base) == (2, 3)
+    assert repr(rec) == VALUES[0][2]
 
 
 def round_trip(value):
