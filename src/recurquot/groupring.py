@@ -347,6 +347,9 @@ class GroupRingElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GroupRingElement is immutable")
+
     def __reduce__(self):
         return GroupRingElement._split, (self.basis, self.content, self.low, self.poly)
 

@@ -58,6 +58,9 @@ class LogSum:
     def __setattr__(self, name, value):
         raise AttributeError("LogSum is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("LogSum is immutable")
+
     def __reduce__(self):
         return LogSum, (self.coeffs,)
 

@@ -6,7 +6,8 @@ span contains -1 (torsion) and produces a canonical free basis when it
 does not.  Each input enters as an integer pair (R, B) standing for
 R/B, and the |R| and B are written over their coprime base, found by
 gcds, not by factoring.  All lattice work happens on exponent vectors
-over that base, with the sign as one more column taken mod 2.
+over that base, with the sign as one more column taken mod 2.  Torsion
+is decided mod 2 where that suffices; the basis takes the HNF of the rows.
 """
 
 from __future__ import annotations
@@ -77,10 +78,58 @@ def torsion_status(values) -> tuple[int, ...] | None:
     """Witness exponents z with prod(values_i ^ z_i) == -1, else None.
 
     None means the span is torsion-free: -1 lies in the span iff some
-    magnitude relation has odd sign parity.
+    magnitude relation has odd sign parity.  ``require_torsion_free``
+    decides, so only a torsion input builds the left kernel.
     """
-    _, vectors = exponent_table(_pairs(values))
-    return _torsion_witness(vectors)
+    try:
+        require_torsion_free(_pairs(values))
+    except TorsionGroup as torsion:
+        return torsion.exponents
+    return None
+
+
+def _torsion(pairs, vectors: list[ExponentVector]) -> TorsionGroup:
+    """TorsionGroup over the roots R/B.  Its witness costs more than the
+    decision, and callers that retry on sections never read it, so it is
+    found on first read."""
+    def witness() -> tuple[int, ...]:
+        found = _torsion_witness(vectors)
+        if found is None:
+            raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
+        return found
+
+    return TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
+
+
+def require_torsion_free(pairs) -> None:
+    """TorsionGroup if -1 lies in the span of the integer pairs (R, B).
+
+    Each row [exponents E | sign bit] over the coprime base is packed
+    into an int, sign bit lowest, and eliminated over GF(2) on its top
+    bit.  If E mod 2 has rank m, the number of base elements, so has E
+    over Q, and the integer kernel of E reduces onto the kernel mod 2:
+    -1 is in the span exactly when the pure sign row 1 is left.  Below
+    rank m, ``sign_pivot_hnf`` decides on the same table.
+    """
+    base, vectors = table = exponent_table(pairs)
+    m = len(base)
+    echelon: dict[int, int] = {}
+    for sign_bit, exponents in vectors:
+        row, bit = sign_bit, 2
+        for e in exponents:
+            if e & 1:
+                row |= bit
+            bit <<= 1
+        while row and (top := row.bit_length()) in echelon:
+            row ^= echelon[top]
+        if row:
+            echelon[top] = row
+        if len(echelon) > m:  # a pivot on every bit: nothing left to decide
+            break
+    if len(echelon) - (1 in echelon) < m:
+        sign_pivot_hnf(pairs, table)
+    elif 1 in echelon:
+        raise _torsion(pairs, vectors)
 
 
 class MultiplicativeBasis(Record):
@@ -173,30 +222,22 @@ class MultiplicativeBasis(Record):
         return self.generators == other.generators
 
 
-def sign_pivot_hnf(pairs):
+def sign_pivot_hnf(pairs, table=None):
     """The HNF of the rows [exponents | sign bit] of the integer pairs
     (R, B), plus [0 ... 0 | 2]; TorsionGroup if the sign column's pivot
     is 1, that is if -1 lies in the span.
 
+    ``table`` is the pairs' ``exponent_table`` when the caller has it.
     Returns (the coprime base, one ExponentVector per pair, the distinct
     vectors mapped to their pairs, the HNF rows without the last one).
     """
-    base, vectors = exponent_table(pairs)
+    base, vectors = table or exponent_table(pairs)
     m = len(base)
     # The HNF depends only on the lattice, so a repeated row adds nothing.
     distinct = dict(zip(vectors, pairs))
     *rows, last = row_hnf([[*v.exponents, v.sign_bit] for v in distinct] + [[0] * m + [2]])
     if last[m] == 1:
-        # The kernel HNF costs more than the basis, and callers that retry
-        # on sections never read the witness, so TorsionGroup finds it on
-        # first read.
-        def witness() -> tuple[int, ...]:
-            found = _torsion_witness(vectors)
-            if found is None:
-                raise VerificationFailed("the sign column found -1 in the span but no kernel witness")
-            return found
-
-        raise TorsionGroup((Fraction(r, b) for r, b in pairs), witness)
+        raise _torsion(pairs, vectors)
     return base, vectors, distinct, rows
 
 

@@ -32,7 +32,7 @@ from .groupring import (
     laurent_gcd,
     to_group_ring,
 )
-from .multiplicative import MultiplicativeBasis, compute_basis, sign_pivot_hnf
+from .multiplicative import MultiplicativeBasis, compute_basis, require_torsion_free
 from .polys import UniPoly
 from .recurrences import LinearRecurrence, MultiRecurrence, from_closed_form, geometric
 
@@ -90,11 +90,12 @@ def _require_torsion_free(*recs: LinearRecurrence) -> None:
     """TorsionGroup if -1 lies in the span of ``recs``' roots.
 
     Terms are sorted by root, so a negative root, if any, comes first;
-    positive roots skip the sign pivot, which reads the roots over their
-    coprime base and factors nothing.
+    positive roots skip the check, which reads the roots over their
+    coprime base, factors nothing, and decides mod 2 or by the HNF sign
+    pivot (``multiplicative.require_torsion_free``).
     """
     if any(rec.cleared_terms and rec.cleared_terms[0][0] < 0 for rec in recs):
-        sign_pivot_hnf(_root_pairs(*recs))
+        require_torsion_free(_root_pairs(*recs))
 
 
 def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurrence | None:
@@ -105,10 +106,11 @@ def hadamard_quotient(u: LinearRecurrence, v: LinearRecurrence) -> LinearRecurre
     division is long division on the roots themselves, ordered by size
     (``LinearRecurrence._divide``): it needs no basis and factors
     nothing, even where it bounds the quotient's exponents over a
-    coprime base of the roots.  Signed roots first run the sign pivot,
-    over the same kind of base, which raises TorsionGroup if -1 is in
-    their span.  The
-    quotient is multiplied back before it is returned.
+    coprime base of the roots.  Signed roots first run the torsion
+    check, over the same kind of base, which raises TorsionGroup if -1
+    is in their span: mod 2 when their exponent parities have full rank,
+    by the HNF sign pivot otherwise.  The quotient is multiplied back
+    before it is returned.
     """
     if v.is_zero:
         raise DivisorZero("cannot divide by the zero sequence")
@@ -213,8 +215,8 @@ def cross_quotient(
     P is p made monic, the quotient U(m) * beta^(-n) / lc(p) is stored as
     its m-part U / lc(p) times its n-root 1 / beta, and V/P = lc(p) *
     beta^n; all three are multiplied back, whatever the roots are.  So
-    only a V with several roots runs the sign pivot, on V's roots alone:
-    the refusal reads U at one m0 with U(m0) != 0.  A zero U over such
+    only a V with several roots runs the torsion check, on V's roots
+    alone: the refusal reads U at one m0 with U(m0) != 0.  A zero U over such
     a V gets P = 1, the zero quotient and V/P = V.
     """
     if v.is_zero:
@@ -311,8 +313,8 @@ def solve_with_torsion_fallback(
 
     Returns either the direct outcome or a list of SectionResult.  The
     failing first attempt reads its roots over a coprime base, found by
-    gcds, and the sections' roots are positive, so they need no sign
-    pivot: nothing is factored, whatever the mode.
+    gcds, and the sections' roots are positive, so they need no torsion
+    check: nothing is factored, whatever the mode.
     """
     solver = _solver(mode)
     try:

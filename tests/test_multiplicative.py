@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
 from recurquot.errors import RootNotInGroup, TorsionGroup, VerificationFailed, ZeroInput
+import recurquot.multiplicative as mult
 from recurquot.multiplicative import (
     compute_basis,
     exponent_table,
+    require_torsion_free,
+    sign_pivot_hnf,
     torsion_status,
 )
 
@@ -55,6 +58,100 @@ def test_torsion_status_witness():
 def test_torsion_status_free():
     assert torsion_status((F(2), F(3), F(-5))) is None
     assert torsion_status((F(-1),)) == (1,)
+
+
+def _raised(decision, pairs) -> TorsionGroup | None:
+    """The TorsionGroup ``decision(pairs)`` raises, or None if it returns."""
+    try:
+        decision(pairs)
+    except TorsionGroup as torsion:
+        return torsion
+    return None
+
+
+def _assert_witness_gives_minus_one(torsion: TorsionGroup) -> None:
+    assert math.prod((r ** e for r, e in zip(torsion.roots, torsion.exponents)), start=F(1)) == -1
+
+
+# (values, whether -1 is in their span, row_hnf calls the decision makes)
+TORSION_DECISIONS = [
+    # The coprime base of {4} is {4}: one odd exponent column, full rank mod 2.
+    ((F(-4),), False, 0),
+    # Over the base (4, 3, 5) the parities have rank 2 < 3: the HNF decides.
+    ((F(12), F(405), F(-9), F(-4, 15)), False, 1),
+    ((F(-4), F(2)), True, 0),
+    ((F(-6), F(2), F(3)), True, 0),
+    ((F(2), F(-2)), True, 0),
+    # The columns of 4 and 9 are equal mod 2: the HNF decides.
+    ((F(4, 9), F(-4, 9)), True, 1),
+    # No base at all: -1 is the pure sign row, 1 the zero row.
+    ((F(-1),), True, 0),
+    ((F(1),), False, 0),
+]
+
+
+@pytest.mark.parametrize("values, torsion, hnf_calls", TORSION_DECISIONS,
+                         ids=[" ".join(map(str, values)) for values, _, _ in TORSION_DECISIONS])
+def test_torsion_decision_pinned(monkeypatch, values, torsion, hnf_calls):
+    calls = []
+
+    def counting_hnf(rows, real=mult.row_hnf):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(mult, "row_hnf", counting_hnf)
+    pairs = mult._pairs(values)
+    raised = _raised(require_torsion_free, pairs)
+    assert len(calls) == hnf_calls
+    assert (raised is not None) == torsion
+    if torsion:
+        assert raised.roots == values
+        _assert_witness_gives_minus_one(raised)
+        assert str(raised) == str(_raised(sign_pivot_hnf, pairs))
+        assert torsion_status(values) == raised.exponents
+    else:
+        assert torsion_status(values) is None
+
+
+def test_torsion_decision_keeps_zero_input():
+    with pytest.raises(ZeroInput):
+        require_torsion_free(((3, 1), (0, 1)))
+
+
+@st.composite
+def parity_structured_pairs(draw):
+    """Pairs (R, B) for signed products of 2, 3, 5, 7, each over its own
+    factor 1..25 in R and B.  Each prime's exponents are free, all even, or
+    equal mod 2 to the previous prime's, so the parities often lose rank
+    and the HNF fallback runs."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(st.integers(min_value=-2, max_value=3), min_size=4, max_size=4),
+                         min_size=k, max_size=k))
+    modes = draw(st.lists(st.sampled_from(("free", "even", "equal")), min_size=4, max_size=4))
+    pairs = []
+    for row in rows:
+        for j, mode in enumerate(modes):
+            if mode == "even":
+                row[j] *= 2
+            elif mode == "equal" and j:
+                row[j] = row[j - 1] + 2 * row[j]
+        num = math.prod(p**e for p, e in zip((2, 3, 5, 7), row) if e > 0)
+        den = math.prod(p**-e for p, e in zip((2, 3, 5, 7), row) if e < 0)
+        sign = draw(st.sampled_from((1, -1)))
+        d = draw(st.integers(min_value=1, max_value=25))
+        pairs.append((sign * num * d, den * d))
+    return tuple(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity_structured_pairs())
+def test_torsion_decision_agrees_with_the_sign_pivot(pairs):
+    decided, pivot = _raised(require_torsion_free, pairs), _raised(sign_pivot_hnf, pairs)
+    assert (decided is None) == (pivot is None)
+    if decided is not None:
+        assert decided.roots == pivot.roots
+        assert decided.exponents == pivot.exponents
+        _assert_witness_gives_minus_one(decided)
 
 
 def test_compute_basis_collapses_powers():

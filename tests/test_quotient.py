@@ -887,10 +887,15 @@ def test_hadamard_on_positive_roots_builds_no_hnf(monkeypatch):
     assert hadamard_quotient(mersenne(8), mersenne(2)) == from_closed_form(
         [(F(4), F(1)), (F(2), F(1)), (F(1), F(1))])
     assert calls == []
-    # A signed root still runs the sign pivot, which reads the roots over
-    # their coprime base, factoring nothing, and finds -1 in their span.
+    # A signed root still runs the torsion check, which reads the roots over
+    # their coprime base, factoring nothing.  Over the base {2} the parities
+    # of -2 and 2 have full rank, so -1 is found in their span mod 2.
     with pytest.raises(TorsionGroup):
         hadamard_quotient(geometric(-2), geometric(2))
+    assert calls == []
+    # Over the base {4, 9} the parities of 81/16 and -9/4 have rank 1 < 2,
+    # so the HNF sign pivot decides: no -1 in the span.
+    assert hadamard_quotient(geometric(F(81, 16)), geometric(F(-9, 4))) == geometric(F(-9, 4))
     assert calls == ["row_hnf"]
 
 

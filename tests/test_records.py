@@ -45,6 +45,8 @@ from recurquot import (
     polynomial_clearance,
 )
 from recurquot._record import Record
+from recurquot.heights import _DeferredLog
+from recurquot.multiplicative import compute_basis
 from recurquot.parsing import Token
 from recurquot.recurrences import LinearRecurrence
 
@@ -272,6 +274,39 @@ def test_factored_rational_is_immutable_and_stays_hashable():
     assert f in seen and f.value() == 12
     copy = round_trip(f)
     assert copy in seen and copy.exponents == {2: 2, 3: 1}
+
+
+def _factored_deferred_log() -> _DeferredLog:
+    value = _DeferredLog(12, 1, 2, 1 << 20)
+    value.coeffs  # factor now, so the slot ``coeffs`` is set
+    return value
+
+
+# Classes that keep their own immutability: a builder of one value, and its fields.
+OWN_VALUES = {
+    "LogSum": (lambda: LogSum({2: F(1), 3: F(1, 2)}), ("coeffs",)),
+    "_DeferredLog": (_factored_deferred_log, ("coeffs", "_args")),
+    "GroupRingElement": (
+        lambda: GroupRingElement(compute_basis((2, 3)), {(0, (1, 0)): F(1), (1, (0, 2)): F(-3)}),
+        ("basis", "content", "low", "poly"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OWN_VALUES)
+def test_own_value_classes_refuse_assignment_and_deletion(name):
+    build, fields = OWN_VALUES[name]
+    value = build()
+    assert type(value).__name__ == name
+    seen = {value}
+    for field in fields:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, field)
+        assert getattr(value, field) == before
+    assert value in seen
 
 
 # LinearRecurrence(((-1, (10,)), (6, (2, 1))), 2, 3) pickled with protocol 2
