@@ -9,6 +9,9 @@ caller below that block honours it.  A prime factor larger than the cap
 (or a cofactor the splitter cannot crack within its effort budget)
 raises ``FactorizationLimit`` instead of silently looping.
 ``coprime_base`` gives integers coordinates without factoring them.
+``remove_power`` is the library's one valuation kernel: every count of
+how often b divides n, here and in the other modules, goes through it
+in O(log v) divisions for a valuation v.
 """
 
 from __future__ import annotations
@@ -64,6 +67,23 @@ _TRIAL_PRIMES = primes_below(_TRIAL_BOUND + 1)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+def remove_power(n: int, b: int) -> tuple[int, int]:
+    """(e, n // b**e) for the largest e with b**e dividing n; n != 0, b >= 2.
+
+    Divides by b, b^2, b^4, ... while they divide, then by the same
+    powers on the way back down, so a valuation e costs O(log e)
+    divisions and a miss costs the one ``n % b``.  Zero raises ZeroInput.
+    """
+    if n % b:
+        return 0, n
+    if not n:
+        raise ZeroInput("zero is divisible by every power")
+    e, n = remove_power(n // b, b * b)
+    if n % b:
+        return 2 * e + 1, n
+    return 2 * e + 2, n // b
+
+
 def is_probable_prime(n: int) -> bool:
     """Deterministic below 3.3e24, Miller-Rabin with fixed bases above."""
     if n < 2:
@@ -73,11 +93,7 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = remove_power(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -163,9 +179,8 @@ def factor_int(n: int) -> dict[int, int]:
     for p in _TRIAL_PRIMES:
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            out[p], n = remove_power(n, p)
     if n == 1:
         return out
     # (cofactor, multiplicity).  Rho needs about sqrt(p) steps for the least
@@ -193,9 +208,8 @@ def divide_out(n: int, base) -> tuple[list[int], int]:
     row = []
     for b in base:
         e = 0
-        while n % b == 0:
-            n //= b
-            e += 1
+        if n % b == 0:
+            e, n = remove_power(n, b)
         row.append(e)
     return row, n
 
@@ -228,8 +242,8 @@ def coprime_base(numbers) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     while pending:
         x = pending.pop()
         for i, b in enumerate(base):
-            while x % b == 0:
-                x //= b
+            if x % b == 0:
+                x = remove_power(x, b)[1]
             g = math.gcd(x, b)
             if g > 1:
                 del base[i]

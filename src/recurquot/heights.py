@@ -24,8 +24,9 @@ from .errors import (
     VerificationFailed,
     ZeroInput,
 )
-from .factorization import _CAP, factor_limit, factor_rational, is_probable_prime
-from .places import Place, _int_valuation, place_abs, valuation
+from .factorization import (_CAP, divide_out, factor_limit, factor_rational,
+                            is_probable_prime, remove_power)
+from .places import Place, place_abs, valuation
 from .polys import UniPoly, _render_sum
 from .recurrences import LinearRecurrence, _period_mod_p, _word_digits, zero_classes
 
@@ -282,15 +283,6 @@ class SMembership(enum.Enum):
     NEITHER = "neither"
 
 
-def _outside_part(n: int, primes) -> int:
-    """|n| with every factor from the given primes divided out."""
-    n = abs(n)
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 def s_membership(x, spec: SIntegerSpec) -> SMembership:
     """Classify x: S-integer (no outside-S denominator), S-unit (no
     outside-S prime at all), or neither.  Zero is an S-integer.
@@ -301,9 +293,9 @@ def s_membership(x, spec: SIntegerSpec) -> SMembership:
     x = Fraction(x)
     if x == 0:
         return SMembership.S_INTEGER
-    if _outside_part(x.denominator, spec.primes) != 1:
+    if divide_out(x.denominator, spec.primes)[1] != 1:
         return SMembership.NEITHER
-    if _outside_part(x.numerator, spec.primes) != 1:
+    if divide_out(abs(x.numerator), spec.primes)[1] != 1:
         return SMembership.S_INTEGER
     return SMembership.S_UNIT
 
@@ -374,7 +366,7 @@ def _divisible_indices(v: LinearRecurrence, p: int, n_lo: int, n_hi: int):
             if w == 0:
                 out.append((n, None))
             elif w % p == 0:
-                out.append((n, _int_valuation(w, p)))
+                out.append((n, remove_power(w, p)[0]))
     out.sort()
     return out
 

@@ -24,9 +24,9 @@ from itertools import chain, islice
 
 from ._record import Record
 from .errors import BadPrime, FactorizationLimit, InputError, VerificationFailed, ZeroInput
-from .factorization import euler_phi, factor_int, is_probable_prime, primes_below
-from .heights import SIntegerSpec, _outside_part
-from .places import _int_valuation
+from .factorization import (divide_out, euler_phi, factor_int, is_probable_prime,
+                            primes_below, remove_power)
+from .heights import SIntegerSpec
 from .recurrences import LinearRecurrence, _period_mod_p, _word_digits, zero_classes
 
 
@@ -99,8 +99,8 @@ def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes)
     if value == 0:
         raise VerificationFailed(f"a hit in row n={n}, where V(n) = 0")
     rest = u.scale * abs(value.numerator)
-    free = _outside_part(rest, [*s_primes, *primes_b])
-    powers = [(p, k, _int_valuation(rest, p)) for p, k in primes_b.items() if p not in s_primes]
+    free = divide_out(rest, [*s_primes, *primes_b])[1]
+    powers = [(p, k, remove_power(rest, p)[0]) for p, k in primes_b.items() if p not in s_primes]
     terms = [(root, coeffs[::-1]) for root, coeffs in u.cleared_terms]
 
     den = value.denominator
@@ -113,7 +113,7 @@ def _hit_check(u: LinearRecurrence, primes_b, n: int, value: Fraction, s_primes)
             if need is None:
                 need = free_needs[d] = free // math.gcd(cover, free)
             for p, k, e in powers:
-                need *= p ** max(0, e + k * m - _int_valuation(cover, p))
+                need *= p ** max(0, e + k * m - remove_power(cover, p)[0])
             w = 0
             for root, coeffs in terms:
                 poly = 0
@@ -137,7 +137,7 @@ def _capped_valuation(u: LinearRecurrence, m: int, p: int, cap: int) -> int:
     while k > 0:
         residue = next(u.walk(m, modulus=p**k))
         if residue:
-            return _int_valuation(residue, p)
+            return remove_power(residue, p)[0]
         if k == cap:
             return cap
         k = min(2 * k, cap)
@@ -154,8 +154,7 @@ def _trial_primes_of(n: int, trial: list[int]) -> list[int]:
             break
         if n % p == 0:
             found.append(p)
-            while n % p == 0:
-                n //= p
+            n = remove_power(n, p)[1]
     if 1 < n < p * p:
         found.append(n)
     return found
@@ -259,7 +258,7 @@ def integrality_search(
     fixed = isinstance(policy, FixedDenominator)
     primes_b = factor_int(u.base)
     # (p, v_p(B), v_p(c)) for the primes of B outside S.
-    b_part = [(p, k, _int_valuation(u.scale, p)) for p, k in primes_b.items()
+    b_part = [(p, k, remove_power(u.scale, p)[0]) for p, k in primes_b.items()
               if p not in s_primes]
     outside = [*s_primes, *primes_b]
 
@@ -274,7 +273,7 @@ def integrality_search(
         return []
 
     def shifts(num, den):
-        return [_int_valuation(num, p) - _int_valuation(den, p) for p, _, _ in b_part]
+        return [remove_power(num, p)[0] - remove_power(den, p)[0] for p, _, _ in b_part]
 
     # Per m, v_p(W_u(m)) capped at the largest exponent of p in any row's
     # M: beyond that cap its exact value changes no d_min.  Read on first
@@ -324,7 +323,7 @@ def integrality_search(
     walked = 0  # the cells the rows read
     for n, num, den in rows:
         bound = policy.d if fixed else n**policy.exponent
-        free = _outside_part(u.scale * num, outside)
+        free = divide_out(abs(u.scale * num), outside)[1]
         sieve = row_sieve(free, den, bound)
         if sieve is None:
             walked += m_max

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import BadPrime, ZeroInput
-from .factorization import is_probable_prime
+from .factorization import is_probable_prime, remove_power
 
 
 @functools.total_ordering
@@ -69,16 +69,7 @@ def valuation(x, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ZeroInput("the zero rational has no finite valuation")
-    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-
-
-def _int_valuation(n: int, p: int) -> int:
-    """v_p(n) for a non-zero integer n: how often p >= 2 divides n, unchecked."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return remove_power(x.numerator, p)[0] - remove_power(x.denominator, p)[0]
 
 
 def place_abs(x, place: Place) -> Fraction:
@@ -89,4 +80,4 @@ def place_abs(x, place: Place) -> Fraction:
     if place.is_archimedean:
         return abs(x)
     p = place.prime
-    return Fraction(p) ** (_int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))
+    return Fraction(p) ** (remove_power(x.denominator, p)[0] - remove_power(x.numerator, p)[0])

@@ -18,9 +18,8 @@ from operator import itemgetter
 
 from ._record import Record
 from .errors import InputError, IrrationalRoots, VerificationFailed, ZeroRoot
-from .factorization import coprime_base, factor_int
+from .factorization import coprime_base, factor_int, remove_power
 from .linalg import solve_rational
-from .places import _int_valuation
 from .polys import UniPoly, _render_sum
 
 
@@ -395,7 +394,7 @@ def _exponent_box(u: LinearRecurrence, v: LinearRecurrence):
 
     def inside(root: tuple[int, int]) -> bool:
         num, den = root
-        return all(lo <= _int_valuation(num, b) - _int_valuation(den, b) <= hi
+        return all(lo <= remove_power(num, b)[0] - remove_power(den, b)[0] <= hi
                    for b, lo, hi in bounds)
 
     return inside

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optimized import assert_caught_under_optimize
@@ -14,7 +14,52 @@ from recurquot.factorization import (
     factor_limit,
     factor_rational,
     is_probable_prime,
+    remove_power,
 )
+
+
+def naive_remove_power(n, b):
+    """The unit-step loop the kernel replaces."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e, n
+
+
+# (b, e): the unit-step loop is quadratic in the size of b^e, so e stops
+# at 10^4 for the small bases and at 10^3 for 2^61 - 1.
+BASE_POWERS = st.sampled_from([2, 3, 6, 10, 12, 97, 2**61 - 1]).flatmap(
+    lambda b: st.tuples(st.just(b), st.integers(0, 10**4 if b < 100 else 10**3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(BASE_POWERS, st.integers(min_value=1, max_value=10**6), st.sampled_from([1, -1]))
+@example((2, 10**4), 3, 1)
+@example((10, 10**4), 40, -1)
+@example((2**61 - 1, 10**3), 2**61 - 1, -1)
+def test_remove_power_matches_the_unit_step_loop(base_power, rest, sign):
+    b, e = base_power
+    n = sign * b**e * rest
+    got = remove_power(n, b)
+    assert got == naive_remove_power(n, b)
+    valuation, left = got
+    assert valuation >= e
+    assert b**valuation * left == n
+    assert left % b
+
+
+@pytest.mark.parametrize("b", [2, 6, 10, 2**61 - 1])
+def test_remove_power_on_units_and_signs(b):
+    assert remove_power(1, b) == (0, 1)
+    assert remove_power(-1, b) == (0, -1)
+    assert remove_power(-b**5 * 7, b) == (5, -7)
+    assert remove_power(b**1000, b) == (1000, 1)
+
+
+def test_remove_power_refuses_zero():
+    with pytest.raises(ZeroInput):
+        remove_power(0, 3)
 
 
 @pytest.mark.parametrize("n, expected", [

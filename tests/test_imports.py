@@ -18,6 +18,10 @@ on ``recurquot.cli``, bound to the object its module defines.
 Immutability and pickling live in ``_record.Record``: a class that writes
 its own ``__setattr__``, ``__delattr__`` or ``__reduce__`` is on a short
 allow-list, with the reason it cannot use the base.
+
+How often b divides n is counted by one kernel,
+``factorization.remove_power``: a ``while x % y == 0`` loop anywhere else
+in the library fails.
 """
 
 import ast
@@ -113,6 +117,58 @@ def test_the_check_sees_a_dataclasses_import():
     assert imported_modules(tree) == {"dataclasses", "os"}
 
 
+# (module, function) of the valuation kernel, the one place a loop may divide out.
+KERNEL = ("factorization.py", "remove_power")
+
+
+def unit_step_loops(tree: ast.Module, kernel: str | None = None) -> list[int]:
+    """Lines of the ``while`` loops whose test is a bare ``x % y == 0``,
+    outside the function named ``kernel``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == kernel:
+            inside.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if (isinstance(node, ast.While) and id(node) not in inside
+                and isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Eq)
+                and isinstance(test.left, ast.BinOp) and isinstance(test.left.op, ast.Mod)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value == 0):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_valuations_go_through_the_kernel(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    kernel = KERNEL[1] if module == KERNEL[0] else None
+    lines = unit_step_loops(tree, kernel)
+    assert not lines, f"{module} divides out a factor step by step at lines {lines}"
+
+
+def test_the_check_sees_a_unit_step_loop():
+    # A compound test (``_multiplicative_order`` searches for an order that
+    # way) and a non-zero test are not valuations; the kernel is exempt.
+    source = (
+        "def f(n, p):\n"
+        "    while n % p == 0:\n"
+        "        n //= p\n"
+        "    while n % p == 0 and p > 2:\n"
+        "        n //= p\n"
+        "    while n % p:\n"
+        "        n += 1\n"
+        "def remove_power(n, b):\n"
+        "    while n % b == 0:\n"
+        "        n //= b\n"
+    )
+    tree = ast.parse(source)
+    assert unit_step_loops(tree) == [2, 9]
+    assert unit_step_loops(tree, "remove_power") == [2]
+
+
 def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter, with ``-O`` when the suite runs under it."""
     env = dict(os.environ)
@@ -158,11 +214,12 @@ SOLVERS = {"groupring", "multiplicative", "quotient", "integrality", "heights"}
 # (golden output, argv, layers the subcommand must not load)
 SCOPES = [
     ("eval_mersenne.txt", ["eval", "tests/data/mersenne2.json", "--from", "0", "--to", "5"],
-     SOLVERS),
+     SOLVERS | {"places"}),
     ("zeros_torsion.json", ["zeros", "tests/data/torsion.json", "--bound", "40", "--json"],
-     SOLVERS),
+     SOLVERS | {"places"}),
     ("decimate_even.json",
-     ["decimate", "tests/data/torsion.json", "-q", "2", "-r", "0", "--json"], SOLVERS),
+     ["decimate", "tests/data/torsion.json", "-q", "2", "-r", "0", "--json"],
+     SOLVERS | {"places"}),
     ("heights_scalar.json", ["heights", "3/2", "--json"],
      {"parsing", "quotient", "groupring", "integrality", "multiplicative"}),
     ("quotient_clearance.json",

@@ -837,6 +837,28 @@ def test_hadamard_builds_the_exponent_box_past_u_order_terms(monkeypatch):
     assert boxes == []
 
 
+def test_long_quotients_read_the_exponent_box_in_log_steps():
+    # (3^2000)^n - (2^2000)^n over 3^n - 2^n is the 2,000-term sum of
+    # (3^j * 2^(1999 - j))^n.  Past u's two terms each quotient root is
+    # checked against the exponent box, whose 3- and 2-exponents reach
+    # 1,999: a unit-step valuation made the k = 2,000 call take seconds.
+    # Both solvers multiply their answer back before returning it.
+    k = 2000
+    u = from_closed_form([(F(3**k), F(1)), (F(2**k), F(-1))])
+    v = from_closed_form([(F(3), F(1)), (F(2), F(-1))])
+    expected = from_closed_form([(F(3**j * 2**(k - 1 - j)), F(1)) for j in range(k)])
+    start = time.perf_counter()
+    assert hadamard_quotient(u, v) == expected
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2, f"{elapsed:.2f} s"
+    start = time.perf_counter()
+    out = polynomial_clearance(u, v)
+    elapsed = time.perf_counter() - start
+    assert isinstance(out, QuotientCertificate)
+    assert out.clearing_poly == UniPoly([1]) and out.quotient == expected
+    assert elapsed < 2, f"{elapsed:.2f} s"
+
+
 def test_hadamard_lead_selection_is_exact():
     # Roots above 2^1100 have no float: float() overflows past 2^1024.
     with pytest.raises(OverflowError):
